@@ -1,130 +1,48 @@
-"""Batch forward-kinematics kernels.
+"""Batched forward kinematics over (n, 6) joint vectors.
 
-Two interchangeable implementations of the hot loop (position of the tool
-frame for N joint vectors): a numba ``@njit(parallel=True)`` kernel and a
-vectorized pure-numpy fallback. Selection order:
+One link model, :func:`_links`, yields each link transform's entries as
+(n,) arrays, and two products consume it:
 
-* ``ARMKIT_PURE_NUMPY=1`` in the environment forces the numpy path;
-* otherwise numba is used when importable, numpy when not.
-
-Both paths fill a preallocated output slot per sample, so results are
-bit-identical for a given path regardless of thread count.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+* :func:`fk_points` multiplies the chain out element by element and keeps
+  only nine rotation and three position arrays, so the workspace sweep
+  builds neither frames nor (n, 3, 3) temporaries;
+* :func:`fk_frames_batch` keeps every frame. It multiplies (n, 4, 4) link
+  matrices with a stacked matmul, which rounds exactly like the per-pose
+  ``T @ A`` of ``kinematics.fk_frames``, so batched statics reproduce the
+  single-pose results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly via the selected path
-    if os.environ.get("ARMKIT_PURE_NUMPY", "") == "1":
-        raise ImportError("pure-numpy path forced by ARMKIT_PURE_NUMPY")
-    from numba import njit, prange
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range  # type: ignore[assignment]
+#: (row, col) of each entry :func:`_links` yields.
+_ENTRIES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3),
+            (2, 1), (2, 2), (2, 3))
 
 
-def _fk_points_impl(rows, qb, out):
-    # rows: (6, 4) float64 [theta_offset, d, a, alpha]; qb: (n, 6); out: (n, 3)
-    n = qb.shape[0]
-    for s in prange(n):
-        r00 = 1.0
-        r01 = 0.0
-        r02 = 0.0
-        r10 = 0.0
-        r11 = 1.0
-        r12 = 0.0
-        r20 = 0.0
-        r21 = 0.0
-        r22 = 1.0
-        px = 0.0
-        py = 0.0
-        pz = 0.0
-        for i in range(6):
-            th = qb[s, i] + rows[i, 0]
-            d = rows[i, 1]
-            a = rows[i, 2]
-            al = rows[i, 3]
-            ct = math.cos(th)
-            st = math.sin(th)
-            ca = math.cos(al)
-            sa = math.sin(al)
-            # link transform: Rz(th) Dz(d) Dx(a) Rx(al)
-            a00 = ct
-            a01 = -st * ca
-            a02 = st * sa
-            a03 = a * ct
-            a10 = st
-            a11 = ct * ca
-            a12 = -ct * sa
-            a13 = a * st
-            a21 = sa
-            a22 = ca
-            px += r00 * a03 + r01 * a13 + r02 * d
-            py += r10 * a03 + r11 * a13 + r12 * d
-            pz += r20 * a03 + r21 * a13 + r22 * d
-            n00 = r00 * a00 + r01 * a10
-            n01 = r00 * a01 + r01 * a11 + r02 * a21
-            n02 = r00 * a02 + r01 * a12 + r02 * a22
-            n10 = r10 * a00 + r11 * a10
-            n11 = r10 * a01 + r11 * a11 + r12 * a21
-            n12 = r10 * a02 + r11 * a12 + r12 * a22
-            n20 = r20 * a00 + r21 * a10
-            n21 = r20 * a01 + r21 * a11 + r22 * a21
-            n22 = r20 * a02 + r21 * a12 + r22 * a22
-            r00, r01, r02 = n00, n01, n02
-            r10, r11, r12 = n10, n11, n12
-            r20, r21, r22 = n20, n21, n22
-        out[s, 0] = px
-        out[s, 1] = py
-        out[s, 2] = pz
+def _links(rows: np.ndarray, qb: np.ndarray):
+    """Yield each link transform ``Rz(th) Dz(d) Dx(a) Rx(al)`` over the batch.
 
-
-if HAS_NUMBA:
-    _fk_points_numba = njit(parallel=True, cache=True)(_fk_points_impl)
-
-
-def fk_points_numpy(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Vectorized fallback: same contract as the numba kernel."""
-    n = qb.shape[0]
-    p = np.zeros((n, 3))
-    r = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+    Entries come row-major without the constant ones: ``a00 a01 a02 a03 a10
+    a11 a12 a13 a21 a22 d`` (``a20`` is 0), each an (n,) array or a float.
+    """
     for i in range(6):
         th = qb[:, i] + rows[i, 0]
         d, a, al = rows[i, 1], rows[i, 2], rows[i, 3]
         ct, st = np.cos(th), np.sin(th)
         ca, sa = math.cos(al), math.sin(al)
-        arot = np.empty((n, 3, 3))
-        arot[:, 0, 0] = ct
-        arot[:, 0, 1] = -st * ca
-        arot[:, 0, 2] = st * sa
-        arot[:, 1, 0] = st
-        arot[:, 1, 1] = ct * ca
-        arot[:, 1, 2] = -ct * sa
-        arot[:, 2, 0] = 0.0
-        arot[:, 2, 1] = sa
-        arot[:, 2, 2] = ca
-        t = np.empty((n, 3))
-        t[:, 0] = a * ct
-        t[:, 1] = a * st
-        t[:, 2] = d
-        p += np.einsum("nij,nj->ni", r, t)
-        r = np.einsum("nij,njk->nik", r, arot)
-    return p
+        yield (ct, -st * ca, st * sa, a * ct,
+               st, ct * ca, -ct * sa, a * st,
+               sa, ca, d)
+
+
+def _as_batch(rows, qb):
+    return (np.ascontiguousarray(rows, dtype=np.float64),
+            np.ascontiguousarray(qb, dtype=np.float64).reshape(-1, 6))
 
 
 def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -135,17 +53,53 @@ def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
         qb: (n, 6) joint angles in radians.
 
     Returns:
-        (n, 3) positions in meters, via the active kernel path.
+        (n, 3) positions in meters.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    qb = np.ascontiguousarray(qb, dtype=np.float64)
-    if HAS_NUMBA:
-        out = np.empty((qb.shape[0], 3))
-        _fk_points_numba(rows, qb, out)
-        return out
-    return fk_points_numpy(rows, qb)
+    rows, qb = _as_batch(rows, qb)
+    r00, r01, r02 = 1.0, 0.0, 0.0
+    r10, r11, r12 = 0.0, 1.0, 0.0
+    r20, r21, r22 = 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    for a00, a01, a02, a03, a10, a11, a12, a13, a21, a22, d in _links(rows, qb):
+        px = px + (r00 * a03 + r01 * a13 + r02 * d)
+        py = py + (r10 * a03 + r11 * a13 + r12 * d)
+        pz = pz + (r20 * a03 + r21 * a13 + r22 * d)
+        r00, r01, r02 = (r00 * a00 + r01 * a10,
+                         r00 * a01 + r01 * a11 + r02 * a21,
+                         r00 * a02 + r01 * a12 + r02 * a22)
+        r10, r11, r12 = (r10 * a00 + r11 * a10,
+                         r10 * a01 + r11 * a11 + r12 * a21,
+                         r10 * a02 + r11 * a12 + r12 * a22)
+        r20, r21, r22 = (r20 * a00 + r21 * a10,
+                         r20 * a01 + r21 * a11 + r22 * a21,
+                         r20 * a02 + r21 * a12 + r22 * a22)
+    return np.stack([px, py, pz], axis=1)
+
+
+def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Every frame transform for a batch of joint vectors.
+
+    Args:
+        rows: (6, 4) float64 array of [theta_offset, d, a, alpha] per joint.
+        Q: (n, 6) joint angles in radians.
+
+    Returns:
+        (n, 7, 4, 4) array; ``[:, 0]`` is the base identity and ``[:, i]``
+        the frame after link ``i``, as in ``kinematics.fk_frames``.
+    """
+    rows, Q = _as_batch(rows, Q)
+    out = np.empty((Q.shape[0], 7, 4, 4))
+    out[:, 0] = np.eye(4)
+    A = np.zeros((Q.shape[0], 4, 4))
+    A[:, 3, 3] = 1.0
+    for i, link in enumerate(_links(rows, Q)):
+        for (r, c), v in zip(_ENTRIES, link):
+            A[:, r, c] = v
+        # a stacked matmul rounds like kinematics.fk_frames' T @ A
+        np.matmul(out[:, i], A, out=out[:, i + 1])
+    return out
 
 
 def active_path() -> str:
-    """Name of the kernel path in use ("numba" or "numpy")."""
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the kernel path in use (always "numpy")."""
+    return "numpy"

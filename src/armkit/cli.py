@@ -398,7 +398,7 @@ def _handle_payload(args, arm, out):
             rows = ["q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,"
                     "cap_kg,limiting_joint"]
             for p, c, lj in zip(poses, caps, limiting):
-                rows.append(_csv_row(np.degrees(p)) + f",{c!r},{lj}")
+                rows.append(_csv_row(np.degrees(p)) + f",{float(c)!r},{lj}")
             out.write("payload_sweep.csv", "\n".join(rows) + "\n")
     return text
 

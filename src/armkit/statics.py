@@ -16,8 +16,9 @@ import numpy as np
 
 from . import drivetrain
 from .errors import NoConvergenceError
+from ._kernels import fk_frames_batch
 from .kinematics import fk_frames
-from .model import ArmDescription, limits_array
+from .model import ArmDescription, dh_params, limits_array
 
 #: Default worst-case sweep: 15-degree grid on the gravity-loaded joints
 #: (shoulder pitch, elbow pitch, wrist pitch); yaw/roll joints stay at zero.
@@ -25,6 +26,10 @@ SWEEP_JOINTS = (2, 3, 5)
 SWEEP_GRID_DEG = 15.0
 
 BISECTION_TOL_KG = 1e-4
+
+#: Poses per batch of the gravity model; its scratch arrays take about
+#: 5 kB per pose, so a chunk stays near 1.3 MB on any lattice.
+_POSE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -49,28 +54,58 @@ class PayloadResult:
 
 
 def _mass_entries(arm: ArmDescription):
-    """(frame, mass, offset) for every structural and motor mass."""
+    """(frame, mass, offset) arrays over every structural and motor mass."""
     entries = [(p.frame, p.mass, p.offset) for p in arm.mass_model.links]
     for pl in arm.mass_model.motors:
         entries.append((pl.frame, arm.drive(pl.drive).motor.mass, pl.offset))
-    return entries
+    table = np.array(entries, dtype=float).reshape(-1, 3)
+    return table[:, 0].astype(int), table[:, 1], table[:, 2]
 
 
-def _com_points(arm: ArmDescription, frames: np.ndarray):
-    """Center-of-mass point per mass entry at the given pose."""
-    pts = []
-    for frame, mass, offset in _mass_entries(arm):
-        if frame == 0:
-            com = frames[0][:3, 3] + offset * frames[0][:3, 2]
-        else:
-            o_prev = frames[frame - 1][:3, 3]
-            o_i = frames[frame][:3, 3]
-            span = o_i - o_prev
-            length = float(np.linalg.norm(span))
-            u = span / length if length > 1e-12 else frames[frame][:3, 2]
-            com = o_prev + offset * u
-        pts.append((frame, mass, com))
-    return pts
+def _gravity_split(arm: ArmDescription, frames: np.ndarray):
+    """Structural gravity torque and tool-point lever per pose and joint.
+
+    Each mass entry sits ``offset`` along its link, from the previous frame
+    origin toward its own (frame 0, or a zero-length link: along that
+    frame's z-axis). Entry moments about joint ``j`` count only for entries
+    at or distal to frame ``j`` and are summed in entry order.
+
+    Returns:
+        (tau_struct, tool_lever), both (n, 6); a payload ``m`` at the tool
+        origin adds ``m * tool_lever * (-g)``.
+    """
+    origin = frames[:, :, :3, 3]
+    axis = frames[:, :, :3, 2]
+    frame, mass, offset = _mass_entries(arm)
+    o_prev = origin[:, np.maximum(frame - 1, 0)]
+    span = origin[:, frame] - o_prev
+    # the same dot product as np.linalg.norm of one vector, so one pose's
+    # torques keep their bits
+    length = np.sqrt(span[..., None, :] @ span[..., :, None])[..., 0]
+    along = length > 1e-12
+    u = np.where(along, span / np.where(along, length, 1.0), axis[:, frame])
+    points = np.concatenate([o_prev + offset[:, None] * u, origin[:, 6:]], axis=1)
+    # moment arm about each joint axis of a unit downward force at each point
+    r = points[:, :, None, :2] - origin[:, None, :6, :2]
+    lever = axis[:, None, :6, 0] * (-r[..., 1]) + axis[:, None, :6, 1] * r[..., 0]
+    moments = mass[:, None] * lever[:, :-1] * (-arm.mass_model.gravity)
+    counts = (frame[:, None] >= np.arange(1, 7)) & (mass[:, None] != 0.0)
+    return np.where(counts, moments, 0.0).sum(axis=1), lever[:, -1].copy()
+
+
+def _torque_split(arm: ArmDescription, q: np.ndarray):
+    """:func:`_gravity_split` of (n, 6) poses.
+
+    One pose takes its frames from the per-pose ``fk_frames``, which is
+    faster at n = 1 and rounds the same; more go through the batched
+    kernel in chunks of ``_POSE_CHUNK`` poses.
+    """
+    if len(q) == 1:
+        return _gravity_split(arm, fk_frames(arm, q[0])[None])
+    rows = dh_params(arm)
+    parts = [_gravity_split(arm, fk_frames_batch(rows, chunk))
+             for chunk in np.split(q, range(_POSE_CHUNK, len(q), _POSE_CHUNK))]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
@@ -79,35 +114,26 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
 
     Args:
         arm: arm description.
-        q: joint angles (radians).
+        q: joint angles (radians), one (6,) pose or an (n, 6) batch.
         payload: point mass (kg) at the tool frame origin; defaults to the
             mass model's configured payload.
 
     Returns:
-        (6,) array; entry ``j-1`` is the moment about joint ``j``'s axis from
-        all masses distal to joint ``j`` (links, motors, payload).
-    """
-    if payload is None:
-        payload = arm.mass_model.payload
-    frames = fk_frames(arm, q)
-    g = arm.mass_model.gravity
-    entries = _com_points(arm, frames)
-    if payload > 0:
-        entries.append((6, float(payload), frames[6][:3, 3]))
+        (6,) array for one pose, (n, 6) for a batch; entry ``j-1`` is the
+        moment about joint ``j``'s axis from all masses distal to joint
+        ``j`` (links, motors, payload).
 
-    tau = np.zeros(6)
-    for j in range(1, 7):
-        axis = frames[j - 1][:3, 2]
-        origin = frames[j - 1][:3, 3]
-        total = 0.0
-        for frame, mass, com in entries:
-            if frame < j or mass == 0.0:
-                continue
-            r = com - origin
-            # moment of force (0, 0, -m g) about the axis through ``origin``
-            total += mass * (axis[0] * (-r[1]) + axis[1] * r[0]) * (-g)
-        tau[j - 1] = total
-    return tau
+    Raises:
+        ValueError: negative or non-finite payload.
+    """
+    payload = arm.mass_model.payload if payload is None else float(payload)
+    if not (math.isfinite(payload) and payload >= 0.0):
+        raise ValueError(f"payload must be a finite mass >= 0 kg, got {payload!r}")
+    q = np.asarray(q, dtype=float)
+    tau, lever = _torque_split(arm, q.reshape(-1, 6))
+    if payload > 0:
+        tau = tau + payload * lever * (-arm.mass_model.gravity)
+    return tau.reshape(q.shape)
 
 
 def available_torques(arm: ArmDescription) -> np.ndarray:
@@ -116,15 +142,20 @@ def available_torques(arm: ArmDescription) -> np.ndarray:
                      for j in range(1, 7)])
 
 
+def _utilization(required: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """required/available; a zero budget is 0 when unloaded, else inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(available > 0.0,
+                        required / np.where(available > 0.0, available, 1.0),
+                        np.where(required > 0.0, np.inf, 0.0))
+
+
 def static_report(arm: ArmDescription, q, payload: Optional[float] = None
                   ) -> StaticLoadReport:
     """Required vs. available torques and utilizations at one pose."""
     required = np.abs(gravity_torques(arm, q, payload))
     available = available_torques(arm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(available > 0.0,
-                        required / np.where(available > 0.0, available, 1.0),
-                        np.where(required > 0.0, np.inf, 0.0))
+    util = _utilization(required, available)
     limiting = int(np.argmax(util)) + 1
     return StaticLoadReport(required=required, available=available,
                             utilization=util, limiting_joint=limiting)
@@ -142,7 +173,15 @@ def sweep_poses(arm: ArmDescription,
     Swept joints get an inclusive ``grid_deg`` grid over their limits; the
     remaining joints are held at 0 (they do not change the gravity moment
     about their own axes in this mounting, and zero keeps the lattice small).
+
+    Raises:
+        ValueError: ``grid_deg`` not a finite pitch > 0, or a swept joint
+            outside 1-6.
     """
+    if not (math.isfinite(grid_deg) and grid_deg > 0.0):
+        raise ValueError(f"grid_deg must be a finite pitch > 0, got {grid_deg!r}")
+    if any(int(j) not in range(1, 7) for j in sweep_joints):
+        raise ValueError(f"sweep_joints must lie in 1-6, got {tuple(sweep_joints)}")
     lim = limits_array(arm)
     axes = []
     for j in range(1, 7):
@@ -163,21 +202,61 @@ def _constraint_columns(constraint_joints: Sequence[int]) -> list:
     return [j - 1 for j in cols]
 
 
-def _torque_split(arm: ArmDescription, poses: np.ndarray):
-    """Signed structural torque and payload coefficient per pose/joint.
+def _payload_search(arm: ArmDescription, poses: np.ndarray, cols: list,
+                    tol_kg: float):
+    """Per-pose payload search over (n, 6) poses.
 
-    gravity_torques is linear in the payload at fixed q, so each pose yields
-    ``tau(m) = tau_struct + m * coeff`` exactly.
+    gravity_torques is linear in the payload at fixed q, so each pose's
+    constrained torques are ``tau_struct + m * coeff`` exactly. Every pose
+    then runs the same search: 0 kg if it is overloaded unloaded, otherwise
+    a [0, 1] kg bracket doubled while feasible (a pose still feasible past
+    1e6 kg is unbounded), then bisected until ``hi - lo <= tol_kg``.
+
+    Args:
+        cols: 0-based columns of the constraint joints.
+
+    Returns:
+        (caps, lo, util_at): per-pose feasible payload (inf where
+        unbounded), the last feasible bracket end (finite), and a function
+        giving the (n, len(cols)) utilizations at a payload per pose.
+
+    Raises:
+        NoConvergenceError: every pose is unbounded, so the worst case has
+            no bracket below 1e6 kg.
     """
-    n = poses.shape[0]
-    tau_s = np.empty((n, 6))
-    coeff = np.empty((n, 6))
-    for i in range(n):
-        t0 = gravity_torques(arm, poses[i], payload=0.0)
-        t1 = gravity_torques(arm, poses[i], payload=1.0)
-        tau_s[i] = t0
-        coeff[i] = t1 - t0
-    return tau_s, coeff
+    tau_s, lever = _torque_split(arm, poses)
+    g = arm.mass_model.gravity
+    coeff = (tau_s + lever * (-g)) - tau_s
+    tau_s, coeff = tau_s[:, cols], coeff[:, cols]
+    avail = available_torques(arm)[cols]
+    limit = avail + 1e-12
+
+    def feasible(m: np.ndarray) -> np.ndarray:
+        return (np.abs(tau_s + m[:, None] * coeff) <= limit).all(axis=1)
+
+    def util_at(m: np.ndarray) -> np.ndarray:
+        return _utilization(np.abs(tau_s + m[:, None] * coeff), avail)
+
+    lo = np.zeros(len(tau_s))
+    hi = np.where(feasible(lo), 1.0, 0.0)
+    grow = (hi > 0.0) & feasible(hi)
+    while grow.any():
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        grow &= (hi <= 1e6) & feasible(hi)
+    unbounded = hi > 1e6
+    if unbounded.all():
+        raise NoConvergenceError(
+            "payload bisection found no infeasible upper bracket",
+            bracket=(float(lo.min()), float(hi.min())))
+    active = ~unbounded & (hi - lo > tol_kg)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+        active &= hi - lo > tol_kg
+    return np.where(unbounded, np.inf, lo), lo, util_at
 
 
 def max_payload(arm: ArmDescription,
@@ -201,13 +280,15 @@ def max_payload(arm: ArmDescription,
         tol_kg: bisection bracket width.
 
     Returns:
-        :class:`PayloadResult` with the feasible payload (lower bisection
-        bracket, so the limiting utilization is <= 1), the limiting joint,
-        its utilization at the returned mass, and the binding pose.
+        :class:`PayloadResult` with the smallest per-pose cap of
+        :func:`sweep_payload_caps` (the lower bisection bracket, so the
+        limiting utilization is <= 1), the joint and pose with the highest
+        utilization at that mass, and that utilization.
 
     Raises:
         NoConvergenceError: no finite bracket exists (feasible beyond 1e6 kg),
             reported with the bracketing values.
+        ValueError: unknown policy, bad lattice or constraint joints.
     """
     if isinstance(pose_policy, str):
         if pose_policy != "worst_case_sweep":
@@ -219,45 +300,13 @@ def max_payload(arm: ArmDescription,
         policy = "fixed"
 
     cols = _constraint_columns(constraint_joints)
-    tau_s, coeff = _torque_split(arm, poses)
-    tau_s, coeff = tau_s[:, cols], coeff[:, cols]
-    avail = available_torques(arm)[cols]
-
-    def feasible(m: float) -> bool:
-        return bool(np.all(np.abs(tau_s + m * coeff) <= avail + 1e-12))
-
-    def binding(m: float):
-        """(pose index, joint index, utilization) of the worst joint at m."""
-        req = np.abs(tau_s + m * coeff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(avail > 0.0, req / np.where(avail > 0.0, avail, 1.0),
-                            np.where(req > 0.0, np.inf, 0.0))
-        flat = int(np.argmax(util))
-        n_cols = len(cols)
-        return (flat // n_cols, cols[flat % n_cols] + 1,
-                float(util.reshape(-1)[flat]))
-
-    if not feasible(0.0):
-        pi, joint, util = binding(0.0)
-        return PayloadResult(mass=0.0, limiting_joint=joint, utilization=util,
-                             pose=poses[pi], policy=policy)
-
-    lo, hi = 0.0, 1.0
-    while feasible(hi):
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise NoConvergenceError(
-                "payload bisection found no infeasible upper bracket",
-                bracket=(lo, hi))
-    while hi - lo > tol_kg:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    pi, joint, util = binding(lo)
-    return PayloadResult(mass=lo, limiting_joint=joint, utilization=util,
-                         pose=poses[pi], policy=policy)
+    caps, _, util_at = _payload_search(arm, poses, cols, tol_kg)
+    mass = float(caps.min())
+    util = util_at(np.full(len(poses), mass))
+    pi, ci = np.unravel_index(int(np.argmax(util)), util.shape)
+    return PayloadResult(mass=mass, limiting_joint=cols[ci] + 1,
+                         utilization=float(util[pi, ci]), pose=poses[pi],
+                         policy=policy)
 
 
 def sweep_payload_caps(arm: ArmDescription,
@@ -267,38 +316,19 @@ def sweep_payload_caps(arm: ArmDescription,
                        tol_kg: float = BISECTION_TOL_KG):
     """Per-pose payload cap over the worst-case lattice (for CSV export).
 
+    Each pose runs :func:`max_payload`'s search, so the smallest cap is
+    exactly ``max_payload(...).mass``.
+
     Returns:
         (poses, caps, limiting_joints): the lattice (n, 6), each pose's
-        feasible payload (kg), and its 1-based limiting joint.
+        feasible payload (kg; inf where no bracket exists below 1e6 kg),
+        and its 1-based limiting joint at that payload (at the last
+        feasible bracket end where unbounded).
+
+    Raises:
+        NoConvergenceError: the worst case has no bracket below 1e6 kg.
     """
     cols = _constraint_columns(constraint_joints)
     poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
-    tau_s, coeff = _torque_split(arm, poses)
-    tau_s, coeff = tau_s[:, cols], coeff[:, cols]
-    avail = available_torques(arm)[cols]
-
-    n = poses.shape[0]
-    lo = np.zeros(n)
-    hi = np.full(n, 1.0)
-    feasible0 = np.all(np.abs(tau_s) <= avail + 1e-12, axis=1)
-    # grow upper brackets until infeasible everywhere (vectorized doubling)
-    for _ in range(64):
-        req = np.abs(tau_s + hi[:, None] * coeff)
-        still = np.all(req <= avail + 1e-12, axis=1) & feasible0
-        if not np.any(still):
-            break
-        lo[still] = hi[still]
-        hi[still] *= 2.0
-    for _ in range(int(math.ceil(math.log2(max(hi.max(), 1.0) / tol_kg))) + 2):
-        mid = 0.5 * (lo + hi)
-        req = np.abs(tau_s + mid[:, None] * coeff)
-        ok = np.all(req <= avail + 1e-12, axis=1) & feasible0
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    caps = np.where(feasible0, lo, 0.0)
-    req = np.abs(tau_s + caps[:, None] * coeff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(avail > 0.0, req / np.where(avail > 0.0, avail, 1.0),
-                        np.where(req > 0.0, np.inf, 0.0))
-    limiting = np.array(cols)[np.argmax(util, axis=1)] + 1
-    return poses, caps, limiting
+    caps, lo, util_at = _payload_search(arm, poses, cols, tol_kg)
+    return poses, caps, np.array(cols)[np.argmax(util_at(lo), axis=1)] + 1

@@ -42,6 +42,23 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     assert rc == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["payload", "--grid-deg", "0"],
+    ["payload", "--grid-deg", "nan"],
+    ["payload", "--grid-deg", "-15"],
+    ["payload", "--sweep-joints", "7"],
+    ["payload", "--sweep-joints", "0,2"],
+    ["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+     "--payload-kg", "-5"],
+    ["payload", "--limit-joints", "4", "--format", "csv"],
+])
+def test_statics_domain_errors_exit_4(capsys: pytest.CaptureFixture,
+                                      tmp_path: Path, argv: list) -> None:
+    rc, out = _run(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert out == ""
+
+
 def test_bom_data_error_exits_6(capsys: pytest.CaptureFixture,
                                 tmp_path: Path) -> None:
     rc, _ = _run(capsys, ["bom", "--file", str(tmp_path / "absent.csv")])
@@ -209,6 +226,29 @@ def test_replay_reproduces_identical_outputs(capsys: pytest.CaptureFixture,
     assert a["outputs"]  # something was actually written and hashed
     assert {f["path"]: f["sha256"] for f in a["outputs"]} == \
            {f["path"]: f["sha256"] for f in b["outputs"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fk", "--q", "10,-20,30,0,15,5"],
+    ["reach", "--per-joint-steps", "5,5,5,3,3,3"],
+    ["capstan", "--small-diameter", "19.4", "--large-diameter", "155.2"],
+    ["torque-table"],
+    ["resolution"],
+    ["payload", "--grid-deg", "30"],
+    ["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+     "--payload-kg", "0.3"],
+    ["repeat-sim", "--speeds", "500", "--cycles", "3"],
+])
+def test_outputs_print_plain_floats(capsys: pytest.CaptureFixture,
+                                    tmp_path: Path, argv: list) -> None:
+    # numpy 2 scalars repr as ``np.float64(x)``; every number leaves as x
+    for fmt in ("text", "csv"):
+        out_dir = tmp_path / fmt
+        rc, out = _run(capsys, argv + ["--format", fmt, "--out", str(out_dir)])
+        assert rc == 0
+        assert "np.float64(" not in out
+        for f in out_dir.iterdir():
+            assert "np.float64(" not in f.read_text(), f.name
 
 
 def test_svg_format_is_limited_to_plots(capsys: pytest.CaptureFixture,

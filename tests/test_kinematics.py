@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from armkit import kinematics, model
+from armkit import _kernels, kinematics, model
 from armkit.errors import (EmptyCloudError, NoConvergenceError,
                            ResourceLimitError, UnreachableTargetError)
 from armkit.kinematics import IKOptions, Pose, WorkspaceCloud
@@ -271,12 +273,16 @@ def test_reference_reach_constants_disagree_and_both_ship() -> None:
 # batched FK kernels
 # ---------------------------------------------------------------------------
 
-def test_kernel_paths_agree(arm: model.ArmDescription,
-                            rng: np.random.Generator) -> None:
-    from armkit import _kernels
+@settings(max_examples=60, deadline=None)
+@given(qb=hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.just(6)),
+                     elements=st.floats(-2 * math.pi, 2 * math.pi)))
+def test_batched_fk_matches_per_pose_frames(arm: model.ArmDescription,
+                                            qb: np.ndarray) -> None:
     rows = model.dh_params(arm)
-    qb = _random_in_limits(arm, rng, 500)
-    fast = _kernels.fk_points(rows, qb)
-    plain = _kernels.fk_points_numpy(rows, qb)
-    assert fast.shape == plain.shape == (500, 3)
-    assert float(np.max(np.abs(fast - plain))) < 1e-12
+    ref = np.stack([kinematics.fk_frames(arm, q) for q in qb])
+    frames = _kernels.fk_frames_batch(rows, qb)
+    points = _kernels.fk_points(rows, qb)
+    assert frames.shape == (len(qb), 7, 4, 4)
+    assert points.shape == (len(qb), 3)
+    assert float(np.max(np.abs(frames - ref))) <= 1e-12
+    assert float(np.max(np.abs(points - ref[:, 6, :3, 3]))) <= 1e-12

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from armkit import model, statics
 from armkit.errors import NoConvergenceError
@@ -128,15 +130,30 @@ def test_max_payload_unconstrained_axis_diverges(arm: model.ArmDescription) -> N
     with pytest.raises(NoConvergenceError):
         statics.max_payload(arm, pose_policy=FIXED_OUTSTRETCHED,
                             constraint_joints=(1,))
+    # forearm roll never loads on the lattice (joints 1, 4 and 6 held at 0)
+    with pytest.raises(NoConvergenceError):
+        statics.sweep_payload_caps(arm, grid_deg=30.0, constraint_joints=(4,))
 
 
 def test_constraint_joints_validation(arm: model.ArmDescription) -> None:
-    with pytest.raises(ValueError):
-        statics.max_payload(arm, constraint_joints=())
-    with pytest.raises(ValueError):
-        statics.max_payload(arm, constraint_joints=(0, 3))
-    with pytest.raises(ValueError):
-        statics.max_payload(arm, constraint_joints=(7,))
+    for kwargs in ({"constraint_joints": ()},
+                   {"constraint_joints": (0, 3)},
+                   {"constraint_joints": (7,)},
+                   {"grid_deg": 0.0},
+                   {"grid_deg": -15.0},
+                   {"grid_deg": math.nan},
+                   {"grid_deg": math.inf},
+                   {"sweep_joints": (7,)},
+                   {"sweep_joints": (0, 2)}):
+        for search in (statics.max_payload, statics.sweep_payload_caps):
+            with pytest.raises(ValueError):
+                search(arm, **kwargs)
+        if "constraint_joints" not in kwargs:
+            with pytest.raises(ValueError):
+                statics.sweep_poses(arm, **kwargs)
+    for payload in (-5.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            statics.static_report(arm, FIXED_OUTSTRETCHED, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +186,60 @@ def test_sweep_payload_caps_alignment(arm: model.ArmDescription) -> None:
     assert set(np.unique(limiting)).issubset({1, 2, 3, 4, 5, 6})
     k = int(np.argmin(caps))
     res = statics.max_payload(arm, grid_deg=60.0)
-    # both searches bisect to BISECTION_TOL_KG but with independent brackets
-    assert res.mass == pytest.approx(float(caps[k]), abs=2 * statics.BISECTION_TOL_KG)
+    # max_payload is the smallest per-pose cap of the same search
+    assert res.mass == caps[k]
     assert res.limiting_joint == int(limiting[k])
+
+
+def test_sweep_payload_caps_marks_unbounded_poses(
+        arm: model.ArmDescription) -> None:
+    # unrolled or straight wrists never load forearm roll; bent, rolled ones do
+    kwargs = dict(grid_deg=45.0, sweep_joints=(3, 4, 5), constraint_joints=(4,))
+    _, caps, limiting = statics.sweep_payload_caps(arm, **kwargs)
+    unbounded = np.isinf(caps)
+    assert unbounded.any() and not unbounded.all()
+    assert np.all(limiting == 4)
+    assert statics.max_payload(arm, **kwargs).mass == caps.min()
+
+
+# ---------------------------------------------------------------------------
+# batched paths against single-pose ones
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(u=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(6)),
+                    elements=st.floats(0.0, 1.0)),
+       payload=st.floats(0.0, 5.0))
+def test_batched_gravity_torques_match_single_poses(
+        arm: model.ArmDescription, u: np.ndarray, payload: float) -> None:
+    lim = model.limits_array(arm)
+    qb = lim[:, 0] + u * (lim[:, 1] - lim[:, 0])
+    batch = statics.gravity_torques(arm, qb, payload=payload)
+    single = np.stack([statics.gravity_torques(arm, q, payload=payload)
+                       for q in qb])
+    assert batch.shape == (len(qb), 6)
+    assert float(np.max(np.abs(batch - single))) <= 1e-12
+    t0 = statics.gravity_torques(arm, qb, payload=0.0)
+    t1 = statics.gravity_torques(arm, qb, payload=1.0)
+    assert np.allclose(batch, t0 + payload * (t1 - t0), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(grid_deg=st.sampled_from([20.0, 30.0, 45.0, 60.0]),
+       sweep=st.sets(st.sampled_from([2, 3, 5]), min_size=1),
+       limit=st.sets(st.integers(1, 6), min_size=1),
+       tol_kg=st.sampled_from([statics.BISECTION_TOL_KG, 1e-3, 0.05]))
+def test_max_payload_is_the_smallest_sweep_cap(
+        arm: model.ArmDescription, grid_deg: float, sweep: set, limit: set,
+        tol_kg: float) -> None:
+    kwargs = dict(grid_deg=grid_deg, sweep_joints=tuple(sorted(sweep)),
+                  constraint_joints=tuple(sorted(limit)), tol_kg=tol_kg)
+    try:
+        res = statics.max_payload(arm, **kwargs)
+    except NoConvergenceError:
+        with pytest.raises(NoConvergenceError):
+            statics.sweep_payload_caps(arm, **kwargs)
+        return
+    _, caps, _ = statics.sweep_payload_caps(arm, **kwargs)
+    assert res.mass == caps.min()
+    assert type(res.mass) is float and type(res.utilization) is float
