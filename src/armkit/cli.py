@@ -3,10 +3,12 @@
 Angles cross this boundary in degrees and are converted to radians
 immediately; lengths are meters except where a flag says otherwise
 (capstan geometry is entered in millimeters, matching how such hardware
-is specified). Output files are only written when ``--out DIR`` is given;
-a ``manifest.json`` recording the subcommand, arm source, seed, full argv,
-and the SHA-256 of every written file lands next to them, and
-:func:`replay` re-executes a manifest bit-exactly.
+is specified). Output files are only written when ``--out DIR`` is given:
+``<subcommand>.txt`` (the stdout text) always, plus the ``--format csv|svg``
+file where the subcommand has one. A ``manifest.json`` recording the
+subcommand, arm source, seed, full argv, and the SHA-256 of every written
+file lands next to them, and :func:`replay` re-executes a manifest
+bit-exactly.
 
 Exit codes (also in the README): 0 success, 2 usage, 3 arm-config,
 4 computation, 5 resource limit, 6 BOM data, 7 output I/O.
@@ -41,7 +43,7 @@ from .kinematics import (
     REFERENCE_NOMINAL_REACH_M,
     REFERENCE_RADIAL_REACH_M,
 )
-from .model import ENV_ARM_CONFIG, resolve_arm
+from .model import ENV_ARM_CONFIG, CapstanGeometry, resolve_arm
 
 MANIFEST_SCHEMA = "armkit.run/1"
 MANIFEST_NAME = "manifest.json"
@@ -60,6 +62,10 @@ SUBCOMMANDS = ("fk", "ik", "jacobian", "workspace", "reach", "capstan",
                "torque-table", "resolution", "payload", "repeat-sim", "bom")
 
 _SVG_CAPABLE = ("workspace", "repeat-sim")
+
+#: Rows per ``tolist()`` call when :func:`_csv` renders an array; bounds
+#: the Python floats alive at once while a large cloud is written.
+_CSV_CHUNK_ROWS = 65_536
 
 
 class CliUsageError(Exception):
@@ -101,8 +107,33 @@ def _rpy_matrix(rpy_deg: np.ndarray) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _csv_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v.replace(",", ";")
+    if isinstance(v, int):
+        return str(v)
+    return repr(float(v))
+
+
+def _csv(header: Optional[str], rows) -> str:
+    """Render one CSV table; every CSV file the CLI writes comes from here.
+
+    ``header`` is the first line (None: no header). Cells: None -> empty,
+    str -> ``,`` replaced by ``;``, int -> decimal, anything else ->
+    ``repr(float(v))``. A numeric ndarray is converted ``tolist()`` in
+    chunks of :data:`_CSV_CHUNK_ROWS` rows, so a 2M-row cloud never holds
+    one Python object per value at once.
+    """
+    parts = [] if header is None else [header + "\n"]
+    if isinstance(rows, np.ndarray):
+        for i in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
+            parts.append("".join(",".join(map(repr, row)) + "\n"
+                                 for row in rows[i:i + _CSV_CHUNK_ROWS].tolist()))
+    else:
+        parts.extend(",".join(map(_cell, row)) + "\n" for row in rows)
+    return "".join(parts)
 
 
 class _Outputs:
@@ -143,10 +174,12 @@ class _Outputs:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: return stdout text, append files to ``out``
+# subcommand handlers: ``(args, arm) -> (stdout text, artifacts)``, where
+# ``artifacts`` maps a --format to a zero-argument callable returning
+# ``(file name, content)``; run() calls it only when that file is written
 # --------------------------------------------------------------------------
 
-def _handle_fk(args, arm, out):
+def _handle_fk(args, arm):
     q = np.radians(_floats(args.q, 6, "--q"))
     pose = kinematics.forward_kinematics(arm, q)
     x, y, z = (float(v) for v in pose.position)
@@ -155,16 +188,11 @@ def _handle_fk(args, arm, out):
              "rotation:"]
     for row in pose.orientation:
         lines.append("  " + " ".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            out.write("fk.csv", "x_m,y_m,z_m\n" + _csv_row(pose.position) + "\n")
-        else:
-            out.write("fk.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {
+        "csv": lambda: ("fk.csv", _csv("x_m,y_m,z_m", [pose.position]))}
 
 
-def _handle_ik(args, arm, out):
+def _handle_ik(args, arm):
     target = Pose(position=_floats(args.target, 3, "--target"),
                   orientation=_rpy_matrix(_floats(args.rpy, 3, "--rpy")))
     q0 = (np.radians(_floats(args.q0, 6, "--q0")) if args.q0
@@ -180,40 +208,27 @@ def _handle_ik(args, arm, out):
         "position_m: " + " ".join(repr(float(v)) for v in reached.position),
         f"position_error_m: {err!r}",
     ]
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            out.write("ik.csv", "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg\n"
-                      + _csv_row(q_deg) + "\n")
-        else:
-            out.write("ik.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {
+        "csv": lambda: ("ik.csv", _csv(
+            "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg", [q_deg]))}
 
 
-def _handle_jacobian(args, arm, out):
+def _handle_jacobian(args, arm):
     q = np.radians(_floats(args.q, 6, "--q"))
     J = kinematics.jacobian(arm, q)
     lines = [f"q_deg: {args.q}",
              "jacobian (rows: vx vy vz wx wy wz; columns: joints 1-6):"]
     for row in J:
         lines.append("  " + " ".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            out.write("jacobian.csv",
-                      "\n".join(_csv_row(row) for row in J) + "\n")
-        else:
-            out.write("jacobian.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {
+        "csv": lambda: ("jacobian.csv", _csv(None, J))}
 
 
-def _sample_cloud(args, arm):
+def _reach_summary(args, arm):
+    """Sample the cloud; returns (cloud, summary text, max reach, radial)."""
     steps = _ints(args.per_joint_steps, 6, "--per-joint-steps")
-    return kinematics.sample_workspace(arm, steps, mode=args.mode,
-                                       samples=args.samples, seed=args.seed)
-
-
-def _reach_summary(args, arm, cloud) -> str:
+    cloud = kinematics.sample_workspace(arm, steps, mode=args.mode,
+                                        samples=args.samples, seed=args.seed)
     dist, radial = kinematics.max_reach(cloud)
     span = kinematics.azimuth_span(cloud, shell_fraction=args.shell_fraction)
     below = kinematics.below_base_fraction(cloud)
@@ -236,43 +251,27 @@ def _reach_summary(args, arm, cloud) -> str:
         f"quoted with the payload test); computed max radial {radial:.5f} m "
         f"is {d_nom:+.1f}% of the former and {d_rad:+.1f}% of the latter.",
     ]
-    return "\n".join(lines) + "\n"
+    return cloud, "\n".join(lines) + "\n", dist, radial
 
 
-def _handle_workspace(args, arm, out):
-    cloud = _sample_cloud(args, arm)
-    text = _reach_summary(args, arm, cloud)
-    if out is not None:
-        out.write("workspace.txt", text)
-        if args.format == "csv":
-            rows = ["x_m,y_m,z_m"]
-            rows += [_csv_row(p) for p in cloud.points]
-            out.write("workspace.csv", "\n".join(rows) + "\n")
-        elif args.format == "svg":
-            out.write("workspace.svg", svgplot.workspace_svg(cloud.points))
-    return text
+def _handle_workspace(args, arm):
+    cloud, text, _, _ = _reach_summary(args, arm)
+    return text, {
+        "csv": lambda: ("workspace.csv", _csv("x_m,y_m,z_m", cloud.points)),
+        "svg": lambda: ("workspace.svg", svgplot.workspace_svg(cloud.points)),
+    }
 
 
-def _handle_reach(args, arm, out):
-    cloud = _sample_cloud(args, arm)
-    text = _reach_summary(args, arm, cloud)
-    if out is not None:
-        if args.format == "csv":
-            dist, radial = kinematics.max_reach(cloud)
-            rows = ["metric,value",
-                    f"max_reach_m,{dist!r}",
-                    f"max_radial_reach_m,{radial!r}",
-                    f"nominal_reference_m,{REFERENCE_NOMINAL_REACH_M!r}",
-                    f"radial_reference_m,{REFERENCE_RADIAL_REACH_M!r}"]
-            out.write("reach.csv", "\n".join(rows) + "\n")
-        else:
-            out.write("reach.txt", text)
-    return text
+def _handle_reach(args, arm):
+    _, text, dist, radial = _reach_summary(args, arm)
+    return text, {"csv": lambda: ("reach.csv", _csv("metric,value", [
+        ("max_reach_m", dist),
+        ("max_radial_reach_m", radial),
+        ("nominal_reference_m", REFERENCE_NOMINAL_REACH_M),
+        ("radial_reference_m", REFERENCE_RADIAL_REACH_M)]))}
 
 
-def _handle_capstan(args, arm, out):
-    from .model import CapstanGeometry
-
+def _handle_capstan(args, arm):
     geom = CapstanGeometry(sheave_diameter=args.small_diameter * 1e-3,
                            pulley_diameter=args.large_diameter * 1e-3,
                            cable_thickness=args.cable_thickness * 1e-3,
@@ -289,21 +288,14 @@ def _handle_capstan(args, arm, out):
         f"sheave_height_mm: {height * 1e3!r}",
         f"groove_spacing_mm: {spacing * 1e3!r}",
     ]
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            rows = ["metric,value",
-                    f"reduction_ratio,{gamma!r}",
-                    f"windings,{windings!r}",
-                    f"sheave_height_mm,{height * 1e3!r}",
-                    f"groove_spacing_mm,{spacing * 1e3!r}"]
-            out.write("capstan.csv", "\n".join(rows) + "\n")
-        else:
-            out.write("capstan.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {"csv": lambda: ("capstan.csv", _csv(
+        "metric,value", [("reduction_ratio", gamma),
+                         ("windings", windings),
+                         ("sheave_height_mm", height * 1e3),
+                         ("groove_spacing_mm", spacing * 1e3)]))}
 
 
-def _handle_torque_table(args, arm, out):
+def _handle_torque_table(args, arm):
     rows = drivetrain.torque_table(arm)
     header = (f"{'joint':>5} {'motor':<14} {'mechanism':<16} "
               f"{'reduction':>9} {'holding':>8} {'max_torque':>10} "
@@ -316,43 +308,24 @@ def _handle_torque_table(args, arm, out):
             f"{r.total_reduction:>9.4f} {r.holding_torque:>8.3f} "
             f"{r.max_joint_torque:>10.5f} {listed:>8}  {r.annotation or ''}"
         )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            rows_csv = ["joint,motor,mechanism,total_reduction,"
-                        "holding_torque_nm,max_joint_torque_nm,"
-                        "listed_max_torque_nm,annotation"]
-            for r in rows:
-                listed = "" if r.listed_max_torque is None else repr(
-                    r.listed_max_torque)
-                note = (r.annotation or "").replace(",", ";")
-                rows_csv.append(
-                    f"{r.joint_index},{r.motor},{r.mechanism.replace(',', ';')},"
-                    f"{r.total_reduction!r},{r.holding_torque!r},"
-                    f"{r.max_joint_torque!r},{listed},{note}")
-            out.write("torque_table.csv", "\n".join(rows_csv) + "\n")
-        else:
-            out.write("torque_table.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {"csv": lambda: ("torque_table.csv", _csv(
+        "joint,motor,mechanism,total_reduction,holding_torque_nm,"
+        "max_joint_torque_nm,listed_max_torque_nm,annotation",
+        [(r.joint_index, r.motor, r.mechanism, r.total_reduction,
+          r.holding_torque, r.max_joint_torque, r.listed_max_torque,
+          r.annotation) for r in rows]))}
 
 
-def _handle_resolution(args, arm, out):
+def _handle_resolution(args, arm):
     rows = drivetrain.resolution_table(arm)
     lines = [f"{'joint':>5} {'reduction':>9} {'deg_per_microstep':>18}"]
     for j, red, deg in rows:
         lines.append(f"{j:>5} {red:>9.4f} {deg:>18.6f}")
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            rows_csv = ["joint,total_reduction,deg_per_microstep"]
-            rows_csv += [f"{j},{red!r},{deg!r}" for j, red, deg in rows]
-            out.write("resolution.csv", "\n".join(rows_csv) + "\n")
-        else:
-            out.write("resolution.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {"csv": lambda: ("resolution.csv", _csv(
+        "joint,total_reduction,deg_per_microstep", rows))}
 
 
-def _handle_payload(args, arm, out):
+def _handle_payload(args, arm):
     sweep_joints = _ints(args.sweep_joints, None, "--sweep-joints")
     limit_joints = _ints(args.limit_joints, None, "--limit-joints")
     if args.policy == "fixed":
@@ -372,38 +345,37 @@ def _handle_payload(args, arm, out):
         lines.append(f"max_payload_kg_at_pose: {result.mass!r} "
                      f"(limiting joint {result.limiting_joint}, "
                      f"utilization {result.utilization:.5f})")
-    else:
-        result = statics.max_payload(arm, "worst_case_sweep",
-                                     grid_deg=args.grid_deg,
-                                     sweep_joints=sweep_joints,
-                                     constraint_joints=limit_joints)
-        pose_deg = ",".join(f"{math.degrees(v):g}" for v in result.pose)
-        lines = [
-            f"policy: worst_case_sweep (grid {args.grid_deg:g} deg over "
-            f"joints {','.join(map(str, sweep_joints))}, others at 0; "
-            f"budgets checked on joints "
-            f"{','.join(map(str, limit_joints))})",
-            f"max_payload_kg: {result.mass!r}",
-            f"limiting_joint: {result.limiting_joint}",
-            f"limiting_utilization: {result.utilization!r}",
-            f"binding_pose_deg: {pose_deg}",
-        ]
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write("payload.txt", text)
-        if args.format == "csv" and args.policy != "fixed":
-            poses, caps, limiting = statics.sweep_payload_caps(
-                arm, grid_deg=args.grid_deg, sweep_joints=sweep_joints,
-                constraint_joints=limit_joints)
-            rows = ["q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,"
-                    "cap_kg,limiting_joint"]
-            for p, c, lj in zip(poses, caps, limiting):
-                rows.append(_csv_row(np.degrees(p)) + f",{float(c)!r},{lj}")
-            out.write("payload_sweep.csv", "\n".join(rows) + "\n")
-    return text
+        return "\n".join(lines) + "\n", {}
+
+    result = statics.max_payload(arm, "worst_case_sweep",
+                                 grid_deg=args.grid_deg,
+                                 sweep_joints=sweep_joints,
+                                 constraint_joints=limit_joints)
+    pose_deg = ",".join(f"{math.degrees(v):g}" for v in result.pose)
+    lines = [
+        f"policy: worst_case_sweep (grid {args.grid_deg:g} deg over "
+        f"joints {','.join(map(str, sweep_joints))}, others at 0; "
+        f"budgets checked on joints "
+        f"{','.join(map(str, limit_joints))})",
+        f"max_payload_kg: {result.mass!r}",
+        f"limiting_joint: {result.limiting_joint}",
+        f"limiting_utilization: {result.utilization!r}",
+        f"binding_pose_deg: {pose_deg}",
+    ]
+
+    def sweep_csv():
+        poses, caps, limiting = statics.sweep_payload_caps(
+            arm, grid_deg=args.grid_deg, sweep_joints=sweep_joints,
+            constraint_joints=limit_joints)
+        return "payload_sweep.csv", _csv(
+            "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,cap_kg,limiting_joint",
+            [(*p, c, lj) for p, c, lj in zip(np.degrees(poses).tolist(),
+                                             caps.tolist(), limiting.tolist())])
+
+    return "\n".join(lines) + "\n", {"csv": sweep_csv}
 
 
-def _handle_repeat_sim(args, arm, out):
+def _handle_repeat_sim(args, arm):
     speeds = _floats(args.speeds, None, "--speeds")
     if (args.sigma0_mm is None) != (args.k_mm_s_per_step is None):
         raise CliUsageError("--sigma0-mm and --k-mm-s-per-step go together")
@@ -428,20 +400,19 @@ def _handle_repeat_sim(args, arm, out):
     for speed, std in zip(result.speeds, result.stds):
         lines.append(f"{speed:>8g} {std * 1e3:>12.6f}")
     lines.append(f"grand_mean_abs_deviation_mm: {result.grand_mean * 1e3!r}")
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write("repeat_sim.txt", text)
-        if args.format == "csv":
-            out.write("repeat_sim.csv", steppersim.result_to_csv(result))
-        elif args.format == "svg":
-            labels = [f"{s:g}" for s in result.speeds]
-            data = [d * 1e3 for d in result.deviations]
-            out.write("repeat_sim.svg",
-                      svgplot.box_plot_svg(labels, data, "deviation (mm)"))
-    return text
+    return "\n".join(lines) + "\n", {
+        "csv": lambda: ("repeat_sim.csv", _csv(
+            "speed_steps_per_s,cycle,deviation_mm",
+            [(speed, ci, d * 1e3)
+             for speed, devs in zip(result.speeds, result.deviations)
+             for ci, d in enumerate(devs.tolist())])),
+        "svg": lambda: ("repeat_sim.svg", svgplot.box_plot_svg(
+            [f"{s:g}" for s in result.speeds],
+            [d * 1e3 for d in result.deviations], "deviation (mm)")),
+    }
 
 
-def _handle_bom(args, arm, out):
+def _handle_bom(args, arm):
     if args.file:
         bill = bom_mod.load_bom(args.file, batch_size=args.batch)
     else:
@@ -449,17 +420,16 @@ def _handle_bom(args, arm, out):
         if args.batch != bill.batch_size:
             bill = bom_mod.BillOfMaterials(lines=bill.lines,
                                            batch_size=args.batch)
-    total = bom_mod.batch_total(bill)
-    per_arm = bom_mod.per_arm_cost(bill)
+    total = bom_mod.format_usd(bom_mod.batch_total(bill))
+    per_arm = bom_mod.format_usd(bom_mod.per_arm_cost(bill))
     fil = bom_mod.filament_report(bill)
     cable = bom_mod.cable_budget(bom_mod.CABLE_LENGTHS_MM, bill.batch_size)
+    subtotals = [(cat, bom_mod.format_usd(sub))
+                 for cat, sub in bom_mod.category_subtotals(bill).items()]
 
-    lines = []
-    for cat, sub in bom_mod.category_subtotals(bill).items():
-        lines.append(f"{cat}: ${bom_mod.format_usd(sub)}")
-    lines.append(f"batch_total_usd ({bill.batch_size} arms): "
-                 f"{bom_mod.format_usd(total)}")
-    lines.append(f"per_arm_usd: {bom_mod.format_usd(per_arm)}")
+    lines = [f"{cat}: ${sub}" for cat, sub in subtotals]
+    lines.append(f"batch_total_usd ({bill.batch_size} arms): {total}")
+    lines.append(f"per_arm_usd: {per_arm}")
     spool_note = ""
     if fil.mismatch:
         spool_note = (f" -- parts list orders {fil.listed_spools}, "
@@ -472,18 +442,9 @@ def _handle_bom(args, arm, out):
         f"cable: {','.join(f'{v:g}' for v in bom_mod.CABLE_LENGTHS_MM)} mm "
         f"per arm x {bill.batch_size} -> {float(cable.total_mm):g} mm "
         f"({ft:.3f} ft)")
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        if args.format == "csv":
-            rows = ["category,subtotal_usd"]
-            for cat, sub in bom_mod.category_subtotals(bill).items():
-                rows.append(f"{cat.replace(',', ';')},{bom_mod.format_usd(sub)}")
-            rows.append(f"batch_total,{bom_mod.format_usd(total)}")
-            rows.append(f"per_arm,{bom_mod.format_usd(per_arm)}")
-            out.write("bom.csv", "\n".join(rows) + "\n")
-        else:
-            out.write("bom.txt", text)
-    return text
+    return "\n".join(lines) + "\n", {"csv": lambda: ("bom.csv", _csv(
+        "category,subtotal_usd",
+        subtotals + [("batch_total", total), ("per_arm", per_arm)]))}
 
 
 _HANDLERS = {
@@ -656,7 +617,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         if _NEEDS_ARM[args.subcommand]:
             arm, arm_source = resolve_arm(args.arm)
         out = _Outputs(args.out) if args.out else None
-        text = _HANDLERS[args.subcommand](args, arm, out)
+        text, artifacts = _HANDLERS[args.subcommand](args, arm)
+        if out is not None:
+            # files land before stdout, so a failed artifact prints nothing
+            out.write(args.subcommand.replace("-", "_") + ".txt", text)
+            if args.format in artifacts:
+                out.write(*artifacts[args.format]())
         sys.stdout.write(text)
         if out is not None:
             out.write_manifest(args.subcommand, arm_source, args.seed, argv)
@@ -673,10 +639,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_CODES["resource"]
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CODES["output"]
-    except OSError as exc:
+    except (OutputError, OSError) as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CODES["output"]
     except (ComputationError, ValueError) as exc:

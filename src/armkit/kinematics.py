@@ -114,6 +114,15 @@ def fk_frames(arm: ArmDescription, q) -> np.ndarray:
     return out
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``what`` if any entry
+    is NaN or infinite (the per-pose ``fk_frames`` inside IK never checks)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite, got {arr.tolist()}")
+    return arr
+
+
 def forward_kinematics(arm: ArmDescription, q) -> Pose:
     """Pose of the tool frame (frame 6) in the base frame.
 
@@ -123,8 +132,11 @@ def forward_kinematics(arm: ArmDescription, q) -> Pose:
 
     Returns:
         :class:`Pose` with position (m) and orientation (rotation matrix).
+
+    Raises:
+        ValueError: an angle in ``q`` is NaN or infinite.
     """
-    T = fk_frames(arm, q)[6]
+    T = fk_frames(arm, _finite(q, "joint angles q"))[6]
     return Pose(position=T[:3, 3].copy(), orientation=T[:3, :3].copy())
 
 
@@ -144,8 +156,9 @@ def jacobian(arm: ArmDescription, q) -> np.ndarray:
 
     Column ``i`` is ``(z_{i-1} x (p - p_{i-1}); z_{i-1})`` in the base frame,
     where ``z_{i-1}``/``p_{i-1}`` are joint ``i``'s axis and origin.
+    Raises ValueError if an angle in ``q`` is NaN or infinite.
     """
-    return _jacobian_from_frames(fk_frames(arm, q))
+    return _jacobian_from_frames(fk_frames(arm, _finite(q, "joint angles q")))
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +219,11 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
             target lies outside the reachable set, or outside it at the
             requested orientation); carries the best residual seen.
         NoConvergenceError: iteration budget exhausted while still improving.
+        ValueError: a NaN or infinite entry in ``target`` or ``seed``.
     """
+    _finite(target.position, "IK target position")
+    _finite(target.orientation, "IK target orientation")
+    seed = _finite(seed, "IK start pose")
     lim = limits_array(arm)
     if float(np.linalg.norm(target.position)) > _chain_reach_bound(arm):
         raise UnreachableTargetError(
@@ -386,12 +403,3 @@ def below_base_fraction(cloud: WorkspaceCloud) -> float:
     if pts.size == 0:
         raise EmptyCloudError("cannot take statistics of an empty cloud")
     return float(np.mean(pts[:, 2] < 0.0))
-
-
-def cloud_to_csv(cloud: WorkspaceCloud, path: str) -> None:
-    """Write the cloud as CSV with header ``x_m,y_m,z_m``."""
-    pts = np.asarray(cloud.points)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x_m,y_m,z_m\n")
-        for x, y, z in pts:
-            fh.write(f"{float(x)!r},{float(y)!r},{float(z)!r}\n")

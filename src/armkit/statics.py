@@ -15,9 +15,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import drivetrain
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, ResourceLimitError
 from ._kernels import fk_frames_batch
-from .kinematics import fk_frames
+from .kinematics import DEFAULT_SAMPLE_CAP, fk_frames
 from .model import ArmDescription, dh_params, limits_array
 
 #: Default worst-case sweep: 15-degree grid on the gravity-loaded joints
@@ -177,20 +177,24 @@ def sweep_poses(arm: ArmDescription,
     Raises:
         ValueError: ``grid_deg`` not a finite pitch > 0, or a swept joint
             outside 1-6.
+        ResourceLimitError: the lattice has more than
+            ``kinematics.DEFAULT_SAMPLE_CAP`` poses.
     """
     if not (math.isfinite(grid_deg) and grid_deg > 0.0):
         raise ValueError(f"grid_deg must be a finite pitch > 0, got {grid_deg!r}")
     if any(int(j) not in range(1, 7) for j in sweep_joints):
         raise ValueError(f"sweep_joints must lie in 1-6, got {tuple(sweep_joints)}")
     lim = limits_array(arm)
-    axes = []
-    for j in range(1, 7):
-        if j in sweep_joints:
-            lo, hi = lim[j - 1]
-            n = max(2, int(round(math.degrees(hi - lo) / grid_deg)) + 1)
-            axes.append(np.linspace(lo, hi, n))
-        else:
-            axes.append(np.array([0.0]))
+    # counted as floats first: a tiny pitch overflows an int conversion
+    sizes = [max(2.0, float(np.rint(math.degrees(hi - lo) / grid_deg)) + 1.0)
+             if j in sweep_joints else 1.0
+             for j, (lo, hi) in enumerate(lim, start=1)]
+    if math.prod(sizes) > DEFAULT_SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"a {grid_deg!r} deg lattice has {math.prod(sizes):.3g} poses, "
+            f"over the cap of {DEFAULT_SAMPLE_CAP}")
+    axes = [np.linspace(lo, hi, int(n)) if n > 1 else np.array([0.0])
+            for (lo, hi), n in zip(lim, sizes)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 

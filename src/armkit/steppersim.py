@@ -280,12 +280,3 @@ def calibrate_noise(samples: Sequence[Tuple[float, float]],
     (sigma0, k), *_ = np.linalg.lstsq(design, stds, rcond=None)
     return NoiseModel(sigma0=max(float(sigma0), 0.0),
                       k=max(float(k), 0.0), margin_rule=margin_rule)
-
-
-def result_to_csv(result: RepeatabilityResult) -> str:
-    """CSV rows (speed, cycle index, deviation in mm) for export."""
-    lines = ["speed_steps_per_s,cycle,deviation_mm"]
-    for speed, devs in zip(result.speeds, result.deviations):
-        for ci, d in enumerate(devs):
-            lines.append(f"{speed!r},{ci},{float(d) * 1e3!r}")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from armkit import cli, model
@@ -40,6 +42,11 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     rc, _ = _run(capsys, ["workspace",
                           "--per-joint-steps", "2000,2000,2000,5,5,5"])
     assert rc == 5
+    # refused from the axis sizes before any allocation: ~6.8e15 poses, and
+    # a pitch whose pose count overflows a float
+    for pitch in ("0.001", "1e-320"):
+        rc, _ = _run(capsys, ["payload", "--grid-deg", pitch])
+        assert rc == 5, pitch
 
 
 @pytest.mark.parametrize("argv", [
@@ -51,6 +58,9 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     ["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
      "--payload-kg", "-5"],
     ["payload", "--limit-joints", "4", "--format", "csv"],
+    ["fk", "--q", "nan,0,0,0,0,0"],
+    ["ik", "--target", "nan,0,0", "--rpy", "0,0,0"],
+    ["jacobian", "--q", "inf,0,0,0,0,0"],
 ])
 def test_statics_domain_errors_exit_4(capsys: pytest.CaptureFixture,
                                       tmp_path: Path, argv: list) -> None:
@@ -72,6 +82,11 @@ def test_output_error_exits_7(capsys: pytest.CaptureFixture,
     rc, _ = _run(capsys, ["fk", "--q", "0,0,0,0,0,0",
                           "--out", str(blocker / "sub")])
     assert rc == 7
+    # the artifact cannot be written: nothing reaches stdout
+    (tmp_path / "out" / "fk.csv").mkdir(parents=True)
+    rc, out = _run(capsys, ["fk", "--q", "0,0,0,0,0,0", "--format", "csv",
+                            "--out", str(tmp_path / "out")])
+    assert (rc, out) == (7, "")
 
 
 def test_help_exits_0_for_every_subcommand(capsys: pytest.CaptureFixture) -> None:
@@ -191,6 +206,14 @@ def test_arm_config_env_is_honored(capsys: pytest.CaptureFixture,
 # run manifests and replay
 # ---------------------------------------------------------------------------
 
+def test_csv_cell_rule() -> None:
+    row = (None, "a,b", 7, np.float64(0.1), np.float32(2.5))
+    assert cli._csv("h1,h2,h3,h4,h5", [row]) == \
+        "h1,h2,h3,h4,h5\n,a;b,7,0.1,2.5\n"
+    assert cli._csv(None, np.array([[1.0, -0.0], [1e-300, 3.0]])) == \
+        "1.0,-0.0\n1e-300,3.0\n"
+
+
 def _manifest(out_dir: Path) -> dict:
     return json.loads((out_dir / cli.MANIFEST_NAME).read_text())
 
@@ -211,21 +234,49 @@ def test_outputs_carry_a_manifest_with_hashes(capsys: pytest.CaptureFixture,
         assert (out_dir / f["path"]).exists()
 
 
+_SMALL_RUNS = {
+    "fk": ["fk", "--q", "10,-20,30,0,15,5"],
+    "ik": ["ik", "--target", "0.25788,0,-0.14691688", "--rpy", "180,0,0"],
+    "jacobian": ["jacobian", "--q", "10,-20,30,0,15,5"],
+    "workspace": ["workspace", "--per-joint-steps", "5,5,5,3,3,3"],
+    "reach": ["reach", "--per-joint-steps", "5,5,5,3,3,3"],
+    "capstan": ["capstan", "--small-diameter", "19.4",
+                "--large-diameter", "155.2"],
+    "torque-table": ["torque-table"],
+    "resolution": ["resolution"],
+    "payload": ["payload", "--grid-deg", "30"],
+    "repeat-sim": ["repeat-sim", "--speeds", "500,1000", "--cycles", "3"],
+    "bom": ["bom"],
+}
+
+
+@pytest.mark.parametrize("name,fmt", [
+    *((name, "csv") for name in cli.SUBCOMMANDS),
+    ("workspace", "svg"),
+    ("repeat-sim", "svg"),
+], ids=lambda v: v)
 def test_replay_reproduces_identical_outputs(capsys: pytest.CaptureFixture,
-                                             tmp_path: Path) -> None:
+                                             tmp_path: Path, name: str,
+                                             fmt: str) -> None:
     first = tmp_path / "first"
-    rc, _ = _run(capsys, ["workspace", "--per-joint-steps", "5,5,5,3,3,3",
-                          "--format", "csv", "--seed", "11",
-                          "--out", str(first)])
+    rc, out = _run(capsys, _SMALL_RUNS[name] + [
+        "--format", fmt, "--seed", "11", "--out", str(first)])
     assert rc == 0
+    stem = name.replace("-", "_")
+    assert (first / f"{stem}.txt").read_text(encoding="utf-8") == out
+    artifact = "payload_sweep" if name == "payload" else stem
+    a = _manifest(first)
+    assert [f["path"] for f in a["outputs"]] == [f"{stem}.txt",
+                                                 f"{artifact}.{fmt}"]
+    for f in a["outputs"]:
+        data = (first / f["path"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == f["sha256"], f["path"]
+
     second = tmp_path / "second"
     rc2 = cli.replay(str(first / cli.MANIFEST_NAME), out_dir=str(second))
     capsys.readouterr()
     assert rc2 == 0
-    a, b = _manifest(first), _manifest(second)
-    assert a["outputs"]  # something was actually written and hashed
-    assert {f["path"]: f["sha256"] for f in a["outputs"]} == \
-           {f["path"]: f["sha256"] for f in b["outputs"]}
+    assert _manifest(second)["outputs"] == a["outputs"]
 
 
 @pytest.mark.parametrize("argv", [

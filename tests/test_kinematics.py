@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from armkit import _kernels, kinematics, model
+from armkit import _kernels, cli, kinematics, model
 from armkit.errors import (EmptyCloudError, NoConvergenceError,
                            ResourceLimitError, UnreachableTargetError)
 from armkit.kinematics import IKOptions, Pose, WorkspaceCloud
@@ -189,6 +189,27 @@ def test_ik_restarts_are_deterministic(arm: model.ArmDescription) -> None:
     assert np.array_equal(a, b)
 
 
+_BAD = [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda arm: kinematics.forward_kinematics(arm, _BAD), "joint angles q"),
+    (lambda arm: kinematics.jacobian(arm, [0.0, np.inf, 0.0, 0.0, 0.0, 0.0]),
+     "joint angles q"),
+    (lambda arm: kinematics.inverse_kinematics(
+        arm, Pose(_BAD[:3], np.eye(3)), np.zeros(6)), "IK target position"),
+    (lambda arm: kinematics.inverse_kinematics(
+        arm, Pose([0.2, 0.0, 0.0], np.full((3, 3), np.nan)), np.zeros(6)),
+     "IK target orientation"),
+    (lambda arm: kinematics.inverse_kinematics(
+        arm, Pose([0.2, 0.0, 0.0], np.eye(3)), _BAD), "IK start pose"),
+], ids=["fk", "jacobian", "ik-position", "ik-orientation", "ik-start"])
+def test_non_finite_inputs_raise_value_error_naming_them(
+        arm: model.ArmDescription, call, what: str) -> None:
+    with pytest.raises(ValueError, match=what):
+        call(arm)
+
+
 # ---------------------------------------------------------------------------
 # workspace sampling
 # ---------------------------------------------------------------------------
@@ -252,15 +273,19 @@ def test_empty_cloud_raises() -> None:
 
 
 def test_cloud_csv_round_trips_exact_floats(arm: model.ArmDescription,
-                                            tmp_path) -> None:
+                                            tmp_path, capsys,
+                                            monkeypatch) -> None:
+    # 64 rows in 5-row chunks: full chunks and a short last one
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+    assert cli.run(["workspace", "--per-joint-steps", "2,2,2,2,2,2",
+                    "--format", "csv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     cloud = kinematics.sample_workspace(arm, (2,) * 6)
-    path = tmp_path / "cloud.csv"
-    kinematics.cloud_to_csv(cloud, str(path))
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "workspace.csv").read_text().splitlines()
     assert lines[0] == "x_m,y_m,z_m"
     assert len(lines) == 1 + cloud.points.shape[0]
-    first = np.array([float(v) for v in lines[1].split(",")])
-    assert np.array_equal(first, cloud.points[0])
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(rows, cloud.points)
 
 
 def test_reference_reach_constants_disagree_and_both_ship() -> None:

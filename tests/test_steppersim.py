@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from armkit import drivetrain, kinematics, model, steppersim
+from armkit import cli, drivetrain, kinematics, model, steppersim
 from armkit.errors import DegenerateFitError
 from armkit.steppersim import (DEFAULT_CALIBRATION, MotionCycle, NoiseModel,
                                ZERO_NOISE)
@@ -163,10 +163,16 @@ def test_spread_grows_with_commanded_speed(arm: model.ArmDescription) -> None:
     assert float(res.stds[1]) > float(res.stds[0])
 
 
-def test_csv_export_round_trips(arm: model.ArmDescription) -> None:
+def test_csv_export_round_trips(arm: model.ArmDescription,
+                                capsys: pytest.CaptureFixture,
+                                tmp_path) -> None:
+    rc = cli.run(["repeat-sim", "--speeds", "500,1000", "--cycles", "3",
+                  "--seed", "1", "--format", "csv", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
     res = steppersim.repeatability_experiment(arm, speeds=(500.0, 1000.0),
                                               cycles_per_speed=3, seed=1)
-    text = steppersim.result_to_csv(res)
+    text = (tmp_path / "repeat_sim.csv").read_text(encoding="utf-8")
     lines = text.strip().splitlines()
     assert lines[0] == "speed_steps_per_s,cycle,deviation_mm"
     assert len(lines) == 1 + 2 * 3
