@@ -70,15 +70,18 @@ def capstan_reduction(geom: CapstanGeometry) -> float:
 
 def sheave_height(geom: CapstanGeometry, gamma: float) -> float:
     """Stacked cable height on the sheave: ``t * gamma + delta`` (m)."""
-    if gamma <= 0:
-        raise ComputationError(f"gamma must be > 0, got {gamma}")
-    return geom.cable_thickness * gamma + geom.tolerance
+    t, delta = geom.cable_thickness, geom.tolerance
+    if not (all(map(math.isfinite, (gamma, t, delta))) and gamma > 0):
+        raise ComputationError(f"need a finite gamma > 0, cable thickness and "
+                               f"tolerance, got {gamma}, {t} and {delta}")
+    return t * gamma + delta
 
 
 def sheave_spacing(t: float) -> float:
     """Groove spacing for cable thickness ``t``: 1.5 t (m)."""
-    if t < 0:
-        raise ComputationError(f"cable thickness must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ComputationError(
+            f"cable thickness must be finite and >= 0, got {t}")
     return 1.5 * t
 
 
@@ -87,8 +90,8 @@ def windings_required(gamma: float, output_range_deg: float) -> float:
 
     Returned as a real number; round up when budgeting cable length.
     """
-    if gamma <= 0 or output_range_deg <= 0:
-        raise ComputationError("gamma and output range must both be > 0")
+    if not all(math.isfinite(v) and v > 0 for v in (gamma, output_range_deg)):
+        raise ComputationError("gamma and output range must be finite and > 0")
     return gamma * output_range_deg / 360.0
 
 

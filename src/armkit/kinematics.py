@@ -74,6 +74,10 @@ class IKOptions:
     restart_seed: int = 0
     step_limit: float = 0.5  # max joint step per iteration (rad)
 
+    def __post_init__(self):
+        if self.max_iters < 0 or self.restarts < 0:
+            raise ValueError("max_iters and restarts must be >= 0")
+
 
 @dataclass(frozen=True)
 class WorkspaceCloud:

@@ -66,10 +66,6 @@ class JointLimits:
     min: float
     max: float
 
-    @property
-    def span(self) -> float:
-        return self.max - self.min
-
 
 @dataclass(frozen=True)
 class CapstanGeometry:
@@ -232,11 +228,6 @@ def _require(mapping, key, path: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ConfigError(f"{path}: missing required key '{key}'")
     return mapping[key]
-
-
-def _angle_out(rad: float) -> float:
-    # serialization keeps radians so reload is bit-exact
-    return rad
 
 
 # --------------------------------------------------------------------------
@@ -502,13 +493,12 @@ def dump_arm(arm: ArmDescription, path: str) -> None:
         "schema_version": arm.schema_version,
         "name": arm.name,
         "dh": [
-            {"theta_offset": _angle_out(r.theta_offset),
-             "alpha_prev": _angle_out(r.alpha_prev),
+            # angles stay in radians so reload is bit-exact
+            {"theta_offset": r.theta_offset, "alpha_prev": r.alpha_prev,
              "a_prev": r.a_prev, "d": r.d}
             for r in arm.dh
         ],
-        "limits": [{"min": _angle_out(l.min), "max": _angle_out(l.max)}
-                   for l in arm.limits],
+        "limits": [{"min": l.min, "max": l.max} for l in arm.limits],
         "drives": [
             {
                 "joint_index": d.joint_index,
@@ -697,10 +687,3 @@ def dh_params(arm: ArmDescription) -> np.ndarray:
 def limits_array(arm: ArmDescription) -> np.ndarray:
     """(6, 2) [min, max] in radians."""
     return np.array([[l.min, l.max] for l in arm.limits], dtype=np.float64)
-
-
-def within_limits(arm: ArmDescription, q, tol: float = 1e-12) -> bool:
-    """True when every joint angle lies inside its limit range."""
-    q = np.asarray(q, dtype=float)
-    lim = limits_array(arm)
-    return bool(np.all(q >= lim[:, 0] - tol) and np.all(q <= lim[:, 1] + tol))

@@ -136,9 +136,10 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
     return tau.reshape(q.shape)
 
 
-def available_torques(arm: ArmDescription) -> np.ndarray:
-    """Holding torque budget per joint (N.m) at zero step rate."""
-    return np.array([drivetrain.available_joint_torque(arm.drive(j), 0.0)
+def available_torques(arm: ArmDescription, rate: float = 0.0) -> np.ndarray:
+    """Torque budget per joint (N.m) at a motor step rate; the default zero
+    rate gives the holding budget."""
+    return np.array([drivetrain.available_joint_torque(arm.drive(j), rate)
                      for j in range(1, 7)])
 
 

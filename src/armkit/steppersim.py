@@ -66,8 +66,8 @@ class NoiseModel:
     margin_rule: str = "proportional"
 
     def __post_init__(self):
-        if self.sigma0 < 0 or self.k < 0:
-            raise ValueError("noise parameters must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.sigma0, self.k)):
+            raise ValueError("noise parameters must be finite and >= 0")
         if self.margin_rule not in MARGIN_RULES:
             raise ValueError(f"margin_rule must be one of {MARGIN_RULES}")
 
@@ -127,27 +127,12 @@ class RepeatabilityResult:
     stds: np.ndarray                    # per speed, ddof=1 (m)
     grand_mean: float                   # mean |deviation| over all cycles (m)
     seed: int
+    missed_steps: Tuple[int, ...]       # per speed, summed over its cycles
 
 
-def _validate_cycle(arm: ArmDescription, cycle: MotionCycle) -> None:
-    lim = limits_array(arm)
-    for q, rate in cycle.legs():
-        if rate <= 0:
-            raise ValueError("commanded step rates must be > 0")
-        if q.shape != (6,):
-            raise ValueError("cycle targets must have six joint angles")
-        if np.any(q < lim[:, 0] - 1e-12) or np.any(q > lim[:, 1] + 1e-12):
-            raise ValueError("cycle target outside joint limits")
-
-
-def simulate_cycle(arm: ArmDescription,
-                   cycle: MotionCycle,
-                   payload: float = 0.0,
-                   noise: NoiseModel = ZERO_NOISE,
-                   seed=0,
-                   probe: Optional[Sequence[float]] = DEFAULT_PROBE
-                   ) -> CycleResult:
-    """Execute one cycle and measure the end deviation from the reference.
+def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
+            noise: NoiseModel):
+    """Deterministic part of one cycle: everything but the jitter draw.
 
     Each leg's joint moves are quantized to whole microsteps against a
     running per-joint step tally, so rounding residue carries between legs
@@ -155,30 +140,34 @@ def simulate_cycle(arm: ArmDescription,
     exact trajectory. At each leg the gravity torque required at the leg
     target is compared to the torque available at the commanded rate;
     overloads drop whole microsteps per the margin rule, always against the
-    direction of motion. The final pose's displacement from the reference
-    pose is measured along ``probe`` (or as a 3D norm when ``probe`` is
-    None) and a single seeded jitter draw at the last leg's rate is added.
-    """
-    _validate_cycle(arm, cycle)
-    rng = np.random.default_rng(seed)
+    direction of motion. A leg rate that is not finite and > 0, or a target
+    that is not six in-limit angles, raises ValueError.
 
+    Returns (delta, missed, achieved, sigma): the tool-point displacement
+    from the reference (m), the missed microsteps, the achieved joint angles
+    and the jitter std at the last leg's rate.
+    """
+    lim = limits_array(arm)
     micro = drivetrain.microstep_sizes(arm)  # rad per microstep, (6,)
     ref = np.asarray(cycle.reference, dtype=float)
     commanded = np.zeros(6, dtype=np.int64)  # whole microsteps from reference
     lost = np.zeros(6, dtype=np.int64)       # signed missed steps
     missed_total = 0
     legs = cycle.legs()
-
     for target, rate in legs:
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError("commanded step rates must be finite and > 0")
+        if target.shape != (6,):
+            raise ValueError("cycle targets must have six joint angles")
+        if (np.any(target < lim[:, 0] - 1e-12)
+                or np.any(target > lim[:, 1] + 1e-12)):
+            raise ValueError("cycle target outside joint limits")
         exact_total = (target - ref) / micro
         n_leg = np.rint(exact_total).astype(np.int64) - commanded
         commanded += n_leg
 
         required = np.abs(statics.gravity_torques(arm, target, payload))
-        avail = np.array([
-            drivetrain.available_joint_torque(arm.drive(j), rate)
-            for j in range(1, 7)
-        ])
+        avail = statics.available_torques(arm, rate)
         for j in range(6):
             steps = int(abs(n_leg[j]))
             if steps == 0 or required[j] <= avail[j]:
@@ -193,17 +182,39 @@ def simulate_cycle(arm: ArmDescription,
 
     achieved = ref + micro * (commanded - lost)
     delta = fk_frames(arm, achieved)[6][:3, 3] - fk_frames(arm, ref)[6][:3, 3]
-
     sigma = noise.sigma(legs[-1][1]) if legs else 0.0
+    return delta, missed_total, achieved, sigma
+
+
+def _deviation(delta: np.ndarray, sigma: float,
+               probe: Optional[Sequence[float]], seed) -> float:
+    """Settled displacement ``delta`` plus one seeded jitter draw of std
+    ``sigma``, measured along ``probe`` (or as a 3D norm when None)."""
+    rng = np.random.default_rng(seed)
     if probe is not None:
         axis = np.asarray(probe, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        deviation = float(delta @ axis) + sigma * rng.standard_normal()
-    else:
-        jitter = sigma / math.sqrt(3.0) * rng.standard_normal(3)
-        deviation = float(np.linalg.norm(delta + jitter))
-    return CycleResult(deviation=deviation, missed_steps=missed_total,
-                       final_q=achieved)
+        return float(delta @ axis) + sigma * rng.standard_normal()
+    jitter = sigma / math.sqrt(3.0) * rng.standard_normal(3)
+    return float(np.linalg.norm(delta + jitter))
+
+
+def simulate_cycle(arm: ArmDescription,
+                   cycle: MotionCycle,
+                   payload: float = 0.0,
+                   noise: NoiseModel = ZERO_NOISE,
+                   seed=0,
+                   probe: Optional[Sequence[float]] = DEFAULT_PROBE
+                   ) -> CycleResult:
+    """Execute one cycle and measure the end deviation from the reference.
+
+    The legs settle as in :func:`_settle`; the final pose's displacement from
+    the reference is measured along ``probe`` (or as a 3D norm when ``probe``
+    is None) and one seeded jitter draw at the last leg's rate is added.
+    """
+    delta, missed, achieved, sigma = _settle(arm, cycle, payload, noise)
+    return CycleResult(deviation=_deviation(delta, sigma, probe, seed),
+                       missed_steps=missed, final_q=achieved)
 
 
 def repeatability_experiment(arm: ArmDescription,
@@ -212,23 +223,21 @@ def repeatability_experiment(arm: ArmDescription,
                              noise: Optional[NoiseModel] = None,
                              seed: int = 0,
                              payload: float = 0.0,
-                             cycle_factory=default_cycle,
                              probe: Optional[Sequence[float]] = DEFAULT_PROBE
                              ) -> RepeatabilityResult:
-    """Seeded Monte-Carlo sweep of :func:`simulate_cycle` over a speed ladder.
+    """Seeded Monte-Carlo sweep of :func:`default_cycle` over a speed ladder.
 
-    Every (speed, cycle) pair gets an independent child seed spawned from
-    ``seed`` by index, so results are bit-identical regardless of execution
-    order or worker count. Cycles restart from the reference pose each time
-    (the quantization offset is therefore identical within a speed and the
-    spread comes from the jitter model plus any missed steps).
+    Cycles restart from the reference pose, so each speed is settled once
+    and its cycles differ only by their jitter draw. Every (speed, cycle)
+    pair draws from its own child seed spawned from ``seed`` by index, so
+    each deviation equals :func:`simulate_cycle`'s with that child seed, bit
+    for bit, whatever the execution order.
 
     Args:
         speeds: motor step rates (steps/s); must be non-empty.
         cycles_per_speed: Monte-Carlo cycles per speed; must be >= 2 so the
             sample std is defined.
         noise: jitter model; defaults to the calibrated :func:`default_noise`.
-        cycle_factory: maps a rate to the :class:`MotionCycle` to execute.
     """
     if len(speeds) == 0:
         raise ValueError("speeds must be non-empty")
@@ -237,25 +246,25 @@ def repeatability_experiment(arm: ArmDescription,
     if noise is None:
         noise = default_noise()
 
-    all_devs = []
+    all_devs, missed = [], []
     for si, speed in enumerate(speeds):
-        cyc = cycle_factory(speed)
-        devs = np.empty(cycles_per_speed)
-        for ci in range(cycles_per_speed):
-            child = np.random.SeedSequence(entropy=seed, spawn_key=(si, ci))
-            devs[ci] = simulate_cycle(arm, cyc, payload=payload, noise=noise,
-                                      seed=child, probe=probe).deviation
-        all_devs.append(devs)
+        delta, miss, _, sigma = _settle(arm, default_cycle(speed), payload,
+                                        noise)
+        all_devs.append(np.array([
+            _deviation(delta, sigma, probe,
+                       np.random.SeedSequence(entropy=seed, spawn_key=(si, ci)))
+            for ci in range(cycles_per_speed)]))
+        missed.append(miss * cycles_per_speed)
 
     stds = np.array([np.std(d, ddof=1) for d in all_devs])
     grand = float(np.mean(np.abs(np.concatenate(all_devs))))
     return RepeatabilityResult(speeds=tuple(float(s) for s in speeds),
                                deviations=tuple(all_devs), stds=stds,
-                               grand_mean=grand, seed=seed)
+                               grand_mean=grand, seed=seed,
+                               missed_steps=tuple(missed))
 
 
-def calibrate_noise(samples: Sequence[Tuple[float, float]],
-                    margin_rule: str = "proportional") -> NoiseModel:
+def calibrate_noise(samples: Sequence[Tuple[float, float]]) -> NoiseModel:
     """Least-squares fit of ``sigma(v) = sigma0 + k*v`` to (rate, std) pairs.
 
     Args:
@@ -279,4 +288,4 @@ def calibrate_noise(samples: Sequence[Tuple[float, float]],
     design = np.column_stack([np.ones_like(rates), rates])
     (sigma0, k), *_ = np.linalg.lstsq(design, stds, rcond=None)
     return NoiseModel(sigma0=max(float(sigma0), 0.0),
-                      k=max(float(k), 0.0), margin_rule=margin_rule)
+                      k=max(float(k), 0.0))

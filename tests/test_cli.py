@@ -61,6 +61,20 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     ["fk", "--q", "nan,0,0,0,0,0"],
     ["ik", "--target", "nan,0,0", "--rpy", "0,0,0"],
     ["jacobian", "--q", "inf,0,0,0,0,0"],
+    ["ik", "--target", "0.2,0,0", "--rpy", "0,0,0", "--max-iters", "-1"],
+    ["ik", "--target", "0.2,0,0", "--rpy", "0,0,0", "--restarts", "-3"],
+    ["repeat-sim", "--speeds", "500", "--cycles", "2", "--sigma0-mm", "nan",
+     "--k-mm-s-per-step", "0"],
+    ["repeat-sim", "--speeds", "500", "--cycles", "2", "--sigma0-mm", "0.1",
+     "--k-mm-s-per-step", "inf"],
+    ["repeat-sim", "--speeds", "inf", "--cycles", "2"],
+    ["capstan", "--small-diameter", "10", "--large-diameter", "20",
+     "--output-range", "nan"],
+    ["capstan", "--small-diameter", "10", "--large-diameter", "20",
+     "--cable-thickness", "nan"],
+    ["capstan", "--small-diameter", "10", "--large-diameter", "20",
+     "--tolerance", "inf"],
+    ["capstan", "--small-diameter", "10", "--large-diameter", "inf"],
 ])
 def test_statics_domain_errors_exit_4(capsys: pytest.CaptureFixture,
                                       tmp_path: Path, argv: list) -> None:

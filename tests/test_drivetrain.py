@@ -58,19 +58,29 @@ def test_sheave_height_stacks_windings_plus_clearance() -> None:
     assert drivetrain.sheave_height(zero_thickness, 8.0) * 1e3 == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ComputationError):
         drivetrain.sheave_height(geom, 0.0)
+    for bad in (math.nan, math.inf):
+        for g in (_geom(19.4, 155.2, thickness_mm=bad, tolerance_mm=2.0),
+                  _geom(19.4, 155.2, thickness_mm=1.0, tolerance_mm=bad)):
+            with pytest.raises(ComputationError):
+                drivetrain.sheave_height(g, 8.0)
+        with pytest.raises(ComputationError):
+            drivetrain.sheave_height(geom, bad)
 
 
 def test_sheave_spacing_is_one_and_a_half_thickness() -> None:
     assert drivetrain.sheave_spacing(1.2e-3) == pytest.approx(1.8e-3, abs=1e-15)
-    with pytest.raises(ComputationError):
-        drivetrain.sheave_spacing(-1.0e-3)
+    for bad in (-1.0e-3, math.nan, math.inf):
+        with pytest.raises(ComputationError):
+            drivetrain.sheave_spacing(bad)
 
 
 def test_windings_required_examples() -> None:
     assert drivetrain.windings_required(8.0, 360.0) == pytest.approx(8.0, abs=0.0)
     assert drivetrain.windings_required(7.5, 210.0) == pytest.approx(4.375, abs=1e-12)
-    with pytest.raises(ComputationError):
-        drivetrain.windings_required(0.0, 360.0)
+    for gamma, output_range in ((0.0, 360.0), (8.0, math.nan),
+                                (8.0, math.inf), (math.inf, 360.0)):
+        with pytest.raises(ComputationError):
+            drivetrain.windings_required(gamma, output_range)
 
 
 # ---------------------------------------------------------------------------

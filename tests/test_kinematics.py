@@ -189,7 +189,15 @@ def test_ik_restarts_are_deterministic(arm: model.ArmDescription) -> None:
     assert np.array_equal(a, b)
 
 
-_BAD = [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]
+def test_ik_options_reject_negative_budgets() -> None:
+    IKOptions(max_iters=0, restarts=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        IKOptions(max_iters=-1)
+    with pytest.raises(ValueError, match="restarts"):
+        IKOptions(restarts=-3)
+
+
+_BAD =[np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("call,what", [

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from armkit import cli, drivetrain, kinematics, model, steppersim
+from armkit import cli, drivetrain, kinematics, model, statics, steppersim
 from armkit.errors import DegenerateFitError
 from armkit.steppersim import (DEFAULT_CALIBRATION, MotionCycle, NoiseModel,
                                ZERO_NOISE)
@@ -26,6 +27,11 @@ def test_noise_model_rejects_negative_parameters() -> None:
         NoiseModel(sigma0=-1e-4, k=0.0)
     with pytest.raises(ValueError):
         NoiseModel(sigma0=0.0, k=-1e-7)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NoiseModel(sigma0=bad, k=0.0)
+        with pytest.raises(ValueError):
+            NoiseModel(sigma0=1e-4, k=bad)
 
 
 def test_calibration_solves_the_two_point_anchors_exactly() -> None:
@@ -98,9 +104,10 @@ def test_full_stall_rule_sheds_at_least_as_many_steps(arm: model.ArmDescription)
 
 def test_cycle_validation_rejects_bad_commands(arm: model.ArmDescription) -> None:
     ref = np.asarray(steppersim.DEFAULT_REFERENCE_Q)
-    bad_rate = MotionCycle(reference=ref, waypoints=((ref, 0.0),))
-    with pytest.raises(ValueError):
-        steppersim.simulate_cycle(arm, bad_rate)
+    for rate in (0.0, math.nan, math.inf):
+        bad_rate = MotionCycle(reference=ref, waypoints=((ref, rate),))
+        with pytest.raises(ValueError):
+            steppersim.simulate_cycle(arm, bad_rate)
     lim = model.limits_array(arm)
     outside = lim[:, 1] + 0.5
     bad_target = MotionCycle(reference=ref, waypoints=((outside, 500.0),))
@@ -155,6 +162,69 @@ def test_experiment_validates_arguments(arm: model.ArmDescription) -> None:
         steppersim.repeatability_experiment(arm, speeds=())
     with pytest.raises(ValueError):
         steppersim.repeatability_experiment(arm, cycles_per_speed=1)
+
+
+_PROBES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(speeds=st.lists(st.sampled_from(steppersim.DEFAULT_SPEEDS)
+                       | st.floats(100.0, 3000.0), min_size=1, max_size=3),
+       cycles=st.integers(2, 5),
+       payload=st.floats(0.0, 6.0),
+       probe=st.sampled_from(_PROBES),
+       rule=st.sampled_from(steppersim.MARGIN_RULES),
+       seed=st.integers(0, 2**32 - 1))
+def test_experiment_matches_the_per_cycle_reference(
+        arm: model.ArmDescription, speeds, cycles, payload, probe, rule,
+        seed) -> None:
+    base = steppersim.default_noise()
+    noise = NoiseModel(sigma0=base.sigma0, k=base.k, margin_rule=rule)
+    res = steppersim.repeatability_experiment(
+        arm, speeds=speeds, cycles_per_speed=cycles, noise=noise, seed=seed,
+        payload=payload, probe=probe)
+    every = []
+    for si, speed in enumerate(speeds):
+        ref = [steppersim.simulate_cycle(
+                   arm, steppersim.default_cycle(speed), payload=payload,
+                   noise=noise, probe=probe,
+                   seed=np.random.SeedSequence(entropy=seed, spawn_key=(si, ci)))
+               for ci in range(cycles)]
+        devs = [r.deviation for r in ref]
+        assert res.deviations[si].tolist() == devs
+        assert res.stds[si] == np.std(devs, ddof=1)
+        assert res.missed_steps[si] == sum(r.missed_steps for r in ref)
+        every += devs
+    assert res.grand_mean == float(np.mean(np.abs(every)))
+
+
+def test_experiment_settles_each_speed_once(arm: model.ArmDescription,
+                                            monkeypatch) -> None:
+    calls = []
+    real = statics.gravity_torques
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(statics, "gravity_torques", counted)
+    speeds = (500.0, 2500.0, 1500.0)
+    for cycles in (2, 9):
+        calls.clear()
+        steppersim.repeatability_experiment(arm, speeds=speeds,
+                                            cycles_per_speed=cycles,
+                                            payload=0.6)
+        # one call per leg of the out-and-back cycle, once per speed
+        assert len(calls) == 2 * len(speeds)
+
+
+def test_experiment_keeps_the_missed_step_totals(arm: model.ArmDescription) -> None:
+    res = steppersim.repeatability_experiment(arm, cycles_per_speed=3,
+                                              payload=0.6)
+    assert res.missed_steps == (0, 0, 0, 0, 11 * 3)
+    res = steppersim.repeatability_experiment(arm, speeds=(1500.0,),
+                                              cycles_per_speed=4, payload=5.0)
+    assert res.missed_steps == (515 * 4,)
 
 
 def test_spread_grows_with_commanded_speed(arm: model.ArmDescription) -> None:
