@@ -60,10 +60,13 @@ def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
     r10, r11, r12 = 0.0, 1.0, 0.0
     r20, r21, r22 = 0.0, 0.0, 1.0
     px = py = pz = 0.0
-    for a00, a01, a02, a03, a10, a11, a12, a13, a21, a22, d in _links(rows, qb):
+    for i, link in enumerate(_links(rows, qb)):
+        a00, a01, a02, a03, a10, a11, a12, a13, a21, a22, d = link
         px = px + (r00 * a03 + r01 * a13 + r02 * d)
         py = py + (r10 * a03 + r11 * a13 + r12 * d)
         pz = pz + (r20 * a03 + r21 * a13 + r22 * d)
+        if i == 5:
+            break  # no position reads the tool frame's rotation
         r00, r01, r02 = (r00 * a00 + r01 * a10,
                          r00 * a01 + r01 * a11 + r02 * a21,
                          r00 * a02 + r01 * a12 + r02 * a22)

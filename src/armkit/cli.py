@@ -17,13 +17,14 @@ Exit codes (also in the README): 0 success, 2 usage, 3 arm-config,
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,10 +63,6 @@ SUBCOMMANDS = ("fk", "ik", "jacobian", "workspace", "reach", "capstan",
                "torque-table", "resolution", "payload", "repeat-sim", "bom")
 
 _SVG_CAPABLE = ("workspace", "repeat-sim")
-
-#: Rows per ``tolist()`` call when :func:`_csv` renders an array; bounds
-#: the Python floats alive at once while a large cloud is written.
-_CSV_CHUNK_ROWS = 65_536
 
 
 class CliUsageError(Exception):
@@ -117,23 +114,25 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def _csv(header: Optional[str], rows) -> str:
-    """Render one CSV table; every CSV file the CLI writes comes from here.
+def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[str]:
+    """Render one CSV table as text chunks; every CSV file the CLI writes
+    comes from here.
 
-    ``header`` is the first line (None: no header). Cells: None -> empty,
-    str -> ``,`` replaced by ``;``, int -> decimal, anything else ->
-    ``repr(float(v))``. A numeric ndarray is converted ``tolist()`` in
-    chunks of :data:`_CSV_CHUNK_ROWS` rows, so a 2M-row cloud never holds
-    one Python object per value at once.
+    ``header`` is the first line (None: no header). ``rows`` is a list of
+    rows of cells: None -> empty, str -> ``,`` replaced by ``;``, int ->
+    decimal, anything else -> ``repr(float(v))``. Or it is a float ndarray,
+    or an iterable of them (a streamed workspace sweep), rendered one text
+    chunk per array with each row's line written ``repeat`` times, so a
+    cloud is never held as text or as Python floats all at once.
     """
-    parts = [] if header is None else [header + "\n"]
-    if isinstance(rows, np.ndarray):
-        for i in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
-            parts.append("".join(",".join(map(repr, row)) + "\n"
-                                 for row in rows[i:i + _CSV_CHUNK_ROWS].tolist()))
-    else:
-        parts.extend(",".join(map(_cell, row)) + "\n" for row in rows)
-    return "".join(parts)
+    if header is not None:
+        yield header + "\n"
+    if isinstance(rows, list):
+        yield "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+        return
+    for block in (rows,) if isinstance(rows, np.ndarray) else rows:
+        yield "".join((",".join(map(repr, row)) + "\n") * repeat
+                      for row in block.tolist())
 
 
 class _Outputs:
@@ -147,16 +146,23 @@ class _Outputs:
             raise OutputError(f"cannot create output dir {directory}: {exc}")
         self.records: List[dict] = []
 
-    def write(self, name: str, text: str) -> None:
+    def write(self, name: str, content) -> None:
+        """Write ``content``, text or an iterable of text chunks, as UTF-8
+        to ``name``, hashing each chunk as it goes out."""
+        digest = hashlib.sha256()
         try:
-            (self.dir / name).write_text(text, encoding="utf-8")
+            with open(self.dir / name, "wb") as fh:
+                for chunk in (content,) if isinstance(content, str) else content:
+                    data = chunk.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
         except OSError as exc:
             raise OutputError(f"cannot write {self.dir / name}: {exc}")
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.records.append({"path": name, "sha256": digest})
+        self.records.append({"path": name, "sha256": digest.hexdigest()})
 
     def write_manifest(self, subcommand: str, arm_source: str, seed: int,
                        argv: List[str]) -> None:
+        text_name = _text_name(subcommand)
         doc = {
             "schema": MANIFEST_SCHEMA,
             "toolkit_version": __version__,
@@ -164,7 +170,9 @@ class _Outputs:
             "arm_config": arm_source,
             "seed": seed,
             "argv": list(argv),
-            "outputs": self.records,
+            # the stdout copy first, whichever file was written first
+            "outputs": sorted(self.records,
+                              key=lambda r: r["path"] != text_name),
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         try:
@@ -173,10 +181,17 @@ class _Outputs:
             raise OutputError(f"cannot write manifest: {exc}")
 
 
+def _text_name(subcommand: str) -> str:
+    """Output file that holds a run's stdout text."""
+    return subcommand.replace("-", "_") + ".txt"
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers: ``(args, arm) -> (stdout text, artifacts)``, where
 # ``artifacts`` maps a --format to a zero-argument callable returning
-# ``(file name, content)``; run() calls it only when that file is written
+# ``(file name, content)``; run() calls it only when that file is written.
+# The text may instead be a zero-argument callable, which run() calls after
+# writing the artifact: the workspace CSV streams the sweep its text sums up.
 # --------------------------------------------------------------------------
 
 def _handle_fk(args, arm):
@@ -224,51 +239,83 @@ def _handle_jacobian(args, arm):
         "csv": lambda: ("jacobian.csv", _csv(None, J))}
 
 
-def _reach_summary(args, arm):
-    """Sample the cloud; returns (cloud, summary text, max reach, radial)."""
+def _sweep(args, arm):
+    """The requested workspace sweep and its still empty statistics."""
     steps = _ints(args.per_joint_steps, 6, "--per-joint-steps")
-    cloud = kinematics.sample_workspace(arm, steps, mode=args.mode,
-                                        samples=args.samples, seed=args.seed)
-    dist, radial = kinematics.max_reach(cloud)
-    span = kinematics.azimuth_span(cloud, shell_fraction=args.shell_fraction)
-    below = kinematics.below_base_fraction(cloud)
-    min_z = float(np.min(cloud.points[:, 2]))
-    n = cloud.points.shape[0]
-    recipe = (f"grid steps={','.join(map(str, cloud.per_joint_steps))}"
-              if cloud.mode == "grid" else f"quasi seed={cloud.seed}")
+    sweep = kinematics.WorkspaceSweep(arm, steps, mode=args.mode,
+                                      samples=args.samples, seed=args.seed)
+    return sweep, kinematics.CloudStats(args.shell_fraction)
+
+
+def _walk(sweep, stats, picks: list):
+    """Yield the sweep's chunks, folding each into ``stats`` and appending
+    the rows ``svgplot.workspace_svg`` would keep of the whole cloud to
+    ``picks``."""
+    stride = svgplot.decimation_stride(sweep.samples)
+    start = 0
+    for pts in sweep.chunks():
+        stats.add(pts, sweep.repeat)
+        stop = start + len(pts)
+        first = -(-start * sweep.repeat // stride) * stride
+        rows = np.arange(first, stop * sweep.repeat, stride)
+        picks.append(pts[rows // sweep.repeat - start])
+        start = stop
+        yield pts
+
+
+def _reach_text(args, sweep, stats) -> str:
+    """The workspace/reach summary of a walked sweep."""
+    radial = stats.max_radial
+    recipe = (f"grid steps={','.join(map(str, sweep.per_joint_steps))}"
+              if sweep.mode == "grid" else f"quasi seed={sweep.seed}")
     d_nom = 100.0 * (radial / REFERENCE_NOMINAL_REACH_M - 1.0)
     d_rad = 100.0 * (radial / REFERENCE_RADIAL_REACH_M - 1.0)
     lines = [
-        f"samples: {n} ({recipe})",
-        f"max_reach_m: {dist!r}",
+        f"samples: {sweep.samples} ({recipe})",
+        f"max_reach_m: {stats.max_reach!r}",
         f"max_radial_reach_m: {radial!r}",
-        f"min_z_m: {min_z!r}",
-        f"below_base_fraction: {below!r}",
+        f"min_z_m: {stats.min_z!r}",
+        f"below_base_fraction: {stats.below_base_fraction()!r}",
         f"azimuth_span_deg (outer shell >= {args.shell_fraction:g} of max "
-        f"radial): {span!r}",
+        f"radial): {stats.azimuth_span()!r}",
         f"note: the recorded reach figures disagree with each other "
         f"(nominal {REFERENCE_NOMINAL_REACH_M} m vs {REFERENCE_RADIAL_REACH_M} m "
         f"quoted with the payload test); computed max radial {radial:.5f} m "
         f"is {d_nom:+.1f}% of the former and {d_rad:+.1f}% of the latter.",
     ]
-    return cloud, "\n".join(lines) + "\n", dist, radial
+    return "\n".join(lines) + "\n"
 
 
 def _handle_workspace(args, arm):
-    cloud, text, _, _ = _reach_summary(args, arm)
+    sweep, stats = _sweep(args, arm)
+    picks: list = []
+    chunks = _walk(sweep, stats, picks)
+
+    def text():
+        collections.deque(chunks, maxlen=0)  # walk what no artifact streamed
+        return _reach_text(args, sweep, stats)
+
+    def svg():
+        collections.deque(chunks, maxlen=0)
+        return "workspace.svg", svgplot.workspace_svg(np.concatenate(picks))
+
     return text, {
-        "csv": lambda: ("workspace.csv", _csv("x_m,y_m,z_m", cloud.points)),
-        "svg": lambda: ("workspace.svg", svgplot.workspace_svg(cloud.points)),
+        "csv": lambda: ("workspace.csv",
+                        _csv("x_m,y_m,z_m", chunks, sweep.repeat)),
+        "svg": svg,
     }
 
 
 def _handle_reach(args, arm):
-    _, text, dist, radial = _reach_summary(args, arm)
-    return text, {"csv": lambda: ("reach.csv", _csv("metric,value", [
-        ("max_reach_m", dist),
-        ("max_radial_reach_m", radial),
-        ("nominal_reference_m", REFERENCE_NOMINAL_REACH_M),
-        ("radial_reference_m", REFERENCE_RADIAL_REACH_M)]))}
+    sweep, stats = _sweep(args, arm)
+    collections.deque(_walk(sweep, stats, []), maxlen=0)
+    dist, radial = stats.max_reach, stats.max_radial
+    return _reach_text(args, sweep, stats), {"csv": lambda: ("reach.csv", _csv(
+        "metric,value", [
+            ("max_reach_m", dist),
+            ("max_radial_reach_m", radial),
+            ("nominal_reference_m", REFERENCE_NOMINAL_REACH_M),
+            ("radial_reference_m", REFERENCE_RADIAL_REACH_M)]))}
 
 
 def _handle_capstan(args, arm):
@@ -618,11 +665,13 @@ def run(argv: Optional[List[str]] = None) -> int:
             arm, arm_source = resolve_arm(args.arm)
         out = _Outputs(args.out) if args.out else None
         text, artifacts = _HANDLERS[args.subcommand](args, arm)
+        # files land before stdout, so a failed artifact prints nothing
+        if out is not None and args.format in artifacts:
+            out.write(*artifacts[args.format]())
+        if callable(text):
+            text = text()
         if out is not None:
-            # files land before stdout, so a failed artifact prints nothing
-            out.write(args.subcommand.replace("-", "_") + ".txt", text)
-            if args.format in artifacts:
-                out.write(*artifacts[args.format]())
+            out.write(_text_name(args.subcommand), text)
         sys.stdout.write(text)
         if out is not None:
             out.write_manifest(args.subcommand, arm_source, args.seed, argv)

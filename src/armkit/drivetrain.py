@@ -71,9 +71,10 @@ def capstan_reduction(geom: CapstanGeometry) -> float:
 def sheave_height(geom: CapstanGeometry, gamma: float) -> float:
     """Stacked cable height on the sheave: ``t * gamma + delta`` (m)."""
     t, delta = geom.cable_thickness, geom.tolerance
-    if not (all(map(math.isfinite, (gamma, t, delta))) and gamma > 0):
+    if not (all(map(math.isfinite, (gamma, t, delta))) and gamma > 0
+            and delta >= 0):
         raise ComputationError(f"need a finite gamma > 0, cable thickness and "
-                               f"tolerance, got {gamma}, {t} and {delta}")
+                               f"tolerance >= 0, got {gamma}, {t} and {delta}")
     return t * gamma + delta
 
 
@@ -92,7 +93,11 @@ def windings_required(gamma: float, output_range_deg: float) -> float:
     """
     if not all(math.isfinite(v) and v > 0 for v in (gamma, output_range_deg)):
         raise ComputationError("gamma and output range must be finite and > 0")
-    return gamma * output_range_deg / 360.0
+    windings = gamma * output_range_deg / 360.0
+    if not math.isfinite(windings):
+        raise ValueError(f"{output_range_deg} deg at reduction {gamma} needs "
+                         f"more windings than a float holds")
+    return windings
 
 
 def total_reduction(drive: JointDrive) -> float:

@@ -11,8 +11,9 @@ left to right from the base, so joint ``i`` rotates about the z-axis of frame
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -305,6 +306,115 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
 # workspace sampling and statistics
 # --------------------------------------------------------------------------
 
+#: Distinct tool points per chunk of a workspace sweep. A power of two, so
+#: scipy's Sobol balance warning fires only for the sweep's own count.
+SWEEP_CHUNK_ROWS = 65_536
+
+
+def _fixed_tail(rows: np.ndarray) -> int:
+    """How many trailing joints cannot move the tool point.
+
+    Joint ``j`` turns the links after it about its z axis. Its angle reaches
+    the tool point only through the link's x offset (``a_prev``) and, when a
+    later link offsets the point along z (``d``), through the link's twist
+    (``alpha_prev``). A joint with ``a_prev = 0`` and either no twist or no
+    later ``d``, whose later joints are all fixed too, leaves every bit of
+    :func:`_kernels.fk_points`' result unchanged, except the sign of a
+    coordinate that is exactly zero.
+    """
+    fixed, later_d = 0, False
+    for d, a, alpha in rows[::-1, 1:]:
+        if a != 0.0 or (later_d and math.sin(alpha) != 0.0):
+            break
+        fixed += 1
+        later_d = later_d or d != 0.0
+    return fixed
+
+
+class WorkspaceSweep:
+    """A validated workspace sampling recipe, walked in chunks.
+
+    ``samples`` rows are sampled in order: the ``ij`` lattice of
+    ``per_joint_steps`` over the joint limits (grid mode) or a seeded
+    scrambled-Sobol sequence (quasi mode). Grid joints that cannot move the
+    tool point (:func:`_fixed_tail`) are the lattice's fastest axes, so each
+    tool point fills ``repeat`` consecutive rows; :meth:`chunks` computes
+    each of them once.
+
+    Raises:
+        ResourceLimitError: requested samples exceed ``cap``.
+        ComputationError: bad step counts or mode.
+    """
+
+    def __init__(self, arm: ArmDescription, per_joint_steps: Sequence[int],
+                 mode: str = "grid", samples: Optional[int] = None,
+                 seed: int = 0, cap: int = DEFAULT_SAMPLE_CAP):
+        self.rows = dh_params(arm)
+        self.lim = limits_array(arm)
+        self.mode = mode
+        self.seed = seed
+        self.per_joint_steps: Optional[tuple[int, ...]] = None
+        self.repeat = 1
+        if mode == "grid":
+            steps = tuple(int(s) for s in per_joint_steps)
+            if len(steps) != 6 or any(s < 2 for s in steps):
+                raise ComputationError(
+                    f"per_joint_steps needs six entries >= 2, got {steps}")
+            total = math.prod(steps)
+            if total > cap:
+                raise ResourceLimitError(
+                    f"grid of {total} samples exceeds the cap of {cap}")
+            self.per_joint_steps = steps
+            self.samples = total
+            self._moving = 6 - _fixed_tail(self.rows)
+            self.repeat = math.prod(steps[self._moving:])
+        elif mode == "quasi":
+            if not samples or samples < 1:
+                raise ComputationError("quasi mode requires samples >= 1")
+            if samples > cap:
+                raise ResourceLimitError(
+                    f"{samples} samples exceeds the cap of {cap}")
+            self.samples = samples
+        else:
+            raise ComputationError(f"unknown sampling mode {mode!r}")
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """Yield (m, 3) tool points in row order, each for ``repeat`` rows.
+
+        A chunk holds at most :data:`SWEEP_CHUNK_ROWS` points.
+        """
+        n = self.samples // self.repeat
+        lim = self.lim
+        if self.mode == "quasi":
+            from scipy.stats import qmc
+
+            sob = qmc.Sobol(d=6, scramble=True, seed=self.seed)
+            if n > SWEEP_CHUNK_ROWS and n & (n - 1):
+                # a one-call draw warns here; the first chunk's draw does not
+                warnings.warn("The balance properties of Sobol' points "
+                              "require n to be a power of 2.", stacklevel=2)
+
+            def joints(start: int, m: int) -> np.ndarray:
+                return lim[:, 0] + sob.random(m) * (lim[:, 1] - lim[:, 0])
+        else:
+            steps, moving = self.per_joint_steps, self._moving
+            axes = [np.linspace(lim[j, 0], lim[j, 1], s)
+                    for j, s in enumerate(steps)]
+
+            def joints(start: int, m: int) -> np.ndarray:
+                qb = np.empty((m, 6))
+                rest = np.arange(start, start + m)
+                for j in range(moving - 1, -1, -1):
+                    rest, i = np.divmod(rest, steps[j])
+                    qb[:, j] = axes[j][i]
+                qb[:, moving:] = [ax[0] for ax in axes[moving:]]
+                return qb
+
+        for start in range(0, n, SWEEP_CHUNK_ROWS):
+            qb = joints(start, min(SWEEP_CHUNK_ROWS, n - start))
+            yield _kernels.fk_points(self.rows, qb)
+
+
 def sample_workspace(arm: ArmDescription,
                      per_joint_steps: Sequence[int],
                      mode: str = "grid",
@@ -312,6 +422,10 @@ def sample_workspace(arm: ArmDescription,
                      seed: int = 0,
                      cap: int = DEFAULT_SAMPLE_CAP) -> WorkspaceCloud:
     """Sample reachable tool positions over the joint limits.
+
+    The cloud holds every row of a :class:`WorkspaceSweep`, whose chunks it
+    concatenates; a sweep's statistics need no cloud (see
+    :class:`CloudStats`).
 
     Args:
         arm: arm description.
@@ -327,38 +441,84 @@ def sample_workspace(arm: ArmDescription,
         ResourceLimitError: requested samples exceed ``cap``.
         ComputationError: bad step counts or mode.
     """
-    lim = limits_array(arm)
-    if mode == "grid":
-        steps = tuple(int(s) for s in per_joint_steps)
-        if len(steps) != 6 or any(s < 2 for s in steps):
-            raise ComputationError(
-                f"per_joint_steps needs six entries >= 2, got {steps}")
-        total = int(np.prod(steps, dtype=np.int64))
-        if total > cap:
-            raise ResourceLimitError(
-                f"grid of {total} samples exceeds the cap of {cap}")
-        axes = [np.linspace(lim[j, 0], lim[j, 1], steps[j]) for j in range(6)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        qb = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    elif mode == "quasi":
-        if not samples or samples < 1:
-            raise ComputationError("quasi mode requires samples >= 1")
-        if samples > cap:
-            raise ResourceLimitError(
-                f"{samples} samples exceeds the cap of {cap}")
-        from scipy.stats import qmc
-
-        sob = qmc.Sobol(d=6, scramble=True, seed=seed)
-        u = sob.random(samples)
-        qb = lim[:, 0] + u * (lim[:, 1] - lim[:, 0])
-    else:
-        raise ComputationError(f"unknown sampling mode {mode!r}")
-
-    pts = _kernels.fk_points(dh_params(arm), qb)
-    return WorkspaceCloud(points=pts,
-                          per_joint_steps=(tuple(int(s) for s in per_joint_steps)
-                                           if mode == "grid" else None),
+    sweep = WorkspaceSweep(arm, per_joint_steps, mode=mode, samples=samples,
+                           seed=seed, cap=cap)
+    points = np.empty((sweep.samples, 3))
+    stop = 0
+    for pts in sweep.chunks():
+        start, stop = stop, stop + len(pts) * sweep.repeat
+        points[start:stop] = np.repeat(pts, sweep.repeat, axis=0)
+    return WorkspaceCloud(points=points, per_joint_steps=sweep.per_joint_steps,
                           mode=mode, seed=seed)
+
+
+class CloudStats:
+    """Workspace statistics of a cloud fed in chunks of tool points.
+
+    :meth:`add` folds in a chunk whose points each stand for ``repeat``
+    rows. The results do not depend on the chunking: maxima, a minimum, a
+    row count, and the outer shell's azimuths, kept for points at or above
+    ``shell_fraction`` of the running radial maximum and pruned as it rises.
+
+    Raises:
+        ComputationError: ``shell_fraction`` outside (0, 1].
+    """
+
+    def __init__(self, shell_fraction: float = DEFAULT_SHELL_FRACTION):
+        if not 0.0 < shell_fraction <= 1.0:
+            raise ComputationError("shell_fraction must lie in (0, 1]")
+        self.shell_fraction = shell_fraction
+        self.count = 0
+        self.below = 0
+        self.max_reach = -math.inf
+        self.max_radial = -math.inf
+        self.min_z = math.inf
+        self._shell_radial = np.empty(0)
+        self._shell_az = np.empty(0)
+
+    def add(self, pts: np.ndarray, repeat: int = 1) -> None:
+        """Fold in (m, 3) points, each standing for ``repeat`` rows."""
+        radial = np.hypot(pts[:, 0], pts[:, 1])
+        self.count += len(pts) * repeat
+        self.below += int(np.count_nonzero(pts[:, 2] < 0.0)) * repeat
+        self.max_reach = float(np.maximum(
+            self.max_reach, np.max(np.linalg.norm(pts, axis=1))))
+        self.min_z = float(np.minimum(self.min_z, np.min(pts[:, 2])))
+        rmax = float(np.maximum(self.max_radial, np.max(radial)))
+        cut = self.shell_fraction * rmax
+        if rmax > self.max_radial:
+            keep = self._shell_radial >= cut
+            self._shell_radial = self._shell_radial[keep]
+            self._shell_az = self._shell_az[keep]
+        self.max_radial = rmax
+        shell = radial >= cut
+        self._shell_radial = np.concatenate([self._shell_radial,
+                                             radial[shell]])
+        self._shell_az = np.concatenate([self._shell_az, np.degrees(
+            np.arctan2(pts[shell, 1], pts[shell, 0]))])
+
+    def azimuth_span(self) -> float:
+        """Azimuth span (degrees) of the outer shell; see :func:`azimuth_span`."""
+        if self.max_radial <= 0.0:
+            return 0.0
+        az = np.sort(self._shell_az)
+        gaps = np.diff(np.concatenate([az, [az[0] + 360.0]]))
+        return float(360.0 - np.max(gaps))
+
+    def below_base_fraction(self) -> float:
+        """Fraction of rows strictly below the base plane (z < 0)."""
+        return self.below / self.count
+
+
+def _cloud_stats(cloud: WorkspaceCloud, what: str,
+                 shell_fraction: float = DEFAULT_SHELL_FRACTION) -> CloudStats:
+    """:class:`CloudStats` of a whole cloud, fed as one chunk."""
+    pts = np.asarray(cloud.points)
+    if pts.size == 0:
+        raise EmptyCloudError(f"cannot take {what} of an empty cloud")
+    stats = CloudStats(shell_fraction)
+    stats.add(pts)
+    return stats
 
 
 def max_reach(cloud: WorkspaceCloud) -> tuple[float, float]:
@@ -366,12 +526,8 @@ def max_reach(cloud: WorkspaceCloud) -> tuple[float, float]:
 
     The two metrics differ for this arm; report both rather than choosing.
     """
-    pts = np.asarray(cloud.points)
-    if pts.size == 0:
-        raise EmptyCloudError("cannot take max reach of an empty cloud")
-    dist = float(np.max(np.linalg.norm(pts, axis=1)))
-    radial = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-    return dist, radial
+    stats = _cloud_stats(cloud, "max reach")
+    return stats.max_reach, stats.max_radial
 
 
 def azimuth_span(cloud: WorkspaceCloud,
@@ -386,24 +542,9 @@ def azimuth_span(cloud: WorkspaceCloud,
     coverage. Coverage is 360 minus the largest angular gap between shell
     points.
     """
-    pts = np.asarray(cloud.points)
-    if pts.size == 0:
-        raise EmptyCloudError("cannot take azimuth span of an empty cloud")
-    if not 0.0 < shell_fraction <= 1.0:
-        raise ComputationError("shell_fraction must lie in (0, 1]")
-    radial = np.hypot(pts[:, 0], pts[:, 1])
-    rmax = float(radial.max())
-    if rmax <= 0.0:
-        return 0.0
-    shell = pts[radial >= shell_fraction * rmax]
-    az = np.sort(np.degrees(np.arctan2(shell[:, 1], shell[:, 0])))
-    gaps = np.diff(np.concatenate([az, [az[0] + 360.0]]))
-    return float(360.0 - np.max(gaps))
+    return _cloud_stats(cloud, "azimuth span", shell_fraction).azimuth_span()
 
 
 def below_base_fraction(cloud: WorkspaceCloud) -> float:
     """Fraction of sampled points strictly below the base plane (z < 0)."""
-    pts = np.asarray(cloud.points)
-    if pts.size == 0:
-        raise EmptyCloudError("cannot take statistics of an empty cloud")
-    return float(np.mean(pts[:, 2] < 0.0))
+    return _cloud_stats(cloud, "statistics").below_base_fraction()

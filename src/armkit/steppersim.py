@@ -72,7 +72,10 @@ class NoiseModel:
             raise ValueError(f"margin_rule must be one of {MARGIN_RULES}")
 
     def sigma(self, rate: float) -> float:
-        return self.sigma0 + self.k * rate
+        sigma = self.sigma0 + self.k * rate
+        if not math.isfinite(sigma):
+            raise ValueError(f"jitter std at {rate} steps/s is not finite")
+        return sigma
 
 
 ZERO_NOISE = NoiseModel(sigma0=0.0, k=0.0)
@@ -256,8 +259,12 @@ def repeatability_experiment(arm: ArmDescription,
             for ci in range(cycles_per_speed)]))
         missed.append(miss * cycles_per_speed)
 
-    stds = np.array([np.std(d, ddof=1) for d in all_devs])
-    grand = float(np.mean(np.abs(np.concatenate(all_devs))))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        stds = np.array([np.std(d, ddof=1) for d in all_devs])
+        grand = float(np.mean(np.abs(np.concatenate(all_devs))))
+    if not (np.all(np.isfinite(stds)) and math.isfinite(grand)):
+        raise ValueError(f"deviation statistics overflow: stds {stds.tolist()}"
+                         f" m, mean |deviation| {grand} m")
     return RepeatabilityResult(speeds=tuple(float(s) for s in speeds),
                                deviations=tuple(all_devs), stds=stds,
                                grand_mean=grand, seed=seed,

@@ -20,6 +20,9 @@ _PANEL = 300       # drawable panel size, px
 _MARGIN = 52       # left/bottom margin for labels
 _PAD = 16          # top/right padding
 
+#: Points a workspace plot draws at most.
+WORKSPACE_MAX_POINTS = 20_000
+
 
 def _f(v: float) -> str:
     return f"{v:.2f}"
@@ -81,16 +84,20 @@ def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
     return parts
 
 
-def workspace_svg(points: np.ndarray, max_points: int = 20_000) -> str:
+def decimation_stride(n: int, max_points: int = WORKSPACE_MAX_POINTS) -> int:
+    """Row stride :func:`workspace_svg` keeps of an ``n``-point cloud."""
+    return max(1, -(-n // max_points))
+
+
+def workspace_svg(points: np.ndarray,
+                  max_points: int = WORKSPACE_MAX_POINTS) -> str:
     """Top (x-y) and side (x-z) scatter views of a reachable-point cloud.
 
-    Clouds larger than ``max_points`` are decimated with a fixed stride so
-    the output stays deterministic and small.
+    Clouds larger than ``max_points`` are decimated with a fixed stride
+    (:func:`decimation_stride`) so the output stays deterministic and small.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if pts.shape[0] > max_points:
-        stride = int(np.ceil(pts.shape[0] / max_points))
-        pts = pts[::stride]
+    pts = pts[::decimation_stride(pts.shape[0], max_points)]
     width = 2 * (_MARGIN + _PANEL + _PAD)
     height = _MARGIN + _PANEL + 2 * _PAD
     parts = [

@@ -39,9 +39,11 @@ def test_computation_error_exits_4(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
-    rc, _ = _run(capsys, ["workspace",
-                          "--per-joint-steps", "2000,2000,2000,5,5,5"])
-    assert rc == 5
+    for steps in ("2000,2000,2000,5,5,5",
+                  # 1e36 samples: more than an int64 product holds
+                  "1000000,1000000,1000000,1000000,1000000,1000000"):
+        rc, _ = _run(capsys, ["workspace", "--per-joint-steps", steps])
+        assert rc == 5, steps
     # refused from the axis sizes before any allocation: ~6.8e15 poses, and
     # a pitch whose pose count overflows a float
     for pitch in ("0.001", "1e-320"):
@@ -75,6 +77,14 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     ["capstan", "--small-diameter", "10", "--large-diameter", "20",
      "--tolerance", "inf"],
     ["capstan", "--small-diameter", "10", "--large-diameter", "inf"],
+    ["capstan", "--small-diameter", "10", "--large-diameter", "20",
+     "--tolerance", "-50"],
+    # finite inputs whose results overflow
+    ["repeat-sim", "--speeds", "1e308", "--cycles", "2"],
+    ["repeat-sim", "--sigma0-mm", "1e308", "--k-mm-s-per-step", "0",
+     "--cycles", "2"],
+    ["capstan", "--small-diameter", "10", "--large-diameter", "20",
+     "--output-range", "1e308"],
 ])
 def test_statics_domain_errors_exit_4(capsys: pytest.CaptureFixture,
                                       tmp_path: Path, argv: list) -> None:
@@ -222,10 +232,13 @@ def test_arm_config_env_is_honored(capsys: pytest.CaptureFixture,
 
 def test_csv_cell_rule() -> None:
     row = (None, "a,b", 7, np.float64(0.1), np.float32(2.5))
-    assert cli._csv("h1,h2,h3,h4,h5", [row]) == \
+    assert "".join(cli._csv("h1,h2,h3,h4,h5", [row])) == \
         "h1,h2,h3,h4,h5\n,a;b,7,0.1,2.5\n"
-    assert cli._csv(None, np.array([[1.0, -0.0], [1e-300, 3.0]])) == \
-        "1.0,-0.0\n1e-300,3.0\n"
+    block = np.array([[1.0, -0.0], [1e-300, 3.0]])
+    assert "".join(cli._csv(None, block)) == "1.0,-0.0\n1e-300,3.0\n"
+    # a streamed sweep: each row's line once per row it stands for
+    assert "".join(cli._csv("x", iter([block[:1], block[1:]]), repeat=2)) == \
+        "x\n1.0,-0.0\n1.0,-0.0\n1e-300,3.0\n1e-300,3.0\n"
 
 
 def _manifest(out_dir: Path) -> dict:

@@ -65,6 +65,9 @@ def test_sheave_height_stacks_windings_plus_clearance() -> None:
                 drivetrain.sheave_height(g, 8.0)
         with pytest.raises(ComputationError):
             drivetrain.sheave_height(geom, bad)
+    negative = _geom(19.4, 155.2, thickness_mm=1.0, tolerance_mm=-50.0)
+    with pytest.raises(ComputationError):
+        drivetrain.sheave_height(negative, 8.0)
 
 
 def test_sheave_spacing_is_one_and_a_half_thickness() -> None:
@@ -81,6 +84,8 @@ def test_windings_required_examples() -> None:
                                 (8.0, math.inf), (math.inf, 360.0)):
         with pytest.raises(ComputationError):
             drivetrain.windings_required(gamma, output_range)
+    with pytest.raises(ValueError, match="windings"):
+        drivetrain.windings_required(8.0, 1e308)
 
 
 # ---------------------------------------------------------------------------

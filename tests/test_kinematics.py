@@ -283,8 +283,9 @@ def test_empty_cloud_raises() -> None:
 def test_cloud_csv_round_trips_exact_floats(arm: model.ArmDescription,
                                             tmp_path, capsys,
                                             monkeypatch) -> None:
-    # 64 rows in 5-row chunks: full chunks and a short last one
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+    # 64 rows, 32 distinct points, in 5-point chunks: full chunks and a
+    # short last one
+    monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", 5)
     assert cli.run(["workspace", "--per-joint-steps", "2,2,2,2,2,2",
                     "--format", "csv", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

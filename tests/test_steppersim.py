@@ -20,6 +20,8 @@ def test_noise_model_is_affine_in_rate() -> None:
     noise = NoiseModel(sigma0=1e-4, k=2e-7)
     assert noise.sigma(0.0) == pytest.approx(1e-4, abs=0.0)
     assert noise.sigma(1000.0) == pytest.approx(3e-4, rel=1e-12)
+    with pytest.raises(ValueError, match="not finite"):
+        NoiseModel(sigma0=1e308, k=1e308).sigma(10.0)
 
 
 def test_noise_model_rejects_negative_parameters() -> None:

@@ -1,0 +1,165 @@
+"""The streamed workspace pass against the whole-cloud reference.
+
+``workspace`` and ``reach`` walk a sweep once, in chunks of distinct tool
+points, folding each chunk into running statistics, the CSV text and the
+SVG's stride picks. Every output must equal what the whole in-memory cloud
+gives: ``sample_workspace``'s points (pinned here to FK of the full lattice
+or of one Sobol draw), the statistics' whole-cloud formulas, a plain
+one-line-per-row CSV rendering and ``svgplot.workspace_svg`` of the cloud.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import qmc
+
+from armkit import _kernels, cli, kinematics, model, svgplot
+
+
+def _variant(arm: model.ArmDescription, name: str) -> model.ArmDescription:
+    """The default arm ("default": q6 cannot move the tool point), with an
+    x offset on the tool link ("offset": every joint moves it) or with a
+    straight, untwisted wrist link ("wrist": neither q5 nor q6 moves it)."""
+    dh = list(arm.dh)
+    if name == "offset":
+        dh[5] = dataclasses.replace(dh[5], a_prev=0.011)
+    elif name == "wrist":
+        dh[4] = dataclasses.replace(dh[4], a_prev=0.0, alpha_prev=0.0, d=0.02)
+    return dataclasses.replace(arm, dh=tuple(dh))
+
+
+def _full_cloud(arm, steps, mode, samples, seed) -> np.ndarray:
+    """FK of every row at once: the meshgrid lattice or one Sobol draw."""
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    if mode == "grid":
+        axes = [np.linspace(lim[j, 0], lim[j, 1], s)
+                for j, s in enumerate(steps)]
+        qb = np.stack([m.reshape(-1) for m in
+                       np.meshgrid(*axes, indexing="ij")], axis=1)
+    else:
+        u = qmc.Sobol(d=6, scramble=True, seed=seed).random(samples)
+        qb = lim[:, 0] + u * (lim[:, 1] - lim[:, 0])
+    return _kernels.fk_points(rows, qb)
+
+
+def _whole_cloud_stats(pts: np.ndarray, shell_fraction: float) -> dict:
+    radial = np.hypot(pts[:, 0], pts[:, 1])
+    rmax = float(radial.max())
+    span = 0.0
+    if rmax > 0.0:
+        shell = pts[radial >= shell_fraction * rmax]
+        az = np.sort(np.degrees(np.arctan2(shell[:, 1], shell[:, 0])))
+        span = float(360.0 - np.max(np.diff(np.concatenate(
+            [az, [az[0] + 360.0]]))))
+    return {
+        "samples": float(len(pts)),
+        "max_reach_m": float(np.max(np.linalg.norm(pts, axis=1))),
+        "max_radial_reach_m": rmax,
+        "min_z_m": float(np.min(pts[:, 2])),
+        "below_base_fraction": float(np.mean(pts[:, 2] < 0.0)),
+        "azimuth_span_deg": span,
+    }
+
+
+def _printed_stats(text: str) -> dict:
+    found = dict(re.findall(r"^(\w+)[^:\n]*: (\S+)", text, re.MULTILINE))
+    found.pop("note")
+    return {k: float(v) for k, v in found.items()}
+
+
+def _cli(argv: list) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(argv) == 0
+    return buf.getvalue()
+
+
+_steps = st.lists(st.integers(2, 4), min_size=6, max_size=6)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(["default", "offset", "wrist"]),
+       mode=st.sampled_from(["grid", "quasi"]), steps=_steps,
+       samples=st.integers(1, 2000), seed=st.integers(0, 2**16),
+       chunk=st.integers(1, 50), shell_fraction=st.floats(0.05, 1.0))
+# over the SVG's 20,000-point decimation: a stride of 2 against chunks of 7
+# distinct points, each five rows long
+@example(variant="default", mode="grid", steps=[7, 6, 6, 4, 4, 5],
+         samples=1, seed=0, chunk=7, shell_fraction=0.98)
+@example(variant="offset", mode="quasi", steps=[2] * 6, samples=20_011,
+         seed=5, chunk=1024, shell_fraction=0.98)
+def test_streamed_outputs_equal_the_whole_cloud_reference(
+        arm: model.ArmDescription, variant: str, mode: str, steps: list,
+        samples: int, seed: int, chunk: int, shell_fraction: float) -> None:
+    arm = _variant(arm, variant)
+    args = ["--per-joint-steps", ",".join(map(str, steps)), "--mode", mode,
+            "--samples", str(samples), "--seed", str(seed),
+            "--shell-fraction", repr(shell_fraction)]
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(kinematics, "SWEEP_CHUNK_ROWS", chunk)
+        mp.setattr(cli, "resolve_arm", lambda selector: (arm, "test"))
+        out = Path(tmp)
+        text = _cli(["workspace", *args, "--format", "csv",
+                     "--out", str(out / "csv")])
+        assert _cli(["reach", *args]) == text
+        assert _cli(["workspace", *args, "--format", "svg",
+                     "--out", str(out / "svg")]) == text
+        csv = (out / "csv" / "workspace.csv").read_bytes()
+        svg = (out / "svg" / "workspace.svg").read_text(encoding="utf-8")
+
+        cloud = kinematics.sample_workspace(arm, steps, mode=mode,
+                                            samples=samples, seed=seed)
+    pts = cloud.points
+    assert np.array_equal(pts, _full_cloud(arm, steps, mode, samples, seed))
+    assert _printed_stats(text) == _whole_cloud_stats(pts, shell_fraction)
+    assert csv == ("x_m,y_m,z_m\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in pts.tolist())).encode()
+    assert svg == svgplot.workspace_svg(pts)
+
+
+def test_repeat_count_comes_from_the_dh_table(arm: model.ArmDescription) -> None:
+    steps = (3, 3, 3, 4, 5, 6)
+    for variant, repeat in (("default", 6), ("offset", 1), ("wrist", 30)):
+        sweep = kinematics.WorkspaceSweep(_variant(arm, variant), steps)
+        assert sweep.repeat == repeat, variant
+    quasi = kinematics.WorkspaceSweep(arm, steps, mode="quasi", samples=99)
+    assert quasi.repeat == 1
+
+
+_PEAK_RSS = """
+import resource, sys
+from armkit import cli, kinematics
+kinematics.SWEEP_CHUNK_ROWS = 4096
+code = cli.run(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_workspace_csv_peak_rss_does_not_grow_with_samples(
+        tmp_path: Path) -> None:
+    # chunks of 4,096 distinct points, so both grids span several chunks;
+    # the larger grid has 8x the rows (640,000)
+    peaks = []
+    for steps in ("10,10,10,4,4,5", "20,20,20,4,4,5"):
+        child = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "workspace", "--per-joint-steps",
+             steps, "--format", "csv", "--out", str(tmp_path / steps)],
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        peaks.append(int(child.stderr.strip().splitlines()[-1]))  # KiB
+    small, large = peaks
+    assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
