@@ -48,17 +48,16 @@ class UnreachableTargetError(ComputationError):
 
 
 class NoConvergenceError(ComputationError):
-    """Iteration budget exhausted while the residual was still improving.
+    """Iteration budget exhausted while the residual was still improving, or
+    no pose of a payload analysis bounds the payload.
 
     ``best_residual`` follows the same ``(position_m, orientation_rad)``
-    convention as :class:`UnreachableTargetError` for IK; ``bracket`` carries
-    the last search bracket for scalar searches (payload bisection).
+    convention as :class:`UnreachableTargetError` for IK.
     """
 
-    def __init__(self, message, best_residual=None, bracket=None):
+    def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
-        self.bracket = bracket
 
 
 class DegenerateFitError(ComputationError):

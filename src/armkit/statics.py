@@ -25,7 +25,11 @@ from .model import ArmDescription, dh_params, limits_array
 SWEEP_JOINTS = (2, 3, 5)
 SWEEP_GRID_DEG = 15.0
 
+#: Read only by ``perfbench`` as its payload pin tolerance; the caps are exact.
 BISECTION_TOL_KG = 1e-4
+
+#: A pose that holds this payload (kg) has an unbounded (inf) cap.
+_CEILING_KG = 1e6
 
 #: Poses per batch of the gravity model; its scratch arrays take about
 #: 5 kB per pose, so a chunk stays near 1.3 MB on any lattice.
@@ -44,9 +48,9 @@ class StaticLoadReport:
 
 @dataclass(frozen=True)
 class PayloadResult:
-    """Outcome of a max-payload search."""
+    """Outcome of a max-payload analysis."""
 
-    mass: float              # kg
+    mass: float              # kg, exact cap rounded down to utilization <= 1
     limiting_joint: int      # 1-based
     utilization: float       # limiting joint's utilization at ``mass``
     pose: np.ndarray         # binding pose (radians)
@@ -207,69 +211,64 @@ def _constraint_columns(constraint_joints: Sequence[int]) -> list:
     return [j - 1 for j in cols]
 
 
-def _payload_search(arm: ArmDescription, poses: np.ndarray, cols: list,
-                    tol_kg: float):
-    """Per-pose payload search over (n, 6) poses.
+def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
+    """Exact per-pose payload caps over (n, 6) poses.
 
-    gravity_torques is linear in the payload at fixed q, so each pose's
-    constrained torques are ``tau_struct + m * coeff`` exactly. Every pose
-    then runs the same search: 0 kg if it is overloaded unloaded, otherwise
-    a [0, 1] kg bracket doubled while feasible (a pose still feasible past
-    1e6 kg is unbounded), then bisected until ``hi - lo <= tol_kg``.
+    Constrained torques are linear in the payload, ``tau_s + m * c``, so a
+    pose's cap is the least of ``(avail - tau_s) / c`` over c > 0 and
+    ``(avail + tau_s) / -c`` over c < 0, stepped down an ulp at a time (a
+    few steps at most) until every constrained ``|torque| <= avail``. It is
+    0 where the pose is overloaded unloaded and inf where it holds
+    ``_CEILING_KG``: joints gravity cannot load keep |c| near 1e-18, not 0.
 
     Args:
         cols: 0-based columns of the constraint joints.
 
     Returns:
-        (caps, lo, util_at): per-pose feasible payload (inf where
-        unbounded), the last feasible bracket end (finite), and a function
-        giving the (n, len(cols)) utilizations at a payload per pose.
+        (caps, util_at): per-pose caps, and a function giving the
+        (n, len(cols)) utilizations at a payload per pose.
 
     Raises:
-        NoConvergenceError: every pose is unbounded, so the worst case has
-            no bracket below 1e6 kg.
+        NoConvergenceError: every pose is unbounded.
     """
     tau_s, lever = _torque_split(arm, poses)
+    tau_s, lever = tau_s[:, cols], lever[:, cols]
     g = arm.mass_model.gravity
-    coeff = (tau_s + lever * (-g)) - tau_s
-    tau_s, coeff = tau_s[:, cols], coeff[:, cols]
     avail = available_torques(arm)[cols]
-    limit = avail + 1e-12
 
-    def feasible(m: np.ndarray) -> np.ndarray:
-        return (np.abs(tau_s + m[:, None] * coeff) <= limit).all(axis=1)
+    def torques(m: np.ndarray) -> np.ndarray:
+        # the same rounding as gravity_torques(arm, q, payload=m)
+        return np.abs(tau_s + m[:, None] * lever * (-g))
+
+    def fits(m: np.ndarray) -> np.ndarray:
+        return (torques(m) <= avail).all(axis=1)
 
     def util_at(m: np.ndarray) -> np.ndarray:
-        return _utilization(np.abs(tau_s + m[:, None] * coeff), avail)
+        return _utilization(torques(m), avail)
 
-    lo = np.zeros(len(tau_s))
-    hi = np.where(feasible(lo), 1.0, 0.0)
-    grow = (hi > 0.0) & feasible(hi)
-    while grow.any():
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-        grow &= (hi <= 1e6) & feasible(hi)
-    unbounded = hi > 1e6
+    unbounded = fits(np.full(len(poses), _CEILING_KG))
     if unbounded.all():
         raise NoConvergenceError(
-            "payload bisection found no infeasible upper bracket",
-            bracket=(float(lo.min()), float(hi.min())))
-    active = ~unbounded & (hi - lo > tol_kg)
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        lo = np.where(active & ok, mid, lo)
-        hi = np.where(active & ~ok, mid, hi)
-        active &= hi - lo > tol_kg
-    return np.where(unbounded, np.inf, lo), lo, util_at
+            f"every pose holds over {_CEILING_KG:g} kg on the constrained joints")
+    c = lever * (-g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(c > 0.0, (avail - tau_s) / c,
+                         np.where(c < 0.0, (avail + tau_s) / -c, np.inf))
+    caps = np.where(fits(np.zeros(len(poses))),
+                    np.clip(bound.min(axis=1), 0.0, _CEILING_KG), 0.0)
+    over = ~unbounded & (caps > 0.0) & ~fits(caps)
+    while over.any():
+        caps[over] = np.nextafter(caps[over], 0.0)
+        over &= ~fits(caps)
+    return np.where(unbounded, np.inf, caps), util_at
 
 
 def max_payload(arm: ArmDescription,
                 pose_policy: Union[str, Sequence[float]] = "worst_case_sweep",
                 grid_deg: float = SWEEP_GRID_DEG,
                 sweep_joints: Sequence[int] = SWEEP_JOINTS,
-                constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6),
-                tol_kg: float = BISECTION_TOL_KG) -> PayloadResult:
+                constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6)
+                ) -> PayloadResult:
     """Largest payload (kg) holdable at every joint under the pose policy.
 
     Args:
@@ -282,17 +281,15 @@ def max_payload(arm: ArmDescription,
             (default all six). Restricting to (2, 3) answers the
             shoulder/elbow-only question, a useful diagnostic because the
             wrist-pitch budget otherwise dominates.
-        tol_kg: bisection bracket width.
 
     Returns:
         :class:`PayloadResult` with the smallest per-pose cap of
-        :func:`sweep_payload_caps` (the lower bisection bracket, so the
-        limiting utilization is <= 1), the joint and pose with the highest
+        :func:`sweep_payload_caps` (exact, rounded down so the limiting
+        utilization is <= 1), the joint and pose with the highest
         utilization at that mass, and that utilization.
 
     Raises:
-        NoConvergenceError: no finite bracket exists (feasible beyond 1e6 kg),
-            reported with the bracketing values.
+        NoConvergenceError: every pose holds over 1e6 kg.
         ValueError: unknown policy, bad lattice or constraint joints.
     """
     if isinstance(pose_policy, str):
@@ -305,7 +302,7 @@ def max_payload(arm: ArmDescription,
         policy = "fixed"
 
     cols = _constraint_columns(constraint_joints)
-    caps, _, util_at = _payload_search(arm, poses, cols, tol_kg)
+    caps, util_at = _payload_caps(arm, poses, cols)
     mass = float(caps.min())
     util = util_at(np.full(len(poses), mass))
     pi, ci = np.unravel_index(int(np.argmax(util)), util.shape)
@@ -317,23 +314,22 @@ def max_payload(arm: ArmDescription,
 def sweep_payload_caps(arm: ArmDescription,
                        grid_deg: float = SWEEP_GRID_DEG,
                        sweep_joints: Sequence[int] = SWEEP_JOINTS,
-                       constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6),
-                       tol_kg: float = BISECTION_TOL_KG):
+                       constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6)):
     """Per-pose payload cap over the worst-case lattice (for CSV export).
 
-    Each pose runs :func:`max_payload`'s search, so the smallest cap is
-    exactly ``max_payload(...).mass``.
+    The smallest cap is exactly ``max_payload(...).mass``.
 
     Returns:
         (poses, caps, limiting_joints): the lattice (n, 6), each pose's
-        feasible payload (kg; inf where no bracket exists below 1e6 kg),
-        and its 1-based limiting joint at that payload (at the last
-        feasible bracket end where unbounded).
+        largest holdable payload (kg; inf where the pose holds 1e6 kg),
+        and its 1-based limiting joint at that payload (at 1e6 kg where
+        unbounded).
 
     Raises:
-        NoConvergenceError: the worst case has no bracket below 1e6 kg.
+        NoConvergenceError: every pose holds over 1e6 kg.
     """
     cols = _constraint_columns(constraint_joints)
     poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
-    caps, lo, util_at = _payload_search(arm, poses, cols, tol_kg)
-    return poses, caps, np.array(cols)[np.argmax(util_at(lo), axis=1)] + 1
+    caps, util_at = _payload_caps(arm, poses, cols)
+    util = util_at(np.minimum(caps, _CEILING_KG))
+    return poses, caps, np.array(cols)[np.argmax(util, axis=1)] + 1

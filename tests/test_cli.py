@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,9 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     ["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
      "--payload-kg", "-5"],
     ["payload", "--limit-joints", "4", "--format", "csv"],
+    # joint 1 never loads, so a fixed pose holds any payload
+    ["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+     "--limit-joints", "1"],
     ["fk", "--q", "nan,0,0,0,0,0"],
     ["ik", "--target", "nan,0,0", "--rpy", "0,0,0"],
     ["jacobian", "--q", "inf,0,0,0,0,0"],
@@ -119,6 +125,25 @@ def test_help_exits_0_for_every_subcommand(capsys: pytest.CaptureFixture) -> Non
     for name in cli.SUBCOMMANDS:
         assert cli.run([name, "--help"]) == 0, name
     capsys.readouterr()
+
+
+def test_python_m_armkit_runs_the_cli(capsys: pytest.CaptureFixture,
+                                      tmp_path: Path) -> None:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def armkit(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "armkit", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    version = armkit("--version")
+    assert (version.returncode, version.stderr) == (0, "")
+    table = armkit("torque-table")
+    assert table.returncode == 0
+    assert cli.run(["torque-table"]) == 0
+    assert table.stdout == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +206,7 @@ def test_payload_fixed_policy(capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["payload", "--policy", "fixed",
                             "--q", "0,0,90,0,-90,0"])
     assert rc == 0
-    assert "1.35089" in out
+    assert "1.35094" in out
     assert "limiting joint 3" in out
 
 
