@@ -554,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iters", type=int, default=200,
                     help="iterations per attempt (default 200)")
     sp.add_argument("--restarts", type=int, default=12,
-                    help="seeded restarts after the first attempt (default 12)")
+                    help="restarts after a failed first attempt: the nearest "
+                         "seeded starts, run together (default 12)")
 
     sp = add("jacobian", "geometric Jacobian at one joint vector")
     sp.add_argument("--q", required=True, metavar="D1,...,D6",

@@ -10,6 +10,7 @@ left to right from the base, so joint ``i`` rotates about the z-axis of frame
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,10 +62,17 @@ class IKOptions:
 
     ``damping`` is the starting damped-least-squares lambda; the solver
     adapts it multiplicatively (down on accepted steps, up on rejected
-    ones) with a hard floor of 1e-6. ``restarts`` extra seeded attempts are
-    made from deterministic random in-limits seeds when the provided seed
-    fails; ``restart_seed`` controls that sequence, so results are
-    reproducible.
+    ones) with a hard floor of 1e-6. When the attempt from the provided
+    seed fails, ``restarts`` more starts run together: the seeded joint
+    vectors of a per-arm table (:data:`START_TABLE_SIZE` entries drawn from
+    ``restart_seed``, so results are reproducible) whose tool poses lie
+    nearest the target, at most the whole table.
+
+    Raises:
+        ValueError: a negative ``max_iters``, ``restarts``,
+            ``restart_seed`` or ``damping``, a ``pos_tol``/``ori_tol``/
+            ``step_limit`` that is not > 0, or a NaN or infinite tolerance,
+            step limit or damping.
     """
 
     pos_tol: float = 1e-6
@@ -78,6 +86,17 @@ class IKOptions:
     def __post_init__(self):
         if self.max_iters < 0 or self.restarts < 0:
             raise ValueError("max_iters and restarts must be >= 0")
+        if self.restart_seed < 0:
+            raise ValueError(
+                f"restart_seed must be >= 0, got {self.restart_seed!r}")
+        for name in ("pos_tol", "ori_tol", "step_limit"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.damping) and self.damping >= 0):
+            raise ValueError(
+                f"damping must be finite and >= 0, got {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -146,13 +165,15 @@ def forward_kinematics(arm: ArmDescription, q) -> Pose:
 
 
 def _jacobian_from_frames(frames: np.ndarray) -> np.ndarray:
-    p = frames[6][:3, 3]
-    J = np.empty((6, 6))
-    for i in range(6):
-        z = frames[i][:3, 2]
-        o = frames[i][:3, 3]
-        J[:3, i] = np.cross(z, p - o)
-        J[3:, i] = z
+    """Geometric Jacobians (n, 6, 6) of frame stacks (n, 7, 4, 4)."""
+    z = frames[:, :6, :3, 2]
+    w = frames[:, 6:, :3, 3] - frames[:, :6, :3, 3]
+    J = np.empty((len(frames), 6, 6))
+    # z x w, term by term as np.cross rounds it
+    J[:, 0] = z[..., 1] * w[..., 2] - z[..., 2] * w[..., 1]
+    J[:, 1] = z[..., 2] * w[..., 0] - z[..., 0] * w[..., 2]
+    J[:, 2] = z[..., 0] * w[..., 1] - z[..., 1] * w[..., 0]
+    J[:, 3:] = z.transpose(0, 2, 1)
     return J
 
 
@@ -163,32 +184,64 @@ def jacobian(arm: ArmDescription, q) -> np.ndarray:
     where ``z_{i-1}``/``p_{i-1}`` are joint ``i``'s axis and origin.
     Raises ValueError if an angle in ``q`` is NaN or infinite.
     """
-    return _jacobian_from_frames(fk_frames(arm, _finite(q, "joint angles q")))
+    frames = fk_frames(arm, _finite(q, "joint angles q"))
+    return _jacobian_from_frames(frames[None])[0]
 
 
 # --------------------------------------------------------------------------
 # inverse kinematics
 # --------------------------------------------------------------------------
 
+#: Seeded joint vectors in the per-arm restart table (see _start_table).
+START_TABLE_SIZE = 4096
+
+#: Weight (m/rad) of the rotation angle in the distance from a table pose
+#: to the target.
+START_ROTATION_WEIGHT = 0.1
+
+#: Poses per FK call while the restart table is built.
+_START_TABLE_CHUNK = 64
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``x`` (n, m), rounded like
+    ``np.linalg.norm`` of that row alone (one dot product per row)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def _rotation_vector(R: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix (log map)."""
-    tr = float(np.trace(R))
-    c = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
-    theta = math.acos(c)
-    v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < 1e-10:
-        return v  # first-order accurate near identity
-    if math.pi - theta < 1e-6:
+    """Axis-angle vectors (log map) of rotation matrices (..., 3, 3).
+
+    Each rotation rounds as if taken alone: its angle comes from
+    ``math.acos``, which ``np.arccos`` does not match to the last ulp.
+    """
+    R = np.asarray(R, dtype=float)
+    Rn = R.reshape(-1, 3, 3)
+    c = np.clip((Rn[:, 0, 0] + Rn[:, 1, 1] + Rn[:, 2, 2] - 1.0) / 2.0,
+                -1.0, 1.0)
+    theta = np.array([math.acos(x) for x in c])
+    v = 0.5 * np.stack([Rn[:, 2, 1] - Rn[:, 1, 2], Rn[:, 0, 2] - Rn[:, 2, 0],
+                        Rn[:, 1, 0] - Rn[:, 0, 1]], axis=1)
+    # below 1e-10 rad, v itself is first-order accurate
+    half = math.pi - theta < 1e-6
+    mid = (theta >= 1e-10) & ~half
+    scale = np.ones_like(theta)
+    scale[mid] = theta[mid] / np.sin(theta[mid])
+    out = scale[:, None] * v
+    if half.any():
         # near a half turn the skew part vanishes; recover the axis from R + I
-        M = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(M), 0.0))
-        k = int(np.argmax(axis))
-        if axis[k] > 0:
-            axis = M[:, k] / axis[k]
-            axis /= np.linalg.norm(axis)
-        sign = 1.0 if v @ axis >= 0 else -1.0
-        return theta * sign * axis
-    return (theta / math.sin(theta)) * v
+        M = (Rn[half] + np.eye(3)) / 2.0
+        axis = np.sqrt(np.maximum(np.diagonal(M, axis1=1, axis2=2), 0.0))
+        r = np.arange(len(M))
+        k = np.argmax(axis, axis=1)
+        peak = axis[r, k]
+        ok = peak > 0
+        axis[ok] = M[r[ok], :, k[ok]] / peak[ok, None]
+        axis[ok] /= _row_norms(axis[ok])[:, None]
+        along = (v[half][:, None, :] @ axis[:, :, None])[:, 0, 0]
+        out[half] = (theta[half] * np.where(along >= 0, 1.0, -1.0))[:, None] \
+            * axis
+    return out.reshape(R.shape[:-1])
 
 
 def _chain_reach_bound(arm: ArmDescription) -> float:
@@ -196,22 +249,148 @@ def _chain_reach_bound(arm: ArmDescription) -> float:
     return float(np.sum(np.hypot(rows[:, 1], rows[:, 2])))
 
 
-def _pose_error(target: Pose, frames: np.ndarray) -> tuple[np.ndarray, float, float]:
-    p = frames[6][:3, 3]
-    R = frames[6][:3, :3]
-    e_pos = target.position - p
-    e_rot = _rotation_vector(target.orientation @ R.T)
-    return np.concatenate([e_pos, e_rot]), float(np.linalg.norm(e_pos)), float(
-        np.linalg.norm(e_rot))
+def _pose_error(target: Pose, frames: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Errors of frame stacks (n, 7, 4, 4) against ``target``: the (n, 6)
+    twists (position, rotation vector) and the (n,) position and rotation
+    residuals."""
+    tool = frames[:, 6]
+    e_pos = target.position - tool[:, :3, 3]
+    e_rot = _rotation_vector(
+        target.orientation @ tool[:, :3, :3].transpose(0, 2, 1))
+    return (np.concatenate([e_pos, e_rot], axis=1), _row_norms(e_pos),
+            _row_norms(e_rot))
+
+
+@functools.lru_cache(maxsize=8)
+def _start_table(arm: ArmDescription, restart_seed: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The restart table: :data:`START_TABLE_SIZE` in-limit joint vectors
+    drawn from a child stream of ``restart_seed`` (not the stream of
+    ``default_rng(restart_seed)``), with their tool positions (n, 3) and
+    rotations (n, 3, 3). Built on first use, in small FK chunks."""
+    lim = limits_array(arm)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=restart_seed, spawn_key=(0,)))
+    Q = rng.uniform(lim[:, 0], lim[:, 1], size=(START_TABLE_SIZE, 6))
+    rows = dh_params(arm)
+    P = np.empty((START_TABLE_SIZE, 3))
+    R = np.empty((START_TABLE_SIZE, 3, 3))
+    for s in range(0, START_TABLE_SIZE, _START_TABLE_CHUNK):
+        chunk = slice(s, s + _START_TABLE_CHUNK)
+        tool = _kernels.fk_frames_batch(rows, Q[chunk])[:, 6]
+        P[chunk] = tool[:, :3, 3]
+        R[chunk] = tool[:, :3, :3]
+    for a in (Q, P, R):
+        a.setflags(write=False)
+    return Q, P, R
+
+
+def _nearest_starts(arm: ArmDescription, target: Pose,
+                    opts: IKOptions) -> np.ndarray:
+    """The ``opts.restarts`` table joint vectors whose tool poses lie nearest
+    ``target`` (position distance plus :data:`START_ROTATION_WEIGHT` times
+    the rotation angle), nearest first."""
+    Q, P, R = _start_table(arm, opts.restart_seed)
+    cos = (np.einsum("nij,ij->n", R, target.orientation) - 1.0) / 2.0
+    dist = (np.linalg.norm(P - target.position, axis=1)
+            + START_ROTATION_WEIGHT * np.arccos(np.clip(cos, -1.0, 1.0)))
+    return Q[np.argsort(dist, kind="stable")[:opts.restarts]]
+
+
+def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
+                  starts: np.ndarray, opts: IKOptions):
+    """Damped least squares from each row of ``starts`` (k, 6), in lockstep.
+
+    Every start runs its own iteration with its own damping, stall count,
+    accepted-step count and rejections in a row: an iteration tries steps,
+    raising the damping tenfold after each one that does not lower the
+    error, and gives up after ten. A start stops when it converges, uses
+    up ``opts.max_iters`` steps, cannot improve, or stalls (twelve steps in
+    a row that each cut the error by under 0.1%). Each trial evaluates one
+    step of every live start with one batched FK call, and no start's
+    numbers depend on the others in its batch.
+
+    Returns:
+        ``(q, best, exhausted)``: the joint vector of the first start to
+        converge (ties to the lowest row) or None; the smallest position
+        residual seen with its rotation residual; and whether a start used
+        up its iterations.
+    """
+    lo, hi = lim[:, 0], lim[:, 1]
+    lam_floor = 1e-6
+    eye6 = np.eye(6)
+    Q = np.array(starts, dtype=float)
+    k = len(Q)
+    frames = _kernels.fk_frames_batch(rows, Q)
+    E, pe, re_ = _pose_error(target, frames)
+    err = _row_norms(E)
+    J = _jacobian_from_frames(frames)
+    JJT = J @ J.transpose(0, 2, 1)
+    lam = np.full(k, max(opts.damping, lam_floor))
+    stall = np.zeros(k, dtype=int)
+    steps = np.zeros(k, dtype=int)
+    rejects = np.zeros(k, dtype=int)
+    live = np.ones(k, dtype=bool)
+    best = (math.inf, math.inf)
+    exhausted = False
+    fresh = np.arange(k)  # starts at a new accepted step
+    while True:
+        if fresh.size:
+            i = fresh[np.argmin(pe[fresh])]
+            if pe[i] < best[0]:
+                best = (float(pe[i]), float(re_[i]))
+            done = fresh[(pe[fresh] < opts.pos_tol)
+                         & (re_[fresh] < opts.ori_tol)]
+            if done.size:
+                return Q[done[0]].copy(), best, exhausted
+            spent = fresh[steps[fresh] == opts.max_iters]
+            live[spent] = False
+            exhausted = exhausted or bool(spent.size)
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            return None, best, exhausted
+        # one trial step per live start
+        lam2 = (lam[idx] * lam[idx])[:, None, None]
+        dq = (J[idx].transpose(0, 2, 1) @ np.linalg.solve(
+            JJT[idx] + lam2 * eye6, E[idx][:, :, None]))[:, :, 0]
+        peak = np.max(np.abs(dq), axis=1)
+        big = peak > opts.step_limit
+        dq[big] *= (opts.step_limit / peak[big])[:, None]
+        q_new = np.clip(Q[idx] + dq, lo, hi)
+        frames = _kernels.fk_frames_batch(rows, q_new)
+        e_new, pe_new, re_new = _pose_error(target, frames)
+        err_new = _row_norms(e_new)
+        ok = err_new < err[idx]
+        bad = idx[~ok]
+        lam[bad] *= 10.0
+        rejects[bad] += 1
+        live[bad[rejects[bad] == 10]] = False
+        a = idx[ok]
+        # slow linear tails (limit-pinned or near-singular) are hopeless
+        # within budget; count them as stalls
+        slow = err_new[ok] > err[a] * (1.0 - 1e-3)
+        stall[a] = np.where(slow, stall[a] + 1, 0)
+        Q[a], E[a], pe[a], re_[a], err[a] = (
+            q_new[ok], e_new[ok], pe_new[ok], re_new[ok], err_new[ok])
+        J[a] = _jacobian_from_frames(frames[ok])
+        JJT[a] = J[a] @ J[a].transpose(0, 2, 1)
+        lam[a] = np.maximum(lam[a] / 3.0, lam_floor)
+        steps[a] += 1
+        rejects[a] = 0
+        live[a[stall[a] >= 12]] = False
+        fresh = a[stall[a] < 12]
 
 
 def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
                        opts: IKOptions = IKOptions()) -> np.ndarray:
     """Solve for joint angles reaching ``target``.
 
-    Damped-least-squares iteration with per-iteration joint-limit clamping.
-    The returned vector is always within limits and satisfies the pose
-    tolerances in ``opts``.
+    Damped-least-squares iteration with per-iteration joint-limit clamping,
+    first from ``seed`` alone and, if that fails, from ``opts.restarts``
+    nearest seeded starts run together (see :class:`IKOptions`); the first
+    of those to converge gives the answer. The returned vector is always
+    within limits and satisfies the pose tolerances in ``opts``.
 
     Args:
         arm: arm description.
@@ -237,69 +416,27 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
             best_residual=None,
         )
 
-    lam_floor = 1e-6
-    eye6 = np.eye(6)
-    best_pos = math.inf
-    best_rot = math.inf
-    budget_exhausted = False
+    rows = dh_params(arm)
+    q0 = np.clip(seed.reshape(1, 6), lim[:, 0], lim[:, 1])
+    q, best, exhausted = _lockstep_dls(rows, lim, target, q0, opts)
+    if q is None and opts.restarts:
+        q, best_r, exhausted_r = _lockstep_dls(
+            rows, lim, target, _nearest_starts(arm, target, opts), opts)
+        best = min(best, best_r, key=lambda b: b[0])
+        exhausted = exhausted or exhausted_r
+    if q is not None:
+        return q
 
-    q_start = np.clip(np.asarray(seed, dtype=float).reshape(6), lim[:, 0], lim[:, 1])
-    for attempt in range(opts.restarts + 1):
-        if attempt == 0:
-            q = q_start.copy()
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=opts.restart_seed,
-                                       spawn_key=(attempt,)))
-            q = rng.uniform(lim[:, 0], lim[:, 1])
-        frames = fk_frames(arm, q)
-        e, pe, re_ = _pose_error(target, frames)
-        err = float(np.linalg.norm(e))
-        lam = max(opts.damping, lam_floor)
-        stall = 0
-        for it in range(opts.max_iters + 1):
-            if pe < best_pos:
-                best_pos, best_rot = pe, re_
-            if pe < opts.pos_tol and re_ < opts.ori_tol:
-                return q
-            if it == opts.max_iters:
-                budget_exhausted = True
-                break
-            # one accepted step; the damping rises until a trial improves
-            J = _jacobian_from_frames(frames)
-            JJT = J @ J.T
-            improved = False
-            for _ in range(10):
-                dq = J.T @ np.linalg.solve(JJT + (lam * lam) * eye6, e)
-                peak = float(np.max(np.abs(dq)))
-                if peak > opts.step_limit:
-                    dq *= opts.step_limit / peak
-                q_new = np.clip(q + dq, lim[:, 0], lim[:, 1])
-                frames_new = fk_frames(arm, q_new)
-                e_new, pe_new, re_new = _pose_error(target, frames_new)
-                err_new = float(np.linalg.norm(e_new))
-                if err_new < err:
-                    # slow linear tails (limit-pinned or near-singular) are
-                    # hopeless within budget; count them as stalls
-                    stall = stall + 1 if err_new > err * (1.0 - 1e-3) else 0
-                    q, e, pe, re_, err = q_new, e_new, pe_new, re_new, err_new
-                    frames = frames_new
-                    lam = max(lam / 3.0, lam_floor)
-                    improved = True
-                    break
-                lam *= 10.0
-            if not improved or stall >= 12:
-                break  # stagnated in this basin; restart elsewhere
-
+    best_pos, best_rot = best
     detail = (f"best residual {best_pos:.3e} m / {best_rot:.3e} rad after "
-              f"{opts.restarts + 1} attempts")
-    if budget_exhausted:
+              f"{1 + min(opts.restarts, START_TABLE_SIZE)} attempts")
+    if exhausted:
         raise NoConvergenceError(
             f"IK iteration budget exhausted ({detail})",
-            best_residual=(best_pos, best_rot))
+            best_residual=best)
     raise UnreachableTargetError(
         f"IK residual stagnated above tolerance ({detail})",
-        best_residual=(best_pos, best_rot))
+        best_residual=best)
 
 
 # --------------------------------------------------------------------------

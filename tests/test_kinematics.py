@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,8 +162,8 @@ def test_ik_round_trip_from_perturbed_seeds(arm: model.ArmDescription,
         assert ori_err < 1e-6, "solver returned a wrong answer"
         assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
         solved += 1
-    assert solved >= 49
-    assert failures <= 1
+    assert solved == 50
+    assert failures == 0
 
 
 def test_ik_rejects_target_beyond_reach_bound(arm: model.ArmDescription) -> None:
@@ -190,11 +194,20 @@ def test_ik_restarts_are_deterministic(arm: model.ArmDescription) -> None:
 
 
 def test_ik_options_reject_negative_budgets() -> None:
-    IKOptions(max_iters=0, restarts=0)
+    IKOptions(max_iters=0, restarts=0, damping=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         IKOptions(max_iters=-1)
     with pytest.raises(ValueError, match="restarts"):
         IKOptions(restarts=-3)
+    with pytest.raises(ValueError, match="restart_seed"):
+        IKOptions(restart_seed=-1)
+    for field in ("pos_tol", "ori_tol", "step_limit"):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=field):
+                IKOptions(**{field: bad})
+    for bad in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(ValueError, match="damping"):
+            IKOptions(damping=bad)
 
 
 _BAD =[np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -216,6 +229,216 @@ def test_non_finite_inputs_raise_value_error_naming_them(
         arm: model.ArmDescription, call, what: str) -> None:
     with pytest.raises(ValueError, match=what):
         call(arm)
+
+
+# ---------------------------------------------------------------------------
+# IK: batched pose error and lockstep restarts
+# ---------------------------------------------------------------------------
+
+def _ref_rotation_vector(R: np.ndarray) -> np.ndarray:
+    """Log map of one rotation matrix, written per pose."""
+    c = min(1.0, max(-1.0, (float(np.trace(R)) - 1.0) / 2.0))
+    theta = math.acos(c)
+    v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0],
+                        R[1, 0] - R[0, 1]])
+    if theta < 1e-10:
+        return v
+    if math.pi - theta < 1e-6:
+        M = (R + np.eye(3)) / 2.0
+        axis = np.sqrt(np.maximum(np.diag(M), 0.0))
+        k = int(np.argmax(axis))
+        if axis[k] > 0:
+            axis = M[:, k] / axis[k]
+            axis /= np.linalg.norm(axis)
+        sign = 1.0 if v @ axis >= 0 else -1.0
+        return theta * sign * axis
+    return (theta / math.sin(theta)) * v
+
+
+def _ref_pose_error(target: Pose, frames: np.ndarray):
+    """Pose error of one (7, 4, 4) frame stack, written per pose."""
+    e_pos = target.position - frames[6][:3, 3]
+    e_rot = _ref_rotation_vector(target.orientation @ frames[6][:3, :3].T)
+    return (np.concatenate([e_pos, e_rot]), float(np.linalg.norm(e_pos)),
+            float(np.linalg.norm(e_rot)))
+
+
+def _ref_jacobian(frames: np.ndarray) -> np.ndarray:
+    """Geometric Jacobian of one (7, 4, 4) frame stack, column by column."""
+    J = np.empty((6, 6))
+    for i in range(6):
+        z = frames[i][:3, 2]
+        J[:3, i] = np.cross(z, frames[6][:3, 3] - frames[i][:3, 3])
+        J[3:, i] = z
+    return J
+
+
+def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
+    k = axis / np.linalg.norm(axis)
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+_AXES = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda a: float(np.linalg.norm(a)) > 1e-3)
+#: angles near zero, anywhere, and within 1e-6 rad of a half turn
+_ANGLES = st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, math.pi),
+                    st.floats(math.pi - 1e-6, math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qb=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(6)),
+                     elements=st.floats(-2 * math.pi, 2 * math.pi)),
+       axis=_AXES, angle=_ANGLES,
+       rotations=st.lists(st.tuples(_AXES, _ANGLES), min_size=1, max_size=8))
+def test_batched_pose_error_and_jacobian_match_per_pose(
+        arm: model.ArmDescription, qb: np.ndarray, axis: np.ndarray,
+        angle: float, rotations: list) -> None:
+    frames = _kernels.fk_frames_batch(model.dh_params(arm), qb)
+    # the target turns the first pose by ``angle``, up to a half turn
+    target = Pose(position=frames[0, 6, :3, 3] + 0.01,
+                  orientation=_rotation(axis, angle) @ frames[0, 6, :3, :3])
+    E, pe, re_ = kinematics._pose_error(target, frames)
+    J = kinematics._jacobian_from_frames(frames)
+    for i, f in enumerate(frames):
+        e_ref, pe_ref, re_ref = _ref_pose_error(target, f)
+        assert E[i].tobytes() == e_ref.tobytes()
+        assert (pe[i], re_[i]) == (pe_ref, re_ref)
+        assert J[i].tobytes() == _ref_jacobian(f).tobytes()
+    Rs = np.stack([_rotation(a, t) for a, t in rotations])
+    vecs = kinematics._rotation_vector(Rs)
+    for R, vec in zip(Rs, vecs):
+        assert vec.tobytes() == _ref_rotation_vector(R).tobytes()
+    assert kinematics._rotation_vector(Rs[0]).tobytes() == vecs[0].tobytes()
+
+
+def test_jacobian_matches_the_per_pose_columns(
+        arm: model.ArmDescription, rng: np.random.Generator) -> None:
+    for q in _random_in_limits(arm, rng, 20):
+        assert kinematics.jacobian(arm, q).tobytes() == \
+            _ref_jacobian(kinematics.fk_frames(arm, q)).tobytes()
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5))
+def test_lockstep_starts_do_not_depend_on_their_batch(
+        arm: model.ArmDescription, seed: int, k: int) -> None:
+    # distinct random starts: equal starts would step alike in any batch
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    q_all = rng.uniform(lim[:, 0], lim[:, 1], size=(k + 1, 6))
+    target = kinematics.forward_kinematics(arm, q_all[0])
+    opts = IKOptions(max_iters=40)
+    real = _kernels.fk_frames_batch
+
+    def run(starts):
+        """The solve's result and the joint rows of each FK call (trial)."""
+        trials = []
+
+        def spy(rows, Q):
+            trials.append(np.array(Q))
+            return real(rows, Q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "fk_frames_batch", spy)
+            result = kinematics._lockstep_dls(rows, lim, target, starts, opts)
+        return result, trials
+
+    starts = q_all[1:]
+    alone = [run(s[None]) for s in starts]
+    (q, best, exhausted), trials = run(starts)
+    converged = [i for i, (res, _) in enumerate(alone) if res[0] is not None]
+    if converged:
+        first = min(converged, key=lambda i: len(alone[i][1]))
+        assert q.tobytes() == alone[first][0][0].tobytes()
+        assert len(trials) == len(alone[first][1])
+    else:
+        assert q is None
+        assert len(trials) == max(len(t) for _, t in alone)
+        assert best == min((res[1] for res, _ in alone), key=lambda b: b[0])
+        assert exhausted == any(res[2] for res, _ in alone)
+    # each trial steps exactly the starts still live on their own
+    for n, batch in enumerate(trials):
+        own = [t[n][0] for _, t in alone if len(t) > n]
+        assert sorted(r.tobytes() for r in batch) == \
+            sorted(r.tobytes() for r in own)
+
+
+def test_lockstep_ties_go_to_the_lowest_row(arm: model.ArmDescription) -> None:
+    q = np.radians([10.0, -40.0, 50.0, 5.0, 30.0, -15.0])
+    target = kinematics.forward_kinematics(arm, q)
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    # both starts already meet the tolerances, so both converge at once
+    for starts in ([q, q + 1e-9], [q + 1e-9, q]):
+        got, _, _ = kinematics._lockstep_dls(rows, lim, target,
+                                             np.array(starts), IKOptions())
+        assert got.tobytes() == starts[0].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(u_true=hnp.arrays(np.float64, 6, elements=_UNIT),
+       dq=hnp.arrays(np.float64, 6, elements=st.floats(-0.5, 0.5)))
+def test_restarts_leave_first_attempt_answers_alone(
+        arm: model.ArmDescription, u_true: np.ndarray, dq: np.ndarray) -> None:
+    lim = model.limits_array(arm)
+    q_true = lim[:, 0] + u_true * (lim[:, 1] - lim[:, 0])
+    target = kinematics.forward_kinematics(arm, q_true)
+    try:
+        first = kinematics.inverse_kinematics(arm, target, q_true + dq,
+                                              IKOptions(restarts=0))
+    except (NoConvergenceError, UnreachableTargetError):
+        return
+    assert kinematics.inverse_kinematics(
+        arm, target, q_true + dq).tobytes() == first.tobytes()
+
+
+def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
+        arm: model.ArmDescription) -> None:
+    opts = IKOptions()
+    lim = model.limits_array(arm)
+    pool = np.random.default_rng(0).uniform(lim[:, 0], lim[:, 1], size=(60, 6))
+    # a restart table holding the pool's own joint vectors would solve
+    # every target in zero steps
+    table, _, _ = kinematics._start_table(arm, opts.restart_seed)
+    assert not {r.tobytes() for r in table} & {r.tobytes() for r in pool}
+    for q_true in pool:
+        target = kinematics.forward_kinematics(arm, q_true)
+        q = kinematics.inverse_kinematics(arm, target, np.zeros(6), opts)
+        got = kinematics.forward_kinematics(arm, q)
+        pos_err = float(np.linalg.norm(got.position - target.position))
+        assert pos_err < opts.pos_tol
+        assert float(np.linalg.norm(kinematics._rotation_vector(
+            got.orientation @ target.orientation.T))) < opts.ori_tol
+        assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
+
+
+def test_restart_table_is_seeded_in_limits_and_cached(
+        arm: model.ArmDescription) -> None:
+    lim = model.limits_array(arm)
+    Q, P, R = kinematics._start_table(arm, 0)
+    assert Q.shape == (kinematics.START_TABLE_SIZE, 6)
+    assert np.all(Q >= lim[:, 0]) and np.all(Q <= lim[:, 1])
+    assert kinematics._start_table(arm, 0)[0] is Q
+    assert not np.array_equal(kinematics._start_table(arm, 1)[0], Q)
+    tool = _kernels.fk_frames_batch(model.dh_params(arm), Q[-3:])[:, 6]
+    assert np.array_equal(P[-3:], tool[:, :3, 3])
+    assert np.array_equal(R[-3:], tool[:, :3, :3])
+    assert not Q.flags.writeable
+
+
+def test_restart_table_is_not_built_at_import() -> None:
+    src = str(Path(kinematics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import armkit\n"
+            "print(armkit.kinematics._start_table.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -318,5 +541,6 @@ def test_batched_fk_matches_per_pose_frames(arm: model.ArmDescription,
     points = _kernels.fk_points(rows, qb)
     assert frames.shape == (len(qb), 7, 4, 4)
     assert points.shape == (len(qb), 3)
-    assert float(np.max(np.abs(frames - ref))) <= 1e-12
+    # bit for bit: IK's first attempt and batched statics rely on it
+    assert frames.tobytes() == ref.tobytes()
     assert float(np.max(np.abs(points - ref[:, 6, :3, 3]))) <= 1e-12
