@@ -13,6 +13,8 @@ elementwise, and two products consume it:
   multiplies them out with a stacked matmul, which rounds exactly like the
   per-pose ``T @ A`` of ``kinematics.fk_frames``, so batched statics and
   IK reproduce the single-pose results bit for bit.
+
+:class:`ScrambledSobol` draws the quasi workspace sweep's joint samples.
 """
 
 from __future__ import annotations
@@ -129,6 +131,78 @@ def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
         # T @ A
         np.matmul(out[:, i], out[:, i + 1], out=out[:, i + 1])
     return out
+
+
+#: Primitive polynomials and initial direction numbers of the first six
+#: Sobol' dimensions (Joe & Kuo 2008), as scipy.stats.qmc.Sobol ships them.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19)
+_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
+#: Bits per coordinate; a sequence holds at most 2**30 points.
+_SOBOL_BITS = 30
+
+
+def _sobol_directions() -> np.ndarray:
+    """(6, 30) uint32 direction numbers, column ``j`` shifted left ``29 - j``.
+
+    Dimension 0 is all ones; each later one extends its initial numbers
+    with the Bratley-Fox recurrence of its polynomial.
+    """
+    table = [[1] * _SOBOL_BITS]
+    for p, init in zip(_SOBOL_POLY[1:], _SOBOL_VINIT[1:]):
+        m = p.bit_length() - 1
+        v = list(init)
+        for j in range(m, _SOBOL_BITS):
+            new = v[j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        table.append(v)
+    shifts = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    return np.array(table, dtype=np.uint32) << shifts
+
+
+class ScrambledSobol:
+    """A six-dimensional scrambled Sobol' sequence, drawn in order.
+
+    Byte for byte the points of ``scipy.stats.qmc.Sobol(d=6, scramble=True,
+    seed=seed)``: Matousek's linear matrix scramble of the direction numbers
+    plus a digital shift, both drawn from ``np.random.default_rng(seed)``.
+    Successive :meth:`random` calls continue one sequence, so how a draw is
+    split does not change its points.
+    """
+
+    def __init__(self, seed: int):
+        rng = np.random.default_rng(seed)
+        k = np.arange(_SOBOL_BITS, dtype=np.uint32)
+        pow2 = 2 ** k
+        shift = rng.integers(2, size=(6, _SOBOL_BITS), dtype=np.uint32) @ pow2
+        ltm = np.tril(rng.integers(2, size=(6, _SOBOL_BITS, _SOBOL_BITS),
+                                   dtype=np.uint32))
+        ltm[:, k, k] = 1
+        # bit 29 - p of scrambled direction j is the parity of
+        # ltm[d, p, ::-1] . bits(v[d, j])
+        bits = _sobol_directions()[:, :, None] >> k & 1
+        parity = bits @ ltm[:, :, ::-1].transpose(0, 2, 1) & 1
+        # row j is direction j; the last row, which index -1 picks, is the
+        # shift, point 0
+        self._rows = np.vstack([(parity @ pow2[::-1]).T, shift])
+        self._last = np.zeros(6, dtype=np.uint32)
+        self._next = 0
+
+    def random(self, m: int) -> np.ndarray:
+        """The next ``m`` points, an (m, 6) float64 array in [0, 1)."""
+        if self._next + m > 1 << _SOBOL_BITS:
+            raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol' points")
+        k = np.arange(self._next, self._next + m)
+        # point k is point k - 1 XOR direction ctz(k); frexp(0) gives -1
+        x = self._rows[np.frexp(k & -k)[1] - 1]
+        if m:
+            x[0] ^= self._last
+            np.bitwise_xor.accumulate(x, axis=0, out=x)
+            self._last = x[-1].copy()
+        self._next += m
+        return x * 2.0 ** -_SOBOL_BITS
 
 
 def active_path() -> str:

@@ -443,8 +443,7 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
 # workspace sampling and statistics
 # --------------------------------------------------------------------------
 
-#: Distinct tool points per chunk of a workspace sweep. A power of two, so
-#: scipy's Sobol balance warning fires only for the sweep's own count.
+#: Distinct tool points per chunk of a workspace sweep.
 SWEEP_CHUNK_ROWS = 65_536
 
 
@@ -480,7 +479,7 @@ class WorkspaceSweep:
 
     Raises:
         ResourceLimitError: requested samples exceed ``cap``.
-        ComputationError: bad step counts or mode.
+        ComputationError: bad step counts or mode, or a negative quasi seed.
     """
 
     def __init__(self, arm: ArmDescription, per_joint_steps: Sequence[int],
@@ -511,6 +510,9 @@ class WorkspaceSweep:
             if samples > cap:
                 raise ResourceLimitError(
                     f"{samples} samples exceeds the cap of {cap}")
+            if seed < 0:
+                raise ComputationError(
+                    f"quasi mode requires seed >= 0, got {seed}")
             self.samples = samples
         else:
             raise ComputationError(f"unknown sampling mode {mode!r}")
@@ -518,16 +520,15 @@ class WorkspaceSweep:
     def chunks(self) -> Iterator[np.ndarray]:
         """Yield (m, 3) tool points in row order, each for ``repeat`` rows.
 
-        A chunk holds at most :data:`SWEEP_CHUNK_ROWS` points.
+        A chunk holds at most :data:`SWEEP_CHUNK_ROWS` points. The Sobol'
+        balance properties need a power-of-two count; a quasi sweep of any
+        other count warns at the caller's line.
         """
         n = self.samples // self.repeat
         lim = self.lim
         if self.mode == "quasi":
-            from scipy.stats import qmc
-
-            sob = qmc.Sobol(d=6, scramble=True, seed=self.seed)
-            if n > SWEEP_CHUNK_ROWS and n & (n - 1):
-                # a one-call draw warns here; the first chunk's draw does not
+            sob = _kernels.ScrambledSobol(self.seed)
+            if n & (n - 1):
                 warnings.warn("The balance properties of Sobol' points "
                               "require n to be a power of 2.", stacklevel=2)
 

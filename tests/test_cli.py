@@ -41,6 +41,18 @@ def test_computation_error_exits_4(capsys: pytest.CaptureFixture) -> None:
     assert rc == 4
 
 
+def test_negative_quasi_seed_exits_4(capsys: pytest.CaptureFixture) -> None:
+    quasi = ["reach", "--mode", "quasi", "--samples", "8"]
+    assert cli.run(quasi + ["--seed", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "quasi mode requires seed >= 0, got -1" in captured.err
+    # grid mode never reads the seed; seeds past 2**64 still draw
+    assert _run(capsys, ["reach", "--per-joint-steps", "2,2,2,2,2,2",
+                         "--seed", "-1"])[0] == 0
+    assert _run(capsys, quasi + ["--seed", str(2**64 + 1)])[0] == 0
+
+
 def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     for steps in ("2000,2000,2000,5,5,5",
                   # 1e36 samples: more than an int64 product holds

@@ -6,6 +6,8 @@ SVG's stride picks. Every output must equal what the whole in-memory cloud
 gives: ``sample_workspace``'s points (pinned here to FK of the full lattice
 or of one Sobol draw), the statistics' whole-cloud formulas, a plain
 one-line-per-row CSV rendering and ``svgplot.workspace_svg`` of the cloud.
+The quasi sweep's own scrambled-Sobol generator is pinned to scipy's bytes,
+and a quasi run must not import scipy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import qmc
 
 from armkit import _kernels, cli, kinematics, model, svgplot
+from armkit.errors import ComputationError
 
 
 def _variant(arm: model.ArmDescription, name: str) -> model.ArmDescription:
@@ -137,6 +142,98 @@ def test_repeat_count_comes_from_the_dh_table(arm: model.ArmDescription) -> None
         assert sweep.repeat == repeat, variant
     quasi = kinematics.WorkspaceSweep(arm, steps, mode="quasi", samples=99)
     assert quasi.repeat == 1
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+@settings(max_examples=25, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**63 - 1, 2**64 + 1]),
+                      st.integers(0, 2**80)),
+       n=st.one_of(st.sampled_from([1, 2, 3, 65_535, 65_536, 65_537,
+                                    131_073]), st.integers(0, 5000)))
+@example(seed=0, n=131_073)
+@example(seed=2**63 - 1, n=65_537)
+@example(seed=2**64 + 1, n=65_535)
+@example(seed=2**64 + 1, n=1)
+def test_sobol_matches_scipy_byte_for_byte(seed: int, n: int) -> None:
+    expected = qmc.Sobol(d=6, scramble=True, seed=seed).random(n)
+    got = _kernels.ScrambledSobol(seed).random(n)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**70),
+       sizes=st.lists(st.integers(0, 3000), max_size=8))
+@example(seed=0, sizes=[65_535, 1, 65_537])
+def test_sobol_draw_does_not_depend_on_its_split(seed: int,
+                                                 sizes: list) -> None:
+    split = _kernels.ScrambledSobol(seed)
+    parts = [split.random(m) for m in sizes]
+    whole = _kernels.ScrambledSobol(seed).random(sum(sizes))
+    assert np.concatenate([np.empty((0, 6)), *parts]).tobytes() == \
+        whole.tobytes()
+
+
+def test_sobol_stops_at_two_to_the_thirty() -> None:
+    sob = _kernels.ScrambledSobol(0)
+    sob._next = 2**30 - 1
+    assert sob.random(1).shape == (1, 6)
+    with pytest.raises(ValueError, match="2\\*\\*30"):
+        sob.random(1)
+
+
+@pytest.mark.parametrize("samples", [1000, 200_001])
+def test_odd_quasi_counts_warn_once_at_the_caller(
+        arm: model.ArmDescription, samples: int) -> None:
+    sweep = kinematics.WorkspaceSweep(arm, (2,) * 6, mode="quasi",
+                                      samples=samples)
+    with pytest.warns(UserWarning, match="require n to be a power of 2") \
+            as caught:
+        for _ in sweep.chunks():
+            pass
+    assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("samples", [65_536, 262_144])
+def test_power_of_two_quasi_counts_do_not_warn(
+        arm: model.ArmDescription, samples: int) -> None:
+    sweep = kinematics.WorkspaceSweep(arm, (2,) * 6, mode="quasi",
+                                      samples=samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in sweep.chunks():
+            pass
+
+
+def test_negative_quasi_seed_is_refused_up_front(
+        arm: model.ArmDescription) -> None:
+    with pytest.raises(ComputationError, match="got -3"):
+        kinematics.WorkspaceSweep(arm, (2,) * 6, mode="quasi", samples=8,
+                                  seed=-3)
+    assert kinematics.WorkspaceSweep(arm, (2,) * 6, seed=-3).samples == 64
+
+
+_NO_SCIPY = """
+import sys
+from armkit import cli
+assert cli.run(["reach", "--mode", "quasi", "--samples", "4096"]) == 0
+assert cli.run(["workspace", "--mode", "quasi", "--samples", "5000",
+                "--format", "csv", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+      file=sys.stderr)
+"""
+
+
+def test_quasi_runs_do_not_import_scipy(tmp_path: Path) -> None:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "workspace.csv").stat().st_size > 0
 
 
 _PEAK_RSS = """
