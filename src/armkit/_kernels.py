@@ -14,7 +14,8 @@ elementwise, and two products consume it:
   per-pose ``T @ A`` of ``kinematics.fk_frames``, so batched statics and
   IK reproduce the single-pose results bit for bit.
 
-:class:`ScrambledSobol` draws the quasi workspace sweep's joint samples.
+:class:`ScrambledSobol` draws the quasi workspace sweep's joint samples, and
+:func:`repr_bytes` writes the CSV's floats.
 """
 
 from __future__ import annotations
@@ -203,6 +204,178 @@ class ScrambledSobol:
             self._last = x[-1].copy()
         self._next += m
         return x * 2.0 ** -_SOBOL_BITS
+
+
+#: ``fl(10**k)`` for k = -4..16: the fast range of :func:`repr_bytes`, in
+#: which ``repr`` writes no exponent. Each is the nearest float at or above
+#: ``10**k``, so a float is ``>= 10**k`` exactly when it is ``>=`` the entry.
+_REPR_POW10 = np.array([float(f"1e{k}") for k in range(-4, 17)])
+_REPR_WIDTH = 24  # the longest repr: "-2.2250738585072014e-308"
+_POW5 = 5 ** np.arange(21, dtype=np.int64)
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+#: floor(log10) of 2**(e - 1023) and the next power of ten, for the biased
+#: exponents e of the fast range
+_EXP0 = 1009
+_EXP_LOG10 = np.searchsorted(
+    _REPR_POW10, 2.0 ** (np.arange(_EXP0, 1077) - 1023), "right") - 5
+_EXP_NEXT10 = _REPR_POW10[np.minimum(_EXP_LOG10 + 5, 20)]
+#: per word of a 24-byte row: the mask keeping its first ``n`` bytes
+_KEEP = np.tril(np.full((_REPR_WIDTH + 1, _REPR_WIDTH), 0xFF, np.uint8),
+                -1).view(np.uint64).T.copy()
+_U64 = np.uint64
+
+
+def _shortest(bits: np.ndarray):
+    """Shortest round-trip digits of positive doubles in the fast range.
+
+    ``a * 10**k`` (``k`` = 16 - floor(log10 a)) is ``m * 5**k / 2**s`` for
+    the 53-bit mantissa ``m``: its integer part ``whole`` has 17 digits and
+    its fraction is the low ``s`` bits of the exact product ``m * 5**k``
+    (under 2**100, two uint64 limbs). The integers within half a float gap
+    of it are the 17-digit candidates; the one with the most trailing zeros
+    (``j``), nearest the value, is what ``repr`` prints (Steele & White,
+    as in Ryu, Adams 2018).
+
+    Returns ``(c, k, j, bad)``: the value is ``c * 10**-k`` with ``c`` a
+    multiple of ``10**j``, and ``bad`` marks the exact ties between two
+    candidates, which ``repr`` rounds half to even.
+
+    ``c`` stays below 10**17: 10**(17 - k) is a candidate only for the
+    float nearest it from below, and every power of ten of the fast range
+    is a float or rounds up to one (``_REPR_POW10``). An end of the half-gap
+    interval, which an even mantissa would admit, is never shorter than the
+    candidates inside: it is an odd multiple of 2**(e - 1) for the float's
+    exponent e <= 1, so either its decimal digits run past 17 (e <= 0) or it
+    is an odd integer next to an even one (e = 1). A power of two's lower
+    gap is half its upper one; the interval is taken symmetric anyway,
+    which admits no wrong candidate for the 67 powers of two in the range
+    (``tests/test_repr_bytes.py`` checks each).
+    """
+    bexp = (bits >> _U64(52)).astype(np.int64)
+    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    e = bexp - _EXP0
+    k = 16 - _EXP_LOG10[e] - (bits.view(np.float64) >= _EXP_NEXT10[e])
+    s = 1075 - bexp - k
+    # m * 5**k = hi * 2**64 + lo, from 32-bit halves
+    f = _POW5[k].astype(np.uint64)
+    mh, ml = m >> _U64(32), m & _U64(0xFFFFFFFF)
+    fh, fl = f >> _U64(32), f & _U64(0xFFFFFFFF)
+    ll = ml * fl
+    mid = mh * fl + ml * fh
+    lo = ll + (mid << _U64(32))
+    hi = mh * fh + (mid >> _U64(32)) + (lo < ll)
+    # split at bit s: the integer part and the fraction, in units of
+    # 2**-(s + 2); s is -2..46
+    frac = s > 0
+    sr = np.where(frac, s, 1).astype(np.uint64)
+    whole = np.where(frac, (hi << (_U64(64) - sr)) | (lo >> sr),
+                     lo << np.where(frac, 0, -s).astype(np.uint64))
+    whole = whole.astype(np.int64)
+    f4 = np.where(frac, lo & ((_U64(1) << sr) - _U64(1)),
+                  _U64(0)).astype(np.int64) << 2
+    sh = s + 2
+    unit = np.left_shift(1, sh)
+    half_gap = _POW5[k] << 1
+    # integers c with |c - value| < half_gap / unit: |(c - whole) unit - f4|
+    low = whole - ((half_gap - f4 - 1) >> sh)
+    high = whole + ((f4 + half_gap - 1) >> sh)
+    # j: the most trailing zeros of an integer in [low, high]
+    j = np.zeros(len(bits), np.int64)
+    act = np.flatnonzero(high // 10 != (low - 1) // 10)
+    for jj in range(1, 17):
+        if not len(act):
+            break
+        j[act] = jj
+        p = _POW10[jj + 1]
+        act = act[high[act] // p != (low[act] - 1) // p]
+    # the candidate nearest the value: a multiple of 10 for j = 1, the
+    # nearer integer for j = 0, the only multiple of 10**j for j > 1
+    q = whole // 10
+    r = whole - q * 10
+    below = (r << sh) + f4
+    above = ((10 - r) << sh) - f4
+    c = q * 10 + 10 * (above < below)
+    bad = above == below
+    at0 = np.flatnonzero(j == 0)
+    up = unit[at0] - f4[at0]
+    c[at0] = whole[at0] + (up < f4[at0])
+    bad[at0] = up == f4[at0]
+    far = np.flatnonzero(j > 1)
+    c[far] = high[far] - high[far] % _POW10[j[far]]
+    return c, k, j, bad
+
+
+def _swar8(x: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each ``x < 10**8``, first digit in the low byte:
+    halves, quarters and eighths split within the word's lanes, dividing by
+    multiply and shift."""
+    hi = x // _U64(10_000)
+    v = hi | ((x - hi * _U64(10_000)) << _U64(32))
+    q = ((v * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)  # / 100
+    v = q | ((v - q * _U64(100)) << _U64(16))
+    q = ((v * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)   # / 10
+    return q | ((v - q * _U64(10)) << _U64(8)) | _U64(0x3030303030303030)
+
+
+def _layout(key: int) -> list:
+    """Row of :func:`repr_bytes`' digit table columns that spells a value
+    ``c * 10**-k`` of sign ``sg`` (``key = 2k + sg``): columns 0..16 hold
+    the 17 digits of ``c``, 17 ``.``, 18 ``-`` and 19 ``0``."""
+    k, sg = divmod(key, 2)
+    cols = [18] * sg + ([19] if k > 16 else list(range(17 - k))) + [17]
+    cols += [19] * max(k - 17, 0) + list(range(max(17 - k, 0), 17))
+    return (cols + [19] * _REPR_WIDTH)[:_REPR_WIDTH]
+
+
+def repr_bytes(values) -> np.ndarray:
+    """``repr(float(v)).encode()`` for every element of ``values``.
+
+    Returns an ``S24`` array of the flattened values. Elements in
+    ``1e-4 <= |v| < 1e16``, which ``repr`` writes without an exponent, are
+    formatted from :func:`_shortest`'s digits; ``repr`` itself writes the
+    rest (exponent form, zeros, subnormals, NaN and infinities) and the ties
+    ``_shortest`` flags.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    out = np.zeros((x.size, _REPR_WIDTH), np.uint8)
+    bits = x.view(np.uint64)
+    a = np.abs(x)
+    idx = np.flatnonzero((a >= _REPR_POW10[0]) & (a < _REPR_POW10[-1]))
+    neg = (bits[idx] >> _U64(63)).astype(np.int64)
+    c, k, j, bad = _shortest(a[idx].view(np.uint64))
+    length = neg + np.maximum(17 - k, 1) + 1 + np.maximum(k - j, 1)
+    # digit table: 7 spare bytes, the 17 digits of c, then ".-0"
+    hd = c.astype(np.uint64) // _U64(10**16)
+    rest = c.astype(np.uint64) - hd * _U64(10**16)
+    mid = rest // _U64(10**8)
+    tab = np.empty((len(c), 4), "<u8")
+    tab[:, 0] = (hd + _U64(48)) << _U64(56)
+    tab[:, 1] = _swar8(mid)
+    tab[:, 2] = _swar8(rest - mid * _U64(10**8))
+    tab[:, 3] = 0x302D2E
+    # one column gather per (k, sign), over rows sorted by it
+    key = 2 * k + neg
+    order = np.argsort(key.astype(np.int8), kind="stable")
+    tab = np.take(tab, order, axis=0).view(np.uint8)[:, 7:]
+    body = np.empty((len(c), _REPR_WIDTH), np.uint8)
+    start = 0
+    for kk, stop in enumerate(np.cumsum(np.bincount(key))):
+        if stop > start:
+            np.take(tab[start:stop], _layout(kk), axis=1,
+                    out=body[start:stop])
+        start = stop
+    words, ends = body.view(np.uint64), length[order]
+    for w, keep in enumerate(_KEEP):
+        words[:, w] &= keep[ends]
+    row = f"V{_REPR_WIDTH}"
+    out.view(row).reshape(-1)[idx[order]] = body.view(row).reshape(-1)
+    slow = np.ones(x.size, bool)
+    slow[idx[~bad]] = False
+    slow = np.flatnonzero(slow)
+    text = np.array([repr(v).encode() for v in x[slow].tolist()],
+                    f"S{_REPR_WIDTH}")
+    out[slow] = text.view(np.uint8).reshape(-1, _REPR_WIDTH)
+    return out.view(f"S{_REPR_WIDTH}").reshape(-1)
 
 
 def active_path() -> str:

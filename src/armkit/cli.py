@@ -29,7 +29,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import bom as bom_mod
-from . import drivetrain, kinematics, statics, steppersim, svgplot
+from . import _kernels, drivetrain, kinematics, statics, steppersim, svgplot
 from ._version import __version__
 from .errors import (
     BomDataError,
@@ -114,48 +114,77 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[str]:
-    """Render one CSV table as text chunks; every CSV file the CLI writes
+def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[bytes]:
+    """Render one CSV table as UTF-8 chunks; every CSV file the CLI writes
     comes from here.
 
     ``header`` is the first line (None: no header). ``rows`` is a list of
     rows of cells: None -> empty, str -> ``,`` replaced by ``;``, int ->
     decimal, anything else -> ``repr(float(v))``. Or it is a float ndarray,
-    or an iterable of them (a streamed workspace sweep), rendered one text
-    chunk per array with each row's line written ``repeat`` times, so a
-    cloud is never held as text or as Python floats all at once.
+    or an iterable of them (a streamed workspace sweep), rendered by
+    :func:`_csv_block` with each row's line written ``repeat`` times, so a
+    cloud is never held as text all at once.
     """
     if header is not None:
-        yield header + "\n"
+        yield (header + "\n").encode()
     if isinstance(rows, list):
-        yield "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+        yield "".join(",".join(map(_cell, row)) + "\n" for row in rows).encode()
         return
     for block in (rows,) if isinstance(rows, np.ndarray) else rows:
-        yield "".join((",".join(map(repr, row)) + "\n") * repeat
-                      for row in block.tolist())
+        yield from _csv_block(block, repeat)
+
+
+#: Lines per chunk :func:`_csv_block` yields; bounds its working memory.
+_CSV_CHUNK_LINES = 65_536
+
+
+def _csv_block(block: np.ndarray, repeat: int) -> Iterator[bytes]:
+    """The lines of a 2-D float array, ``repr`` of each value, each line
+    ``repeat`` times.
+
+    Each distinct value (bit pattern, so -0.0 is not 0.0) is formatted once
+    by :func:`_kernels.repr_bytes`. A line is its cells' NUL-padded bytes
+    with a separator after each, and dropping the NULs packs the lines.
+    """
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits.reshape(-1), return_inverse=True)
+    text = _kernels.repr_bytes(distinct.view(np.float64))
+    n, cols = bits.shape
+    width = text.dtype.itemsize
+    lines = np.empty((n, cols, width + 1), np.uint8)
+    lines[:, :, :width] = text.take(inverse).view(np.uint8).reshape(
+        n, cols, width)
+    lines[:, :, width] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
+    lines = lines.reshape(n, cols * (width + 1))
+    step = max(1, _CSV_CHUNK_LINES // repeat)
+    for start in range(0, n, step):
+        part = np.repeat(lines[start:start + step], repeat, axis=0)
+        yield part[part != 0].tobytes()
 
 
 class _Outputs:
-    """Collects output files for one run and records their hashes."""
+    """Collects output files for one run and records their hashes. The
+    directory is created by the first write, so a run that fails before
+    writing anything leaves none behind."""
 
     def __init__(self, directory: str):
         self.dir = Path(directory)
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise OutputError(f"cannot create output dir {directory}: {exc}")
         self.records: List[dict] = []
 
     def write(self, name: str, content) -> None:
-        """Write ``content``, text or an iterable of text chunks, as UTF-8
-        to ``name``, hashing each chunk as it goes out."""
+        """Write ``content``, text or an iterable of UTF-8 chunks, to
+        ``name``, hashing each chunk as it goes out."""
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot create output dir {self.dir}: {exc}")
         digest = hashlib.sha256()
         try:
             with open(self.dir / name, "wb") as fh:
-                for chunk in (content,) if isinstance(content, str) else content:
-                    data = chunk.encode("utf-8")
-                    digest.update(data)
-                    fh.write(data)
+                for chunk in ((content.encode("utf-8"),)
+                              if isinstance(content, str) else content):
+                    digest.update(chunk)
+                    fh.write(chunk)
         except OSError as exc:
             raise OutputError(f"cannot write {self.dir / name}: {exc}")
         self.records.append({"path": name, "sha256": digest.hexdigest()})

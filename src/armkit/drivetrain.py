@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComputationError
+from .errors import ComputationError, require_finite
 from .model import ArmDescription, CapstanGeometry, JointDrive, MotorSpec
 
 
@@ -71,18 +71,15 @@ def capstan_reduction(geom: CapstanGeometry) -> float:
 def sheave_height(geom: CapstanGeometry, gamma: float) -> float:
     """Stacked cable height on the sheave: ``t * gamma + delta`` (m)."""
     t, delta = geom.cable_thickness, geom.tolerance
-    if not (all(map(math.isfinite, (gamma, t, delta))) and gamma > 0
-            and delta >= 0):
-        raise ComputationError(f"need a finite gamma > 0, cable thickness and "
-                               f"tolerance >= 0, got {gamma}, {t} and {delta}")
+    require_finite(gamma, "gamma", "> 0", ComputationError)
+    require_finite(t, "cable thickness", error=ComputationError)
+    require_finite(delta, "tolerance", ">= 0", ComputationError)
     return t * gamma + delta
 
 
 def sheave_spacing(t: float) -> float:
     """Groove spacing for cable thickness ``t``: 1.5 t (m)."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ComputationError(
-            f"cable thickness must be finite and >= 0, got {t}")
+    require_finite(t, "cable thickness", ">= 0", ComputationError)
     return 1.5 * t
 
 
@@ -91,8 +88,8 @@ def windings_required(gamma: float, output_range_deg: float) -> float:
 
     Returned as a real number; round up when budgeting cable length.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (gamma, output_range_deg)):
-        raise ComputationError("gamma and output range must be finite and > 0")
+    require_finite(gamma, "gamma", "> 0", ComputationError)
+    require_finite(output_range_deg, "output range", "> 0", ComputationError)
     windings = gamma * output_range_deg / 360.0
     if not math.isfinite(windings):
         raise ValueError(f"{output_range_deg} deg at reduction {gamma} needs "

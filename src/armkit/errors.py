@@ -2,10 +2,13 @@
 
 Every error that can surface through the CLI maps to a stable exit code so
 scripts can branch on failure class. The mapping lives in ``cli.EXIT_CODES``
-and is documented in the README.
+and is documented in the README. :func:`require_finite` is the one check
+the modules share for non-finite and wrongly signed inputs.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -79,3 +82,19 @@ class BomDataError(ToolkitError):
 
 class OutputError(ToolkitError):
     """Failed to write a requested output file."""
+
+
+def require_finite(value, what: str, sign: str = "",
+                   error: type = ValueError) -> np.ndarray:
+    """``value`` as a float array, if every entry is finite and, for a
+    ``sign`` of ``"> 0"`` or ``">= 0"``, has that sign.
+
+    Raises:
+        ``error`` with a message naming ``what``.
+    """
+    arr = np.asarray(value, dtype=float)
+    signed = {"": True, "> 0": arr > 0, ">= 0": arr >= 0}[sign]
+    if not np.all(np.isfinite(arr) & signed):
+        rule = f" and {sign}" if sign else ""
+        raise error(f"{what} must be finite{rule}, got {arr.tolist()!r}")
+    return arr

@@ -25,6 +25,7 @@ from .errors import (
     NoConvergenceError,
     ResourceLimitError,
     UnreachableTargetError,
+    require_finite,
 )
 from .model import ArmDescription, dh_params, limits_array
 
@@ -90,13 +91,8 @@ class IKOptions:
             raise ValueError(
                 f"restart_seed must be >= 0, got {self.restart_seed!r}")
         for name in ("pos_tol", "ori_tol", "step_limit"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and > 0, got {value!r}")
-        if not (math.isfinite(self.damping) and self.damping >= 0):
-            raise ValueError(
-                f"damping must be finite and >= 0, got {self.damping!r}")
+            require_finite(getattr(self, name), name, "> 0")
+        require_finite(self.damping, "damping", ">= 0")
 
 
 @dataclass(frozen=True)
@@ -138,15 +134,6 @@ def fk_frames(arm: ArmDescription, q) -> np.ndarray:
     return out
 
 
-def _finite(values, what: str) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``what`` if any entry
-    is NaN or infinite (the per-pose ``fk_frames`` inside IK never checks)."""
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite, got {arr.tolist()}")
-    return arr
-
-
 def forward_kinematics(arm: ArmDescription, q) -> Pose:
     """Pose of the tool frame (frame 6) in the base frame.
 
@@ -160,7 +147,7 @@ def forward_kinematics(arm: ArmDescription, q) -> Pose:
     Raises:
         ValueError: an angle in ``q`` is NaN or infinite.
     """
-    T = fk_frames(arm, _finite(q, "joint angles q"))[6]
+    T = fk_frames(arm, require_finite(q, "joint angles q"))[6]
     return Pose(position=T[:3, 3].copy(), orientation=T[:3, :3].copy())
 
 
@@ -184,7 +171,7 @@ def jacobian(arm: ArmDescription, q) -> np.ndarray:
     where ``z_{i-1}``/``p_{i-1}`` are joint ``i``'s axis and origin.
     Raises ValueError if an angle in ``q`` is NaN or infinite.
     """
-    frames = fk_frames(arm, _finite(q, "joint angles q"))
+    frames = fk_frames(arm, require_finite(q, "joint angles q"))
     return _jacobian_from_frames(frames[None])[0]
 
 
@@ -405,9 +392,9 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
         NoConvergenceError: iteration budget exhausted while still improving.
         ValueError: a NaN or infinite entry in ``target`` or ``seed``.
     """
-    _finite(target.position, "IK target position")
-    _finite(target.orientation, "IK target orientation")
-    seed = _finite(seed, "IK start pose")
+    require_finite(target.position, "IK target position")
+    require_finite(target.orientation, "IK target orientation")
+    seed = require_finite(seed, "IK start pose")
     lim = limits_array(arm)
     if float(np.linalg.norm(target.position)) > _chain_reach_bound(arm):
         raise UnreachableTargetError(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import drivetrain
-from .errors import NoConvergenceError, ResourceLimitError
+from .errors import NoConvergenceError, ResourceLimitError, require_finite
 from ._kernels import fk_frames_batch
 from .kinematics import DEFAULT_SAMPLE_CAP, fk_frames
 from .model import ArmDescription, dh_params, limits_array
@@ -131,8 +131,7 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
         ValueError: negative or non-finite payload.
     """
     payload = arm.mass_model.payload if payload is None else float(payload)
-    if not (math.isfinite(payload) and payload >= 0.0):
-        raise ValueError(f"payload must be a finite mass >= 0 kg, got {payload!r}")
+    require_finite(payload, "payload (kg)", ">= 0")
     q = np.asarray(q, dtype=float)
     tau, lever = _torque_split(arm, q.reshape(-1, 6))
     if payload > 0:
@@ -185,8 +184,7 @@ def sweep_poses(arm: ArmDescription,
         ResourceLimitError: the lattice has more than
             ``kinematics.DEFAULT_SAMPLE_CAP`` poses.
     """
-    if not (math.isfinite(grid_deg) and grid_deg > 0.0):
-        raise ValueError(f"grid_deg must be a finite pitch > 0, got {grid_deg!r}")
+    require_finite(grid_deg, "grid_deg", "> 0")
     if any(int(j) not in range(1, 7) for j in sweep_joints):
         raise ValueError(f"sweep_joints must lie in 1-6, got {tuple(sweep_joints)}")
     lim = limits_array(arm)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import drivetrain, statics
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, require_finite
 from .kinematics import fk_frames
 from .model import ArmDescription, limits_array
 
@@ -66,8 +66,8 @@ class NoiseModel:
     margin_rule: str = "proportional"
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in (self.sigma0, self.k)):
-            raise ValueError("noise parameters must be finite and >= 0")
+        require_finite(self.sigma0, "sigma0", ">= 0")
+        require_finite(self.k, "k", ">= 0")
         if self.margin_rule not in MARGIN_RULES:
             raise ValueError(f"margin_rule must be one of {MARGIN_RULES}")
 
@@ -158,8 +158,7 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
     missed_total = 0
     legs = cycle.legs()
     for target, rate in legs:
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError("commanded step rates must be finite and > 0")
+        require_finite(rate, "commanded step rate", "> 0")
         if target.shape != (6,):
             raise ValueError("cycle targets must have six joint angles")
         if (np.any(target < lim[:, 0] - 1e-12)

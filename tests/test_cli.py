@@ -131,6 +131,15 @@ def test_output_error_exits_7(capsys: pytest.CaptureFixture,
     assert (rc, out) == (7, "")
 
 
+def test_failed_run_leaves_no_output_dir(capsys: pytest.CaptureFixture,
+                                         tmp_path: Path) -> None:
+    out = tmp_path / "D"
+    rc, _ = _run(capsys, ["reach", "--mode", "quasi", "--samples", "8",
+                          "--seed", "-1", "--out", str(out)])
+    assert rc == 4
+    assert not out.exists()
+
+
 def test_help_exits_0_for_every_subcommand(capsys: pytest.CaptureFixture) -> None:
     assert cli.run(["--help"]) == 0
     assert cli.run(["--version"]) == 0
@@ -269,13 +278,13 @@ def test_arm_config_env_is_honored(capsys: pytest.CaptureFixture,
 
 def test_csv_cell_rule() -> None:
     row = (None, "a,b", 7, np.float64(0.1), np.float32(2.5))
-    assert "".join(cli._csv("h1,h2,h3,h4,h5", [row])) == \
-        "h1,h2,h3,h4,h5\n,a;b,7,0.1,2.5\n"
+    assert b"".join(cli._csv("h1,h2,h3,h4,h5", [row])) == \
+        b"h1,h2,h3,h4,h5\n,a;b,7,0.1,2.5\n"
     block = np.array([[1.0, -0.0], [1e-300, 3.0]])
-    assert "".join(cli._csv(None, block)) == "1.0,-0.0\n1e-300,3.0\n"
+    assert b"".join(cli._csv(None, block)) == b"1.0,-0.0\n1e-300,3.0\n"
     # a streamed sweep: each row's line once per row it stands for
-    assert "".join(cli._csv("x", iter([block[:1], block[1:]]), repeat=2)) == \
-        "x\n1.0,-0.0\n1.0,-0.0\n1e-300,3.0\n1e-300,3.0\n"
+    assert b"".join(cli._csv("x", iter([block[:1], block[1:]]), repeat=2)) == \
+        b"x\n1.0,-0.0\n1.0,-0.0\n1e-300,3.0\n1e-300,3.0\n"
 
 
 def _manifest(out_dir: Path) -> dict:
