@@ -7,12 +7,12 @@ elementwise, and two products consume it:
   chain out element by element and keeps only nine rotation and three
   position arrays, so the workspace sweep builds neither frames nor
   (n, 3, 3) temporaries;
-* :func:`fk_frames_batch` keeps every frame. It writes all six links'
-  matrices at once into the frame slots they multiply into, so a small
-  batch costs few numpy calls and no buffer beyond the frames, and
-  multiplies them out with a stacked matmul, which rounds exactly like the
-  per-pose ``T @ A`` of ``kinematics.fk_frames``, so batched statics and
-  IK reproduce the single-pose results bit for bit.
+* :func:`fk_frames_batch` keeps every frame and is the one frames path:
+  single-pose FK and Jacobians, gravity torques and IK all call it, so
+  one pose gives the same bits alone or in any batch. It writes all six
+  links' matrices at once into the frame slots they multiply into, so a
+  small batch costs few numpy calls and no buffer beyond the frames, and
+  multiplies them out from the base with a stacked matmul.
 
 :class:`ScrambledSobol` draws the quasi workspace sweep's joint samples, and
 :func:`repr_bytes` writes the CSV's floats.
@@ -114,7 +114,7 @@ def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Returns:
         (n, 7, 4, 4) array; ``[:, 0]`` is the base identity and ``[:, i]``
-        the frame after link ``i``, as in ``kinematics.fk_frames``.
+        the frame after link ``i``.
     """
     rows, Q = _as_batch(rows, Q)
     out = np.zeros((Q.shape[0], 7, 4, 4))
@@ -128,8 +128,7 @@ def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
         out[:, 1:, r, c] = v
     for i in range(6):
         # frame i times link i + 1, in place (numpy copies the overlapping
-        # link first); a stacked matmul rounds like kinematics.fk_frames'
-        # T @ A
+        # link first)
         np.matmul(out[:, i], out[:, i + 1], out=out[:, i + 1])
     return out
 

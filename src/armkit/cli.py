@@ -86,10 +86,9 @@ def _floats(text: str, n: Optional[int], what: str) -> np.ndarray:
 
 def _ints(text: str, n: Optional[int], what: str) -> Tuple[int, ...]:
     vals = _floats(text, n, what)
-    out = tuple(int(v) for v in vals)
-    if any(o != v for o, v in zip(out, vals)):
+    if not np.all(np.isfinite(vals) & (vals == np.round(vals))):
         raise CliUsageError(f"{what}: expected integers, got {text!r}")
-    return out
+    return tuple(int(v) for v in vals)
 
 
 def _rpy_matrix(rpy_deg: np.ndarray) -> np.ndarray:

@@ -220,8 +220,32 @@ def _angle(value, path: str) -> float:
 
 def _number(value, path: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
     raise ConfigError(f"{path}: expected a number, got {value!r}")
+
+
+def _integer(value, path: str) -> int:
+    """A whole number; a fraction or a NaN/infinite value is an error, not
+    truncated."""
+    num = _number(value, path)
+    if not num.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(num)
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return value
 
 
 def _require(mapping, key, path: str):
@@ -246,7 +270,7 @@ def _parse_motor(raw, path: str) -> tuple[MotorSpec, list[str]]:
         curve.append((_number(pair[0], f"{path}.torque_speed_curve[{k}][0]"),
                       _number(pair[1], f"{path}.torque_speed_curve[{k}][1]")))
     if "steps_per_rev" in raw:
-        steps = int(_number(raw["steps_per_rev"], f"{path}.steps_per_rev"))
+        steps = _integer(raw["steps_per_rev"], f"{path}.steps_per_rev")
         is_default = bool(raw.get("steps_per_rev_is_default", False))
     else:
         steps, is_default = DEFAULT_STEPS_PER_REV, True
@@ -279,8 +303,8 @@ def _parse_stage(raw, path: str) -> TransmissionStage:
     ratio = _number(_require(raw, "ratio", path), f"{path}.ratio")
     geometry = None
     if "geometry" in raw and raw["geometry"] is not None:
-        g = raw["geometry"]
         gp = f"{path}.geometry"
+        g = _mapping(raw["geometry"], gp)
         mode = str(g.get("mode", "")) or (
             "stationary" if kind == "capstan_stationary" else "rotating")
         geometry = CapstanGeometry(
@@ -335,9 +359,7 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
         for i, row in enumerate(dh_raw)
     )
 
-    lim_raw = _require(data, "limits", source)
-    if not isinstance(lim_raw, list):
-        raise ConfigError(f"{source}.limits: expected a list")
+    lim_raw = _list(_require(data, "limits", source), f"{source}.limits")
     limits = tuple(
         JointLimits(
             min=_angle(_require(row, "min", f"limits[{i}]"), f"limits[{i}].min"),
@@ -346,55 +368,54 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
         for i, row in enumerate(lim_raw)
     )
 
-    drives_raw = _require(data, "drives", source)
-    if not isinstance(drives_raw, list):
-        raise ConfigError(f"{source}.drives: expected a list")
+    drives_raw = _list(_require(data, "drives", source), f"{source}.drives")
     drives = []
     for i, row in enumerate(drives_raw):
         dp = f"drives[{i}]"
         motor, motor_notices = _parse_motor(_require(row, "motor", dp), f"{dp}.motor")
         notices.extend(motor_notices)
-        stages_raw = _require(row, "stages", dp)
-        if not isinstance(stages_raw, list):
-            raise ConfigError(f"{dp}.stages: expected a list")
+        stages_raw = _list(_require(row, "stages", dp), f"{dp}.stages")
         stages = tuple(_parse_stage(s, f"{dp}.stages[{k}]")
                        for k, s in enumerate(stages_raw))
         listed = row.get("listed_max_torque")
         drives.append(JointDrive(
-            joint_index=int(_number(_require(row, "joint_index", dp),
-                                    f"{dp}.joint_index")),
+            joint_index=_integer(_require(row, "joint_index", dp),
+                                 f"{dp}.joint_index"),
             motor=motor,
             stages=stages,
-            microstep_factor=int(_number(_require(row, "microstep_factor", dp),
-                                         f"{dp}.microstep_factor")),
+            microstep_factor=_integer(_require(row, "microstep_factor", dp),
+                                      f"{dp}.microstep_factor"),
             listed_max_torque=(None if listed is None
                                else _number(listed, f"{dp}.listed_max_torque")),
         ))
     drives = tuple(drives)
 
-    mm_raw = _require(data, "mass_model", source)
+    mm_raw = _mapping(_require(data, "mass_model", source),
+                      f"{source}.mass_model")
     links = tuple(
         MassPoint(
-            frame=int(_number(_require(row, "frame", f"mass_model.links[{i}]"),
-                              f"mass_model.links[{i}].frame")),
+            frame=_integer(_require(row, "frame", f"mass_model.links[{i}]"),
+                           f"mass_model.links[{i}].frame"),
             mass=_number(_require(row, "mass", f"mass_model.links[{i}]"),
                          f"mass_model.links[{i}].mass"),
             offset=_number(_require(row, "offset", f"mass_model.links[{i}]"),
                            f"mass_model.links[{i}].offset"),
             label=str(row.get("label", "")),
         )
-        for i, row in enumerate(mm_raw.get("links", []))
+        for i, row in enumerate(_list(mm_raw.get("links", []),
+                                      "mass_model.links"))
     )
     motors = tuple(
         MotorPlacement(
-            drive=int(_number(_require(row, "drive", f"mass_model.motors[{i}]"),
-                              f"mass_model.motors[{i}].drive")),
-            frame=int(_number(_require(row, "frame", f"mass_model.motors[{i}]"),
-                              f"mass_model.motors[{i}].frame")),
+            drive=_integer(_require(row, "drive", f"mass_model.motors[{i}]"),
+                           f"mass_model.motors[{i}].drive"),
+            frame=_integer(_require(row, "frame", f"mass_model.motors[{i}]"),
+                           f"mass_model.motors[{i}].frame"),
             offset=_number(_require(row, "offset", f"mass_model.motors[{i}]"),
                            f"mass_model.motors[{i}].offset"),
         )
-        for i, row in enumerate(mm_raw.get("motors", []))
+        for i, row in enumerate(_list(mm_raw.get("motors", []),
+                                      "mass_model.motors"))
     )
     ref = mm_raw.get("reference_total", REFERENCE_TOTAL_MASS)
     mass_model = MassModel(

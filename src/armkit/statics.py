@@ -17,7 +17,7 @@ import numpy as np
 from . import drivetrain
 from .errors import NoConvergenceError, ResourceLimitError, require_finite
 from ._kernels import fk_frames_batch
-from .kinematics import DEFAULT_SAMPLE_CAP, fk_frames
+from .kinematics import DEFAULT_SAMPLE_CAP
 from .model import ArmDescription, dh_params, limits_array
 
 #: Default worst-case sweep: 15-degree grid on the gravity-loaded joints
@@ -98,14 +98,9 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
 
 
 def _torque_split(arm: ArmDescription, q: np.ndarray):
-    """:func:`_gravity_split` of (n, 6) poses.
-
-    One pose takes its frames from the per-pose ``fk_frames``, which is
-    faster at n = 1 and rounds the same; more go through the batched
-    kernel in chunks of ``_POSE_CHUNK`` poses.
-    """
-    if len(q) == 1:
-        return _gravity_split(arm, fk_frames(arm, q[0])[None])
+    """:func:`_gravity_split` of (n, 6) poses, whose frames come from
+    :func:`fk_frames_batch` in chunks of ``_POSE_CHUNK`` poses, one pose
+    or a whole lattice alike."""
     rows = dh_params(arm)
     parts = [_gravity_split(arm, fk_frames_batch(rows, chunk))
              for chunk in np.split(q, range(_POSE_CHUNK, len(q), _POSE_CHUNK))]

@@ -30,6 +30,20 @@ def test_usage_errors_exit_2(capsys: pytest.CaptureFixture) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["workspace", "--per-joint-steps", "inf,25,25,5,5,5"],
+    ["workspace", "--per-joint-steps", "nan,25,25,5,5,5"],
+    ["payload", "--sweep-joints", "inf"],
+    ["payload", "--limit-joints", "1e400"],
+])
+def test_non_finite_integer_lists_exit_2(capsys: pytest.CaptureFixture,
+                                         argv: list) -> None:
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "expected integers" in err
+    assert "Traceback" not in err
+
+
 def test_config_error_exits_3(capsys: pytest.CaptureFixture, tmp_path: Path) -> None:
     rc, _ = _run(capsys, ["fk", "--q", "0,0,0,0,0,0",
                           "--arm", str(tmp_path / "absent.yaml")])
@@ -373,6 +387,27 @@ def test_outputs_print_plain_floats(capsys: pytest.CaptureFixture,
         assert "np.float64(" not in out
         for f in out_dir.iterdir():
             assert "np.float64(" not in f.read_text(), f.name
+
+
+def test_single_pose_outputs_keep_their_bytes(
+        capsys: pytest.CaptureFixture) -> None:
+    # SHA-256 of stdout for the single-pose FK and gravity-torque consumers
+    pinned = {
+        "fk --q 10,-20,30,0,15,5":
+            "0693816ee0ae7538fc9218e5e3d76d998f8506a7035fc4a26ebcaab5120f782a",
+        "jacobian --q 10,-20,30,0,15,5":
+            "da162d775eb48047ee5b47c73743af5270d26d01d85cd7c7cd2ecfb4a71a54b0",
+        "payload --policy fixed --q 0,0,90,0,-90,0 --payload-kg 0.3":
+            "ba72456c6c6841dfa68b8c975a4d650a3824e142fdcb54664a5cf6856d408656",
+        "repeat-sim --speeds 500,2500 --cycles 3 --payload-kg 0.6":
+            "16c5bf8b5ae81b60809d61e6a91edb75974cf511276f73c799a172802e95e6ba",
+    }
+    got = {}
+    for cmd in pinned:
+        rc, out = _run(capsys, cmd.split())
+        assert rc == 0, cmd
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == pinned
 
 
 def test_svg_format_is_limited_to_plots(capsys: pytest.CaptureFixture,

@@ -23,6 +23,21 @@ def _random_in_limits(arm: model.ArmDescription, rng: np.random.Generator,
     return rng.uniform(lim[:, 0], lim[:, 1], size=(n, 6))
 
 
+def _ref_frames(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Frames (7, 4, 4) of one pose, written per link: each link matrix from
+    ``math.cos``/``math.sin``, multiplied on from the base as ``T @ A``."""
+    out = np.empty((7, 4, 4))
+    out[0] = T = np.eye(4)
+    for i, (offset, d, a, alpha) in enumerate(rows):
+        cth, sth = math.cos(q[i] + offset), math.sin(q[i] + offset)
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        T = out[i + 1] = T @ np.array([[cth, -sth * ca, sth * sa, a * cth],
+                                       [sth, cth * ca, -cth * sa, a * sth],
+                                       [0.0, sa, ca, d],
+                                       [0.0, 0.0, 0.0, 1.0]])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics
 # ---------------------------------------------------------------------------
@@ -314,9 +329,10 @@ def test_batched_pose_error_and_jacobian_match_per_pose(
 
 def test_jacobian_matches_the_per_pose_columns(
         arm: model.ArmDescription, rng: np.random.Generator) -> None:
+    rows = model.dh_params(arm)
     for q in _random_in_limits(arm, rng, 20):
         assert kinematics.jacobian(arm, q).tobytes() == \
-            _ref_jacobian(kinematics.fk_frames(arm, q)).tobytes()
+            _ref_jacobian(_ref_frames(rows, q)).tobytes()
 
 
 _UNIT = st.floats(0.0, 1.0)
@@ -532,15 +548,16 @@ def test_reference_reach_constants_disagree_and_both_ship() -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(qb=hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.just(6)),
-                     elements=st.floats(-2 * math.pi, 2 * math.pi)))
+                     elements=st.floats(-1e6, 1e6)))
 def test_batched_fk_matches_per_pose_frames(arm: model.ArmDescription,
                                             qb: np.ndarray) -> None:
     rows = model.dh_params(arm)
-    ref = np.stack([kinematics.fk_frames(arm, q) for q in qb])
+    ref = np.stack([_ref_frames(rows, q) for q in qb])
     frames = _kernels.fk_frames_batch(rows, qb)
     points = _kernels.fk_points(rows, qb)
     assert frames.shape == (len(qb), 7, 4, 4)
     assert points.shape == (len(qb), 3)
-    # bit for bit: IK's first attempt and batched statics rely on it
+    # bit for bit, alone or in a batch: every frames caller uses the kernel
     assert frames.tobytes() == ref.tobytes()
+    assert kinematics.fk_frames(arm, qb[0]).tobytes() == ref[0].tobytes()
     assert float(np.max(np.abs(points - ref[:, 6, :3, 3]))) <= 1e-12

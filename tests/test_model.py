@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from armkit import model
+from armkit import cli, model
 from armkit.errors import ConfigError
 
 
@@ -129,6 +131,35 @@ def test_load_arm_missing_file_is_config_error(tmp_path: Path) -> None:
 def test_load_arm_data_missing_key_is_config_error() -> None:
     with pytest.raises(ConfigError):
         model.load_arm_data({"name": "broken"})
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    (("mass_model",), [1, 2], "mass_model"),
+    (("drives", 0, "stages", 0, "geometry"), [1], "drives[0].stages[0].geometry"),
+    (("mass_model", "links"), 5, "mass_model.links"),
+    (("drives", 0, "motor", "steps_per_rev"), math.inf,
+     "drives[0].motor.steps_per_rev"),
+    # past the float range
+    (("drives", 0, "motor", "steps_per_rev"), 10**400,
+     "drives[0].motor.steps_per_rev"),
+    (("drives", 0, "joint_index"), 1.5, "drives[0].joint_index"),
+], ids=["mass_model-list", "geometry-list", "links-int", "steps-inf",
+        "steps-huge-int", "joint-index-fraction"])
+def test_malformed_arm_fields_exit_3_naming_their_path(
+        capsys: pytest.CaptureFixture, tmp_path: Path, keys: tuple,
+        value, path: str) -> None:
+    data = yaml.safe_load(resources.files("armkit").joinpath(
+        "data/default_arm.yaml").read_text(encoding="utf-8"))
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    cfg = tmp_path / "arm.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert cli.run(["fk", "--q", "0,0,0,0,0,0", "--arm", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
