@@ -63,7 +63,10 @@ class IKOptions:
 
     ``damping`` is the starting damped-least-squares lambda; the solver
     adapts it multiplicatively (down on accepted steps, up on rejected
-    ones) with a hard floor of 1e-6. When the attempt from the provided
+    ones) with a hard floor of 1e-6. No joint moves by more than
+    ``step_limit`` rad in one step, and none leaves its limits: a joint on a
+    limit that a step would push further out is held there, and the step
+    is solved again for the other joints. When the attempt from the provided
     seed fails, ``restarts`` more starts run together: the seeded joint
     vectors of a per-arm table (:data:`START_TABLE_SIZE` entries drawn from
     ``restart_seed``, so results are reproducible) whose tool poses lie
@@ -269,6 +272,35 @@ def _nearest_starts(arm: ArmDescription, target: Pose,
     return Q[np.argsort(dist, kind="stable")[:opts.restarts]]
 
 
+def _dls_step(J: np.ndarray, JJT: np.ndarray, E: np.ndarray, lam: np.ndarray,
+              on_lo: np.ndarray, on_hi: np.ndarray) -> np.ndarray:
+    """Damped-least-squares joint steps (n, 6) with an active set of limits.
+
+    Each row's step is ``J.T (J J.T + lam**2 I)^-1 E``. A joint sitting on a
+    limit (``on_lo``/``on_hi``, (n, 6) masks) that this step pushes further
+    out loses its Jacobian column, and the row's step is solved again
+    without it, until no such joint is left: the dropped joints get a zero
+    step and the rest take the damped-least-squares step of the reduced
+    problem (Raunhardt & Boulic 2007). Rows with no such joint keep the
+    first solve, and no row depends on the others.
+    """
+    eye6 = np.eye(6)
+    lam2 = (lam * lam)[:, None, None]
+    dq = (J.transpose(0, 2, 1) @ np.linalg.solve(
+        JJT + lam2 * eye6, E[:, :, None]))[:, :, 0]
+    free = np.ones(dq.shape, dtype=bool)
+    while True:
+        out = (on_lo & (dq < 0)) | (on_hi & (dq > 0))
+        r = np.flatnonzero(out.any(axis=1))
+        if not r.size:
+            return dq
+        free[r] &= ~out[r]
+        Jm = J[r] * free[r][:, None, :]
+        dq[r] = (Jm.transpose(0, 2, 1) @ np.linalg.solve(
+            Jm @ Jm.transpose(0, 2, 1) + lam2[r] * eye6,
+            E[r][:, :, None]))[:, :, 0]
+
+
 def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
                   starts: np.ndarray, opts: IKOptions):
     """Damped least squares from each row of ``starts`` (k, 6), in lockstep.
@@ -280,7 +312,10 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     up ``opts.max_iters`` steps, cannot improve, or stalls (twelve steps in
     a row that each cut the error by under 0.1%). Each trial evaluates one
     step of every live start with one batched FK call, and no start's
-    numbers depend on the others in its batch.
+    numbers depend on the others in its batch. A step comes from
+    :func:`_dls_step`, so a joint held on a limit does not push against it.
+    It is then scaled down so that no joint moves by more than
+    ``opts.step_limit``, and clipped to the limits.
 
     Returns:
         ``(q, best, exhausted)``: the joint vector of the first start to
@@ -290,7 +325,6 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     """
     lo, hi = lim[:, 0], lim[:, 1]
     lam_floor = 1e-6
-    eye6 = np.eye(6)
     Q = np.array(starts, dtype=float)
     k = len(Q)
     frames = _kernels.fk_frames_batch(rows, Q)
@@ -322,9 +356,8 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
         if not idx.size:
             return None, best, exhausted
         # one trial step per live start
-        lam2 = (lam[idx] * lam[idx])[:, None, None]
-        dq = (J[idx].transpose(0, 2, 1) @ np.linalg.solve(
-            JJT[idx] + lam2 * eye6, E[idx][:, :, None]))[:, :, 0]
+        dq = _dls_step(J[idx], JJT[idx], E[idx], lam[idx],
+                       Q[idx] == lo, Q[idx] == hi)
         peak = np.max(np.abs(dq), axis=1)
         big = peak > opts.step_limit
         dq[big] *= (opts.step_limit / peak[big])[:, None]
@@ -357,11 +390,12 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
                        opts: IKOptions = IKOptions()) -> np.ndarray:
     """Solve for joint angles reaching ``target``.
 
-    Damped-least-squares iteration with per-iteration joint-limit clamping,
-    first from ``seed`` alone and, if that fails, from ``opts.restarts``
-    nearest seeded starts run together (see :class:`IKOptions`); the first
-    of those to converge gives the answer. The returned vector is always
-    within limits and satisfies the pose tolerances in ``opts``.
+    Damped-least-squares iteration, first from ``seed`` alone and, if that
+    fails, from ``opts.restarts`` nearest seeded starts run together (see
+    :class:`IKOptions`); the first of those to converge gives the answer.
+    A joint on a limit that a step pushes further out is held there, and
+    the other joints take the step solved without it. The returned vector
+    is always within limits and satisfies the pose tolerances in ``opts``.
 
     Args:
         arm: arm description.

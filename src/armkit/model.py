@@ -564,6 +564,14 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
     def bad(code, path, message):
         v.append(Violation(code=code, path=path, message=message))
 
+    def finite(path, value):
+        """Records a violation and returns False for a NaN or infinite mass
+        model value."""
+        ok = math.isfinite(value)
+        if not ok:
+            bad("mass.nonfinite", path, "value must be finite")
+        return ok
+
     if len(arm.dh) != 6:
         bad("dh.count", "dh", f"expected 6 rows, got {len(arm.dh)}")
     for i, row in enumerate(arm.dh):
@@ -600,7 +608,7 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
         m = d.motor
         if not m.holding_torque > 0:
             bad("motor.holding_torque", f"{dp}.motor.holding_torque", "must be > 0")
-        if m.mass < 0:
+        if finite(f"{dp}.motor.mass", m.mass) and m.mass < 0:
             bad("motor.mass.negative", f"{dp}.motor.mass (MassModel)",
                 "motor mass must be >= 0")
         if m.steps_per_rev < 1:
@@ -661,8 +669,9 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
     drive_ids = {d.joint_index for d in arm.drives}
     for i, link in enumerate(mm.links):
         lp = f"mass_model.links[{i}] (MassModel)"
-        if link.mass < 0:
+        if finite(f"mass_model.links[{i}].mass", link.mass) and link.mass < 0:
             bad("mass.negative", lp, "link mass must be >= 0")
+        finite(f"mass_model.links[{i}].offset", link.offset)
         if not 0 <= link.frame <= 6:
             bad("mass.frame.range", lp, f"frame {link.frame} outside 0..6")
     for i, pl in enumerate(mm.motors):
@@ -671,9 +680,10 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
             bad("mass.motor_placement.drive", pp, f"no drive {pl.drive}")
         if not 0 <= pl.frame <= 6:
             bad("mass.frame.range", pp, f"frame {pl.frame} outside 0..6")
-    if mm.payload < 0:
+        finite(f"mass_model.motors[{i}].offset", pl.offset)
+    if finite("mass_model.payload", mm.payload) and mm.payload < 0:
         bad("mass.negative", "mass_model.payload (MassModel)", "payload must be >= 0")
-    if not mm.gravity > 0:
+    if finite("mass_model.gravity", mm.gravity) and not mm.gravity > 0:
         bad("mass.gravity", "mass_model.gravity", "gravity must be > 0")
     if mm.reference_total is not None and len(arm.drives) == 6 and not v:
         total = total_modeled_mass(arm)

@@ -199,6 +199,16 @@ def test_ik_round_trips_the_home_pose(capsys: pytest.CaptureFixture) -> None:
     assert "residual" in out or "q_deg" in out
 
 
+def test_ik_first_attempt_solves_after_running_into_a_limit(
+        capsys: pytest.CaptureFixture) -> None:
+    # the benchmark pool's target 17, the argv of the CI smoke step
+    rc, out = _run(capsys, ["ik", "--target=-0.032745,0.209744,0.159752",
+                            "--rpy=-174.2342,36.5229,-66.6136",
+                            "--restarts", "0"])
+    assert rc == 0
+    assert float(out.split("position_error_m: ")[1]) < 1e-6
+
+
 def test_jacobian_prints_a_six_by_six(capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["jacobian", "--q", "10,-20,30,0,15,5"])
     assert rc == 0

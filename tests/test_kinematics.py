@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -338,34 +339,30 @@ def test_jacobian_matches_the_per_pose_columns(
 _UNIT = st.floats(0.0, 1.0)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5))
-def test_lockstep_starts_do_not_depend_on_their_batch(
-        arm: model.ArmDescription, seed: int, k: int) -> None:
-    # distinct random starts: equal starts would step alike in any batch
+def _traced_lockstep(arm: model.ArmDescription, target: Pose,
+                     starts: np.ndarray, opts: IKOptions) -> tuple:
+    """``_lockstep_dls``'s result and the joint rows of each of its FK calls
+    (one call per trial)."""
     rows, lim = model.dh_params(arm), model.limits_array(arm)
-    rng = np.random.default_rng(seed)
-    q_all = rng.uniform(lim[:, 0], lim[:, 1], size=(k + 1, 6))
-    target = kinematics.forward_kinematics(arm, q_all[0])
-    opts = IKOptions(max_iters=40)
     real = _kernels.fk_frames_batch
+    trials = []
 
-    def run(starts):
-        """The solve's result and the joint rows of each FK call (trial)."""
-        trials = []
+    def spy(rows, Q):
+        trials.append(np.array(Q))
+        return real(rows, Q)
 
-        def spy(rows, Q):
-            trials.append(np.array(Q))
-            return real(rows, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "fk_frames_batch", spy)
+        result = kinematics._lockstep_dls(rows, lim, target, starts, opts)
+    return result, trials
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "fk_frames_batch", spy)
-            result = kinematics._lockstep_dls(rows, lim, target, starts, opts)
-        return result, trials
 
-    starts = q_all[1:]
-    alone = [run(s[None]) for s in starts]
-    (q, best, exhausted), trials = run(starts)
+def _assert_starts_step_as_alone(arm: model.ArmDescription, target: Pose,
+                                 starts: np.ndarray, opts: IKOptions) -> None:
+    """Each start of the batch steps exactly as it does alone, and the
+    batch's answer is the one of the start that converges first alone."""
+    alone = [_traced_lockstep(arm, target, s[None], opts) for s in starts]
+    (q, best, exhausted), trials = _traced_lockstep(arm, target, starts, opts)
     converged = [i for i, (res, _) in enumerate(alone) if res[0] is not None]
     if converged:
         first = min(converged, key=lambda i: len(alone[i][1]))
@@ -381,6 +378,103 @@ def test_lockstep_starts_do_not_depend_on_their_batch(
         own = [t[n][0] for _, t in alone if len(t) > n]
         assert sorted(r.tobytes() for r in batch) == \
             sorted(r.tobytes() for r in own)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5))
+def test_lockstep_starts_do_not_depend_on_their_batch(
+        arm: model.ArmDescription, seed: int, k: int) -> None:
+    # distinct random starts: equal starts would step alike in any batch
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    q_all = rng.uniform(lim[:, 0], lim[:, 1], size=(k + 1, 6))
+    target = kinematics.forward_kinematics(arm, q_all[0])
+    _assert_starts_step_as_alone(arm, target, q_all[1:], IKOptions(max_iters=40))
+
+
+def _pinned_starts(lim: np.ndarray, rng: np.random.Generator,
+                   k: int) -> np.ndarray:
+    """``k`` random in-limit starts, each with one to three joints set exactly
+    on a limit."""
+    starts = rng.uniform(lim[:, 0], lim[:, 1], size=(k, 6))
+    for s in starts:
+        j = rng.choice(6, size=rng.integers(1, 4), replace=False)
+        s[j] = lim[j, rng.integers(0, 2, size=len(j))]
+    return starts
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4))
+def test_lockstep_rows_on_limits_do_not_depend_on_their_batch(
+        arm: model.ArmDescription, seed: int, k: int) -> None:
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    target = kinematics.forward_kinematics(
+        arm, rng.uniform(lim[:, 0], lim[:, 1]))
+    starts = _pinned_starts(lim, rng, k)
+    # one free start among the pinned ones
+    starts[rng.integers(0, k)] = rng.uniform(lim[:, 0], lim[:, 1])
+    _assert_starts_step_as_alone(arm, target, starts, IKOptions(max_iters=40))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lockstep_trials_stay_inside_the_limits(
+        arm: model.ArmDescription, seed: int) -> None:
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    target = kinematics.forward_kinematics(
+        arm, rng.uniform(lim[:, 0], lim[:, 1]))
+    (q, _, _), trials = _traced_lockstep(arm, target,
+                                         _pinned_starts(lim, rng, 3),
+                                         IKOptions(max_iters=60))
+    # every accepted q was first a trial
+    for Q in trials + ([q[None]] if q is not None else []):
+        assert np.all(Q >= lim[:, 0]) and np.all(Q <= lim[:, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       log_lam=st.floats(-6.0, 0.0))
+def test_active_set_step_holds_joints_on_their_limits(
+        arm: model.ArmDescription, seed: int, n: int, log_lam: float) -> None:
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    Q = _pinned_starts(lim, rng, n)
+    J = kinematics._jacobian_from_frames(_kernels.fk_frames_batch(rows, Q))
+    JJT = J @ J.transpose(0, 2, 1)
+    E = rng.normal(scale=0.05, size=(n, 6))
+    lam = np.full(n, 10.0 ** log_lam)
+    on_lo, on_hi = Q == lim[:, 0], Q == lim[:, 1]
+    dq = kinematics._dls_step(J, JJT, E, lam, on_lo, on_hi)
+    # the plain damped least-squares step, as solved before the active set
+    plain = (J.transpose(0, 2, 1) @ np.linalg.solve(
+        JJT + (lam * lam)[:, None, None] * np.eye(6), E[:, :, None]))[:, :, 0]
+    # a joint that starts the step on a limit never moves further out
+    assert not np.any(on_lo & (dq < 0)) and not np.any(on_hi & (dq > 0))
+    for i in range(n):
+        alone = kinematics._dls_step(J[i:i + 1], JJT[i:i + 1], E[i:i + 1],
+                                     lam[i:i + 1], on_lo[i:i + 1],
+                                     on_hi[i:i + 1])
+        assert alone.tobytes() == dq[i:i + 1].tobytes()
+        pushes = (on_lo[i] & (plain[i] < 0)) | (on_hi[i] & (plain[i] > 0))
+        if not pushes.any():
+            assert dq[i].tobytes() == plain[i].tobytes()
+            continue
+        # the held joints stay put; the rest take the damped least-squares
+        # step of the problem without them, here in the primal form
+        # (Jf.T Jf + lam^2 I)^-1 Jf.T E
+        held = (on_lo[i] | on_hi[i]) & (dq[i] == 0.0)
+        assert held[pushes].all()
+        Jf = J[i][:, ~held]
+        ref = np.linalg.solve(Jf.T @ Jf + lam[i] ** 2 * np.eye(len(Jf.T)),
+                              Jf.T @ E[i])
+        # the step solves the 6x6 system with the held columns zeroed, whose
+        # condition number (up to |J|^2 / lam^2) bounds its relative error
+        cond = np.linalg.cond(Jf @ Jf.T + lam[i] ** 2 * np.eye(6))
+        np.testing.assert_allclose(
+            dq[i][~held], ref, rtol=0,
+            atol=100 * np.finfo(float).eps * cond * np.abs(ref).max(initial=0))
 
 
 def test_lockstep_ties_go_to_the_lowest_row(arm: model.ArmDescription) -> None:
@@ -411,24 +505,54 @@ def test_restarts_leave_first_attempt_answers_alone(
         arm, target, q_true + dq).tobytes() == first.tobytes()
 
 
+def _target_pool(arm: model.ArmDescription) -> np.ndarray:
+    """The 60 in-limit joint vectors behind the benchmark's IK targets."""
+    lim = model.limits_array(arm)
+    return np.random.default_rng(0).uniform(lim[:, 0], lim[:, 1], size=(60, 6))
+
+
+#: Pool targets whose answers changed when the active-set step replaced
+#: plain clamping.
+_ACTIVE_SET_CHANGED = {6, 9, 11, 12, 13, 17, 18, 43, 45, 48, 50}
+
+#: SHA-256 of the other 49 answers, concatenated: plain clamping gave these
+#: same bytes.
+_UNCHANGED_POOL_SHA256 = \
+    "69d67a12815fbbd454ac170b3d906c95c9c187e879bfe1990dff4007b50f5fda"
+
+
 def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
         arm: model.ArmDescription) -> None:
     opts = IKOptions()
     lim = model.limits_array(arm)
-    pool = np.random.default_rng(0).uniform(lim[:, 0], lim[:, 1], size=(60, 6))
+    pool = _target_pool(arm)
     # a restart table holding the pool's own joint vectors would solve
     # every target in zero steps
     table, _, _ = kinematics._start_table(arm, opts.restart_seed)
     assert not {r.tobytes() for r in table} & {r.tobytes() for r in pool}
-    for q_true in pool:
+    unchanged = hashlib.sha256()
+    for n, q_true in enumerate(pool):
         target = kinematics.forward_kinematics(arm, q_true)
         q = kinematics.inverse_kinematics(arm, target, np.zeros(6), opts)
+        if n not in _ACTIVE_SET_CHANGED:
+            unchanged.update(q.tobytes())
         got = kinematics.forward_kinematics(arm, q)
         pos_err = float(np.linalg.norm(got.position - target.position))
         assert pos_err < opts.pos_tol
         assert float(np.linalg.norm(kinematics._rotation_vector(
             got.orientation @ target.orientation.T))) < opts.ori_tol
         assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
+    assert unchanged.hexdigest() == _UNCHANGED_POOL_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_first_attempts_along_a_limit_end_within_60_trials(
+        arm: model.ArmDescription, n: int) -> None:
+    # with clamping alone, these first attempts crawled along a limit for
+    # 298 and 249 trials before they failed
+    target = kinematics.forward_kinematics(arm, _target_pool(arm)[n])
+    _, trials = _traced_lockstep(arm, target, np.zeros((1, 6)), IKOptions())
+    assert len(trials) <= 60
 
 
 def test_restart_table_is_seeded_in_limits_and_cached(

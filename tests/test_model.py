@@ -143,8 +143,20 @@ def test_load_arm_data_missing_key_is_config_error() -> None:
     (("drives", 0, "motor", "steps_per_rev"), 10**400,
      "drives[0].motor.steps_per_rev"),
     (("drives", 0, "joint_index"), 1.5, "drives[0].joint_index"),
+    (("mass_model", "gravity"), math.inf, "mass_model.gravity"),
+    (("mass_model", "gravity"), math.nan, "mass_model.gravity"),
+    (("mass_model", "payload"), math.nan, "mass_model.payload"),
+    (("mass_model", "payload"), math.inf, "mass_model.payload"),
+    (("mass_model", "links", 2, "mass"), math.nan, "mass_model.links[2].mass"),
+    (("mass_model", "links", 2, "offset"), math.nan,
+     "mass_model.links[2].offset"),
+    (("mass_model", "motors", 3, "offset"), -math.inf,
+     "mass_model.motors[3].offset"),
+    (("drives", 4, "motor", "mass"), math.nan, "drives[4].motor.mass"),
 ], ids=["mass_model-list", "geometry-list", "links-int", "steps-inf",
-        "steps-huge-int", "joint-index-fraction"])
+        "steps-huge-int", "joint-index-fraction", "gravity-inf",
+        "gravity-nan", "payload-nan", "payload-inf", "link-mass-nan",
+        "link-offset-nan", "motor-offset-inf", "motor-mass-nan"])
 def test_malformed_arm_fields_exit_3_naming_their_path(
         capsys: pytest.CaptureFixture, tmp_path: Path, keys: tuple,
         value, path: str) -> None:
