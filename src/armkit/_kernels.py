@@ -10,9 +10,9 @@ elementwise, and two products consume it:
 * :func:`fk_frames_batch` keeps every frame and is the one frames path:
   single-pose FK and Jacobians, gravity torques and IK all call it, so
   one pose gives the same bits alone or in any batch. It writes all six
-  links' matrices at once into the frame slots they multiply into, so a
-  small batch costs few numpy calls and no buffer beyond the frames, and
-  multiplies them out from the base with a stacked matmul.
+  links' matrices at once into an (n, 6, 4, 4) buffer of their own, so a
+  small batch costs few numpy calls, and multiplies them out from the
+  base with one stacked matmul per link, straight into the frames.
 
 :class:`ScrambledSobol` draws the quasi workspace sweep's joint samples, and
 :func:`repr_bytes` writes the CSV's floats.
@@ -28,6 +28,10 @@ import numpy as np
 #: (row, col) of each entry :func:`_link_entries` gives.
 _ENTRIES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3),
             (2, 1), (2, 2), (2, 3))
+
+#: The base frame of every :func:`fk_frames_batch` stack.
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
 def _link_entries(th, d, a, ca, sa, out=(None,) * 8):
@@ -48,10 +52,11 @@ def _link_entries(th, d, a, ca, sa, out=(None,) * 8):
             sa, ca, d)
 
 
-def _twists(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine of each link's twist (6,), from ``math``."""
-    return (np.array([math.cos(al) for al in rows[:, 3]]),
-            np.array([math.sin(al) for al in rows[:, 3]]))
+def _twists(rows: np.ndarray) -> np.ndarray:
+    """Cosine and sine of each link's twist, from ``math``: a (2, 6) array
+    that unpacks as ``ca, sa``."""
+    al = rows[:, 3].tolist()
+    return np.array([[math.cos(a) for a in al], [math.sin(a) for a in al]])
 
 
 def _links(rows: np.ndarray, qb: np.ndarray):
@@ -108,6 +113,11 @@ def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
 def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Every frame transform for a batch of joint vectors.
 
+    The six link matrices are written at once into an (n, 6, 4, 4) buffer
+    of their own, then multiplied out from the base with one stacked matmul
+    per link, each straight into its frame slot. No matmul operand overlaps
+    its output, which would make numpy copy it first.
+
     Args:
         rows: (6, 4) float64 array of [theta_offset, d, a, alpha] per joint.
         Q: (n, 6) joint angles in radians.
@@ -117,19 +127,18 @@ def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
         the frame after link ``i``.
     """
     rows, Q = _as_batch(rows, Q)
-    out = np.zeros((Q.shape[0], 7, 4, 4))
-    out[:, 0] = np.eye(4)
-    # each frame slot first holds its link matrix, all six filled at once
-    out[:, 1:, 3, 3] = 1.0
+    n = Q.shape[0]
+    links = np.zeros((n, 6, 4, 4))
+    links[:, :, 3, 3] = 1.0
     ca, sa = _twists(rows)
     entries = _link_entries(Q + rows[:, 0], rows[:, 1], rows[:, 2], ca, sa,
-                            out=[out[:, 1:, r, c] for r, c in _ENTRIES[:8]])
+                            out=[links[:, :, r, c] for r, c in _ENTRIES[:8]])
     for (r, c), v in zip(_ENTRIES[8:], entries[8:]):
-        out[:, 1:, r, c] = v
+        links[:, :, r, c] = v
+    out = np.empty((n, 7, 4, 4))
+    out[:, 0] = _EYE4
     for i in range(6):
-        # frame i times link i + 1, in place (numpy copies the overlapping
-        # link first)
-        np.matmul(out[:, i], out[:, i + 1], out=out[:, i + 1])
+        np.matmul(out[:, i], links[:, i], out=out[:, i + 1])
     return out
 
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
@@ -543,8 +544,43 @@ _NEEDS_ARM = {name: name not in ("capstan", "bom") for name in SUBCOMMANDS}
 # parser
 # --------------------------------------------------------------------------
 
+#: A word that starts like a negative number. No option of this CLI does.
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a negative comma list as a value.
+
+    argparse reads a word that starts with ``-`` as an option unless it is
+    one plain number, so ``--q -10,0,0,0,0,0`` would fail with "expected one
+    argument". This parser joins such a word to the one-value option before
+    it, as ``--q=-10,0,0,0,0,0``, which argparse does read. Subparsers are
+    of the same class, so every subcommand's options are covered.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._one_value = set()  # option strings that take exactly one value
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self._one_value.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for word in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in self._one_value \
+                    and _NEGATIVE.match(word):
+                joined[-1] += "=" + word
+            else:
+                joined.append(word)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="armkit",
         description="Design and analysis toolkit for a 6-DoF cable/capstan "
                     "driven desktop arm.")

@@ -191,15 +191,14 @@ def _rotation_vector(R: np.ndarray) -> np.ndarray:
     """
     R = np.asarray(R, dtype=float)
     Rn = R.reshape(-1, 3, 3)
-    c = np.clip((Rn[:, 0, 0] + Rn[:, 1, 1] + Rn[:, 2, 2] - 1.0) / 2.0,
-                -1.0, 1.0)
-    theta = np.array([math.acos(x) for x in c])
-    v = 0.5 * np.stack([Rn[:, 2, 1] - Rn[:, 1, 2], Rn[:, 0, 2] - Rn[:, 2, 0],
-                        Rn[:, 1, 0] - Rn[:, 0, 1]], axis=1)
+    c = ((Rn[:, 0, 0] + Rn[:, 1, 1] + Rn[:, 2, 2] - 1.0) / 2.0).clip(-1.0, 1.0)
+    theta = np.array([math.acos(x) for x in c.tolist()])
+    # (R21 - R12, R02 - R20, R10 - R01) / 2
+    v = 0.5 * (Rn[:, (2, 0, 1), (1, 2, 0)] - Rn[:, (1, 2, 0), (2, 0, 1)])
     # below 1e-10 rad, v itself is first-order accurate
     half = math.pi - theta < 1e-6
     mid = (theta >= 1e-10) & ~half
-    scale = np.ones_like(theta)
+    scale = np.ones(len(theta))
     scale[mid] = theta[mid] / np.sin(theta[mid])
     out = scale[:, None] * v
     if half.any():
@@ -272,6 +271,11 @@ def _nearest_starts(arm: ArmDescription, target: Pose,
     return Q[np.argsort(dist, kind="stable")[:opts.restarts]]
 
 
+#: The identity that :func:`_dls_step` scales by the squared damping.
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
+
+
 def _dls_step(J: np.ndarray, JJT: np.ndarray, E: np.ndarray, lam: np.ndarray,
               on_lo: np.ndarray, on_hi: np.ndarray) -> np.ndarray:
     """Damped-least-squares joint steps (n, 6) with an active set of limits.
@@ -284,20 +288,19 @@ def _dls_step(J: np.ndarray, JJT: np.ndarray, E: np.ndarray, lam: np.ndarray,
     problem (Raunhardt & Boulic 2007). Rows with no such joint keep the
     first solve, and no row depends on the others.
     """
-    eye6 = np.eye(6)
     lam2 = (lam * lam)[:, None, None]
     dq = (J.transpose(0, 2, 1) @ np.linalg.solve(
-        JJT + lam2 * eye6, E[:, :, None]))[:, :, 0]
+        JJT + lam2 * _EYE6, E[:, :, None]))[:, :, 0]
     free = np.ones(dq.shape, dtype=bool)
     while True:
         out = (on_lo & (dq < 0)) | (on_hi & (dq > 0))
-        r = np.flatnonzero(out.any(axis=1))
+        r = out.any(axis=1).nonzero()[0]
         if not r.size:
             return dq
         free[r] &= ~out[r]
         Jm = J[r] * free[r][:, None, :]
         dq[r] = (Jm.transpose(0, 2, 1) @ np.linalg.solve(
-            Jm @ Jm.transpose(0, 2, 1) + lam2[r] * eye6,
+            Jm @ Jm.transpose(0, 2, 1) + lam2[r] * _EYE6,
             E[r][:, :, None]))[:, :, 0]
 
 
@@ -310,12 +313,16 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     raising the damping tenfold after each one that does not lower the
     error, and gives up after ten. A start stops when it converges, uses
     up ``opts.max_iters`` steps, cannot improve, or stalls (twelve steps in
-    a row that each cut the error by under 0.1%). Each trial evaluates one
-    step of every live start with one batched FK call, and no start's
-    numbers depend on the others in its batch. A step comes from
+    a row that each cut the error by under 0.1%). A step comes from
     :func:`_dls_step`, so a joint held on a limit does not push against it.
     It is then scaled down so that no joint moves by more than
     ``opts.step_limit``, and clipped to the limits.
+
+    The state arrays hold the live starts only, in their order in
+    ``starts``: a start that stops loses its row. Each trial computes
+    ``J J.T``, the step, FK and the new Jacobian for all rows at once, then
+    keeps each row's new state or its old one by whether its error fell.
+    No start's numbers depend on the others in its batch.
 
     Returns:
         ``(q, best, exhausted)``: the joint vector of the first start to
@@ -331,59 +338,57 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     E, pe, re_ = _pose_error(target, frames)
     err = _row_norms(E)
     J = _jacobian_from_frames(frames)
-    JJT = J @ J.transpose(0, 2, 1)
     lam = np.full(k, max(opts.damping, lam_floor))
     stall = np.zeros(k, dtype=int)
     steps = np.zeros(k, dtype=int)
     rejects = np.zeros(k, dtype=int)
-    live = np.ones(k, dtype=bool)
     best = (math.inf, math.inf)
     exhausted = False
-    fresh = np.arange(k)  # starts at a new accepted step
+    fresh = np.ones(k, dtype=bool)  # rows at a new accepted step
     while True:
-        if fresh.size:
-            i = fresh[np.argmin(pe[fresh])]
+        f = fresh.nonzero()[0]
+        if f.size:
+            i = f[np.argmin(pe[f])]
             if pe[i] < best[0]:
                 best = (float(pe[i]), float(re_[i]))
-            done = fresh[(pe[fresh] < opts.pos_tol)
-                         & (re_[fresh] < opts.ori_tol)]
+            done = f[(pe[f] < opts.pos_tol) & (re_[f] < opts.ori_tol)]
             if done.size:
                 return Q[done[0]].copy(), best, exhausted
-            spent = fresh[steps[fresh] == opts.max_iters]
-            live[spent] = False
-            exhausted = exhausted or bool(spent.size)
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            return None, best, exhausted
+        spent = fresh & (steps == opts.max_iters)
+        exhausted = exhausted or bool(spent.any())
+        live = (rejects < 10) & (stall < 12) & ~spent
+        if not live.all():
+            if not live.any():
+                return None, best, exhausted
+            Q, E, pe, re_, err, J, lam, stall, steps, rejects = (
+                x[live] for x in (Q, E, pe, re_, err, J, lam, stall, steps,
+                                  rejects))
         # one trial step per live start
-        dq = _dls_step(J[idx], JJT[idx], E[idx], lam[idx],
-                       Q[idx] == lo, Q[idx] == hi)
-        peak = np.max(np.abs(dq), axis=1)
+        dq = _dls_step(J, J @ J.transpose(0, 2, 1), E, lam, Q == lo, Q == hi)
+        peak = np.abs(dq).max(axis=1)
         big = peak > opts.step_limit
         dq[big] *= (opts.step_limit / peak[big])[:, None]
-        q_new = np.clip(Q[idx] + dq, lo, hi)
+        q_new = (Q + dq).clip(lo, hi)
         frames = _kernels.fk_frames_batch(rows, q_new)
         e_new, pe_new, re_new = _pose_error(target, frames)
         err_new = _row_norms(e_new)
-        ok = err_new < err[idx]
-        bad = idx[~ok]
-        lam[bad] *= 10.0
-        rejects[bad] += 1
-        live[bad[rejects[bad] == 10]] = False
-        a = idx[ok]
+        J_new = _jacobian_from_frames(frames)
+        ok = err_new < err
         # slow linear tails (limit-pinned or near-singular) are hopeless
         # within budget; count them as stalls
-        slow = err_new[ok] > err[a] * (1.0 - 1e-3)
-        stall[a] = np.where(slow, stall[a] + 1, 0)
-        Q[a], E[a], pe[a], re_[a], err[a] = (
-            q_new[ok], e_new[ok], pe_new[ok], re_new[ok], err_new[ok])
-        J[a] = _jacobian_from_frames(frames[ok])
-        JJT[a] = J[a] @ J[a].transpose(0, 2, 1)
-        lam[a] = np.maximum(lam[a] / 3.0, lam_floor)
-        steps[a] += 1
-        rejects[a] = 0
-        live[a[stall[a] >= 12]] = False
-        fresh = a[stall[a] < 12]
+        slow = err_new > err * (1.0 - 1e-3)
+        row = ok[:, None]
+        Q = np.where(row, q_new, Q)
+        E = np.where(row, e_new, E)
+        pe = np.where(ok, pe_new, pe)
+        re_ = np.where(ok, re_new, re_)
+        err = np.where(ok, err_new, err)
+        J = np.where(ok[:, None, None], J_new, J)
+        lam = np.where(ok, np.maximum(lam / 3.0, lam_floor), lam * 10.0)
+        stall = np.where(ok, np.where(slow, stall + 1, 0), stall)
+        steps = steps + ok
+        rejects = np.where(ok, 0, rejects + 1)
+        fresh = ok & (stall < 12)
 
 
 def inverse_kinematics(arm: ArmDescription, target: Pose, seed,

@@ -44,6 +44,38 @@ def test_non_finite_integer_lists_exit_2(capsys: pytest.CaptureFixture,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fk", "--q", "-10,0,0,0,0,0"],
+    ["jacobian", "--q", "-10,-20,30,0,15,5"],
+    ["payload", "--policy", "fixed", "--q", "-5,0,90,0,-90,0"],
+    ["ik", "--target", "-0.032745,0.209744,0.159752",
+     "--rpy", "-174.2342,36.5229,-66.6136", "--restarts", "0"],
+    ["ik", "--target", "0.2,0.1,0.1", "--rpy", "0,90,0",
+     "--q0", "-.5,0,0,0,0,0"],
+])
+def test_negative_comma_lists_parse_with_or_without_equals(
+        capsys: pytest.CaptureFixture, argv: list) -> None:
+    joined = []
+    for word in argv:
+        if word[:1] == "-" and word[1:2] != "-":
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    rc, spaced = _run(capsys, argv)
+    assert rc == 0
+    assert _run(capsys, joined) == (0, spaced)
+
+
+def test_unknown_options_still_exit_2(capsys: pytest.CaptureFixture) -> None:
+    assert cli.run(["fk", "--q", "-10,0,0,0,0,0", "--bogus"]) == 2
+    # a negative list after an unknown option is not taken as its value
+    assert cli.run(["fk", "--bogus", "-10,0,0,0,0,0"]) == 2
+    assert cli.run(["fk", "--q", "0,0,0,0,0,0", "-10,0"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err
+    assert "Traceback" not in err
+
+
 def test_config_error_exits_3(capsys: pytest.CaptureFixture, tmp_path: Path) -> None:
     rc, _ = _run(capsys, ["fk", "--q", "0,0,0,0,0,0",
                           "--arm", str(tmp_path / "absent.yaml")])

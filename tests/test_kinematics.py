@@ -340,9 +340,10 @@ _UNIT = st.floats(0.0, 1.0)
 
 
 def _traced_lockstep(arm: model.ArmDescription, target: Pose,
-                     starts: np.ndarray, opts: IKOptions) -> tuple:
-    """``_lockstep_dls``'s result and the joint rows of each of its FK calls
-    (one call per trial)."""
+                     starts: np.ndarray, opts: IKOptions,
+                     solve=kinematics._lockstep_dls) -> tuple:
+    """``solve``'s result and the joint rows of each of its FK calls (one
+    call per trial)."""
     rows, lim = model.dh_params(arm), model.limits_array(arm)
     real = _kernels.fk_frames_batch
     trials = []
@@ -353,8 +354,77 @@ def _traced_lockstep(arm: model.ArmDescription, target: Pose,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "fk_frames_batch", spy)
-        result = kinematics._lockstep_dls(rows, lim, target, starts, opts)
+        result = solve(rows, lim, target, starts, opts)
     return result, trials
+
+
+def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
+                  starts: np.ndarray, opts: IKOptions):
+    """The lockstep loop with all ``k`` rows kept in every state array: each
+    trial gathers the live rows by index and scatters the accepted ones
+    back. ``kinematics._lockstep_dls``, which keeps the live rows only,
+    must match it bit for bit."""
+    lo, hi = lim[:, 0], lim[:, 1]
+    lam_floor = 1e-6
+    Q = np.array(starts, dtype=float)
+    k = len(Q)
+    frames = _kernels.fk_frames_batch(rows, Q)
+    E, pe, re_ = kinematics._pose_error(target, frames)
+    err = kinematics._row_norms(E)
+    J = kinematics._jacobian_from_frames(frames)
+    JJT = J @ J.transpose(0, 2, 1)
+    lam = np.full(k, max(opts.damping, lam_floor))
+    stall = np.zeros(k, dtype=int)
+    steps = np.zeros(k, dtype=int)
+    rejects = np.zeros(k, dtype=int)
+    live = np.ones(k, dtype=bool)
+    best = (math.inf, math.inf)
+    exhausted = False
+    fresh = np.arange(k)  # starts at a new accepted step
+    while True:
+        if fresh.size:
+            i = fresh[np.argmin(pe[fresh])]
+            if pe[i] < best[0]:
+                best = (float(pe[i]), float(re_[i]))
+            done = fresh[(pe[fresh] < opts.pos_tol)
+                         & (re_[fresh] < opts.ori_tol)]
+            if done.size:
+                return Q[done[0]].copy(), best, exhausted
+            spent = fresh[steps[fresh] == opts.max_iters]
+            live[spent] = False
+            exhausted = exhausted or bool(spent.size)
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            return None, best, exhausted
+        # one trial step per live start
+        dq = kinematics._dls_step(J[idx], JJT[idx], E[idx], lam[idx],
+                                  Q[idx] == lo, Q[idx] == hi)
+        peak = np.max(np.abs(dq), axis=1)
+        big = peak > opts.step_limit
+        dq[big] *= (opts.step_limit / peak[big])[:, None]
+        q_new = np.clip(Q[idx] + dq, lo, hi)
+        frames = _kernels.fk_frames_batch(rows, q_new)
+        e_new, pe_new, re_new = kinematics._pose_error(target, frames)
+        err_new = kinematics._row_norms(e_new)
+        ok = err_new < err[idx]
+        bad = idx[~ok]
+        lam[bad] *= 10.0
+        rejects[bad] += 1
+        live[bad[rejects[bad] == 10]] = False
+        a = idx[ok]
+        # slow linear tails (limit-pinned or near-singular) are hopeless
+        # within budget; count them as stalls
+        slow = err_new[ok] > err[a] * (1.0 - 1e-3)
+        stall[a] = np.where(slow, stall[a] + 1, 0)
+        Q[a], E[a], pe[a], re_[a], err[a] = (
+            q_new[ok], e_new[ok], pe_new[ok], re_new[ok], err_new[ok])
+        J[a] = kinematics._jacobian_from_frames(frames[ok])
+        JJT[a] = J[a] @ J[a].transpose(0, 2, 1)
+        lam[a] = np.maximum(lam[a] / 3.0, lam_floor)
+        steps[a] += 1
+        rejects[a] = 0
+        live[a[stall[a] >= 12]] = False
+        fresh = a[stall[a] < 12]
 
 
 def _assert_starts_step_as_alone(arm: model.ArmDescription, target: Pose,
@@ -431,6 +501,32 @@ def test_lockstep_trials_stay_inside_the_limits(
     # every accepted q was first a trial
     for Q in trials + ([q[None]] if q is not None else []):
         assert np.all(Q >= lim[:, 0]) and np.all(Q <= lim[:, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 13),
+       pinned=st.booleans(), near=st.booleans(),
+       max_iters=st.sampled_from([0, 1, 2, 3, 5, 8, 40]))
+def test_lockstep_matches_the_reference_loop(
+        arm: model.ArmDescription, seed: int, k: int, pinned: bool,
+        near: bool, max_iters: int) -> None:
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    starts = (_pinned_starts(lim, rng, k) if pinned
+              else rng.uniform(lim[:, 0], lim[:, 1], size=(k, 6)))
+    # near: a target a few steps from one start, so that start converges
+    # while the others are still live or already spent
+    q_target = (starts[rng.integers(0, k)] + rng.normal(scale=0.05, size=6)
+                if near else rng.uniform(lim[:, 0], lim[:, 1]))
+    target = kinematics.forward_kinematics(arm, q_target)
+    opts = IKOptions(max_iters=max_iters)
+    (q, best, exhausted), trials = _traced_lockstep(arm, target, starts, opts)
+    (q_ref, best_ref, exhausted_ref), trials_ref = _traced_lockstep(
+        arm, target, starts, opts, solve=_ref_lockstep)
+    assert (None if q is None else q.tobytes()) == \
+        (None if q_ref is None else q_ref.tobytes())
+    assert (best, exhausted) == (best_ref, exhausted_ref)
+    assert [t.tobytes() for t in trials] == [t.tobytes() for t in trials_ref]
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,6 +616,11 @@ _ACTIVE_SET_CHANGED = {6, 9, 11, 12, 13, 17, 18, 43, 45, 48, 50}
 _UNCHANGED_POOL_SHA256 = \
     "69d67a12815fbbd454ac170b3d906c95c9c187e879bfe1990dff4007b50f5fda"
 
+#: SHA-256 of all 60 answers, concatenated in pool order, as the active-set
+#: step first gave them.
+_POOL_SHA256 = \
+    "5c67ad49c62580c21621d2cb873937bf72684a028484ea13f21c6a30eed94d02"
+
 
 def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
         arm: model.ArmDescription) -> None:
@@ -530,10 +631,11 @@ def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
     # every target in zero steps
     table, _, _ = kinematics._start_table(arm, opts.restart_seed)
     assert not {r.tobytes() for r in table} & {r.tobytes() for r in pool}
-    unchanged = hashlib.sha256()
+    unchanged, answers = hashlib.sha256(), hashlib.sha256()
     for n, q_true in enumerate(pool):
         target = kinematics.forward_kinematics(arm, q_true)
         q = kinematics.inverse_kinematics(arm, target, np.zeros(6), opts)
+        answers.update(q.tobytes())
         if n not in _ACTIVE_SET_CHANGED:
             unchanged.update(q.tobytes())
         got = kinematics.forward_kinematics(arm, q)
@@ -543,6 +645,7 @@ def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
             got.orientation @ target.orientation.T))) < opts.ori_tol
         assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
     assert unchanged.hexdigest() == _UNCHANGED_POOL_SHA256
+    assert answers.hexdigest() == _POOL_SHA256
 
 
 @pytest.mark.parametrize("n", [2, 16])

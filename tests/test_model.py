@@ -133,7 +133,9 @@ def test_load_arm_data_missing_key_is_config_error() -> None:
         model.load_arm_data({"name": "broken"})
 
 
-@pytest.mark.parametrize("keys, value, path", [
+#: (keys to a field of the shipped arm, a bad value for it, the path an
+#: error names)
+_MALFORMED_FIELDS = [
     (("mass_model",), [1, 2], "mass_model"),
     (("drives", 0, "stages", 0, "geometry"), [1], "drives[0].stages[0].geometry"),
     (("mass_model", "links"), 5, "mass_model.links"),
@@ -153,24 +155,71 @@ def test_load_arm_data_missing_key_is_config_error() -> None:
     (("mass_model", "motors", 3, "offset"), -math.inf,
      "mass_model.motors[3].offset"),
     (("drives", 4, "motor", "mass"), math.nan, "drives[4].motor.mass"),
-], ids=["mass_model-list", "geometry-list", "links-int", "steps-inf",
-        "steps-huge-int", "joint-index-fraction", "gravity-inf",
-        "gravity-nan", "payload-nan", "payload-inf", "link-mass-nan",
-        "link-offset-nan", "motor-offset-inf", "motor-mass-nan"])
-def test_malformed_arm_fields_exit_3_naming_their_path(
-        capsys: pytest.CaptureFixture, tmp_path: Path, keys: tuple,
-        value, path: str) -> None:
-    data = yaml.safe_load(resources.files("armkit").joinpath(
-        "data/default_arm.yaml").read_text(encoding="utf-8"))
+]
+
+
+def _shipped_yaml() -> str:
+    return resources.files("armkit").joinpath(
+        "data/default_arm.yaml").read_text(encoding="utf-8")
+
+
+def _malformed_yaml(keys: tuple, value) -> str:
+    """The shipped arm with the field at ``keys`` set to ``value``."""
+    data = yaml.safe_load(_shipped_yaml())
     node = data
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = value
+    return yaml.safe_dump(data)
+
+
+@pytest.mark.parametrize("keys, value, path", _MALFORMED_FIELDS,
+                         ids=["mass_model-list", "geometry-list", "links-int",
+                              "steps-inf", "steps-huge-int",
+                              "joint-index-fraction", "gravity-inf",
+                              "gravity-nan", "payload-nan", "payload-inf",
+                              "link-mass-nan", "link-offset-nan",
+                              "motor-offset-inf", "motor-mass-nan"])
+def test_malformed_arm_fields_exit_3_naming_their_path(
+        capsys: pytest.CaptureFixture, tmp_path: Path, keys: tuple,
+        value, path: str) -> None:
     cfg = tmp_path / "arm.yaml"
-    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    cfg.write_text(_malformed_yaml(keys, value), encoding="utf-8")
     assert cli.run(["fk", "--q", "0,0,0,0,0,0", "--arm", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_build_the_same_data(
+        arm: model.ArmDescription, tmp_path: Path) -> None:
+    assert model._YAML_LOADER is yaml.CSafeLoader
+    dumped = tmp_path / "arm.yaml"
+    model.dump_arm(arm, str(dumped))
+    # every arm YAML the suite loads: shipped, dumped and each malformed one
+    texts = [_shipped_yaml(), dumped.read_text(encoding="utf-8")]
+    texts += [_malformed_yaml(keys, value)
+              for keys, value, _ in _MALFORMED_FIELDS]
+    for text in texts:
+        # repr tells 1 from 1.0 and shows NaN, which == would not match
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == \
+            repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_yaml_syntax_error_exits_3_naming_the_file(
+        capsys: pytest.CaptureFixture, tmp_path: Path,
+        monkeypatch: pytest.MonkeyPatch, loader: str) -> None:
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(model, "_YAML_LOADER", getattr(yaml, loader))
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text(_shipped_yaml() + "\ndh: [1, 2\n", encoding="utf-8")
+    assert cli.run(["fk", "--q", "0,0,0,0,0,0", "--arm", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "YAML parse error" in err
     assert "Traceback" not in err
 
 
