@@ -1,12 +1,17 @@
 """Batched forward kinematics over (n, 6) joint vectors.
 
 One link model, :func:`_link_entries`, gives each link transform's entries
-elementwise, and two products consume it:
+elementwise, and three products consume it:
 
 * :func:`fk_points` takes one link at a time as (n,) arrays, multiplies the
   chain out element by element and keeps only nine rotation and three
-  position arrays, so the workspace sweep builds neither frames nor
+  position arrays, so the quasi workspace sweep builds neither frames nor
   (n, 3, 3) temporaries;
+* :func:`fk_lattice` runs the same elementwise chain step,
+  :func:`_chain_link`, over the ``ij`` lattice of six joint axes, which the
+  grid sweep walks: each link's entries are taken once per axis value, and
+  the chain grows by an outer product per link, so the first links cost
+  what their own axes cost;
 * :func:`fk_frames_batch` keeps every frame and is the one frames path:
   single-pose FK and Jacobians, gravity torques and IK all call it, so
   one pose gives the same bits alone or in any batch. It writes all six
@@ -76,6 +81,34 @@ def _as_batch(rows, qb):
             np.ascontiguousarray(qb, dtype=np.float64).reshape(-1, 6))
 
 
+#: The chain state of :func:`_chain_link` at the base: the identity's
+#: rotation entries, row-major, then the origin's position entries.
+_BASE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def _chain_link(s: list, link, last: bool) -> None:
+    """Carry the chain state ``s`` one link further, in place.
+
+    ``s`` holds the nine rotation entries, row-major, and the three
+    position entries, elementwise over arrays that broadcast with the
+    link's :func:`_link_entries`. ``last`` skips the rotation, which no
+    position reads after the tool link. Each row of the rotation replaces
+    the old one as soon as it is made: holding a whole old rotation next to
+    the new one lifts the sweep's peak RSS.
+    """
+    a00, a01, a02, a03, a10, a11, a12, a13, a21, a22, d = link
+    for i in range(3):
+        x, y, z = s[3 * i:3 * i + 3]
+        s[9 + i] = s[9 + i] + (x * a03 + y * a13 + z * d)
+    if last:
+        return
+    for i in range(3):
+        x, y, z = s[3 * i:3 * i + 3]
+        s[3 * i:3 * i + 3] = (x * a00 + y * a10,
+                              x * a01 + y * a11 + z * a21,
+                              x * a02 + y * a12 + z * a22)
+
+
 def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Tool-frame positions for a batch of joint vectors.
 
@@ -87,27 +120,38 @@ def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
         (n, 3) positions in meters.
     """
     rows, qb = _as_batch(rows, qb)
-    r00, r01, r02 = 1.0, 0.0, 0.0
-    r10, r11, r12 = 0.0, 1.0, 0.0
-    r20, r21, r22 = 0.0, 0.0, 1.0
-    px = py = pz = 0.0
+    s = list(_BASE)
     for i, link in enumerate(_links(rows, qb)):
-        a00, a01, a02, a03, a10, a11, a12, a13, a21, a22, d = link
-        px = px + (r00 * a03 + r01 * a13 + r02 * d)
-        py = py + (r10 * a03 + r11 * a13 + r12 * d)
-        pz = pz + (r20 * a03 + r21 * a13 + r22 * d)
-        if i == 5:
-            break  # no position reads the tool frame's rotation
-        r00, r01, r02 = (r00 * a00 + r01 * a10,
-                         r00 * a01 + r01 * a11 + r02 * a21,
-                         r00 * a02 + r01 * a12 + r02 * a22)
-        r10, r11, r12 = (r10 * a00 + r11 * a10,
-                         r10 * a01 + r11 * a11 + r12 * a21,
-                         r10 * a02 + r11 * a12 + r12 * a22)
-        r20, r21, r22 = (r20 * a00 + r21 * a10,
-                         r20 * a01 + r21 * a11 + r22 * a21,
-                         r20 * a02 + r21 * a12 + r22 * a22)
-    return np.stack([px, py, pz], axis=1)
+        _chain_link(s, link, i == 5)
+    return np.stack(s[9:], axis=1)
+
+
+def fk_lattice(rows: np.ndarray, axes) -> np.ndarray:
+    """Tool-frame positions over the ``ij`` lattice of six joint axes.
+
+    The same bits as :func:`fk_points` of the lattice's rows (joint 0
+    slowest, joint 5 fastest), by the same :func:`_chain_link` on the same
+    operands: after link ``i`` the chain holds a column, one entry per
+    point of the lattice of axes ``0..i``, and link ``i + 1``'s entries,
+    one per value of its axis, broadcast against it as a row.
+
+    Args:
+        rows: (6, 4) float64 array of [theta_offset, d, a, alpha] per joint.
+        axes: six 1-D sequences of joint angles in radians.
+
+    Returns:
+        (prod(len(axes[j])), 3) positions in meters.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    ca, sa = _twists(rows)
+    s = list(_BASE)
+    for i, ax in enumerate(axes):
+        _chain_link(s, _link_entries(
+            np.asarray(ax, dtype=np.float64) + rows[i, 0], rows[i, 1],
+            rows[i, 2], float(ca[i]), float(sa[i])), i == 5)
+        # (points so far, values of axis i) in C order is the ij lattice
+        s = [np.reshape(x, (-1, 1)) for x in s]
+    return np.concatenate(s[9:], axis=1)
 
 
 def fk_frames_batch(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -121,32 +121,53 @@ def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[bytes]:
     ``header`` is the first line (None: no header). ``rows`` is a list of
     rows of cells: None -> empty, str -> ``,`` replaced by ``;``, int ->
     decimal, anything else -> ``repr(float(v))``. Or it is a float ndarray,
-    or an iterable of them (a streamed workspace sweep), rendered by
-    :func:`_csv_block` with each row's line written ``repeat`` times, so a
-    cloud is never held as text all at once.
+    rendered by :func:`_csv_part` with each row's line written ``repeat``
+    times. Or it is an iterable of float ndarrays (a streamed workspace
+    sweep), formatted by :func:`_csv_stream`, so a cloud is never held as
+    text all at once.
     """
     if header is not None:
         yield (header + "\n").encode()
     if isinstance(rows, list):
         yield "".join(",".join(map(_cell, row)) + "\n" for row in rows).encode()
-        return
-    for block in (rows,) if isinstance(rows, np.ndarray) else rows:
-        yield from _csv_block(block, repeat)
+    elif isinstance(rows, np.ndarray):
+        for part in _row_slices((rows,), repeat):
+            yield _csv_part(part, repeat)
+    else:
+        yield from _csv_stream(_row_slices(rows, repeat), repeat)
 
 
-#: Lines per chunk :func:`_csv_block` yields; bounds its working memory.
-_CSV_CHUNK_LINES = 65_536
+#: Lines per part of CSV text, once repeated; bounds the formatting's
+#: working memory, of which a streamed CSV has a few parts' worth at once.
+#: On the 2-core host, the default-grid run peaked at about 60 MB with
+#: 32,768 lines per part and at 75-78 MB with 65,536, at the same speed.
+_CSV_CHUNK_LINES = 32_768
+
+#: Threads that format a streamed CSV, and so the most parts in formatting
+#: at once.
+_CSV_WORKERS = 2
 
 
-def _csv_block(block: np.ndarray, repeat: int) -> Iterator[bytes]:
+def _row_slices(blocks, repeat: int) -> Iterator[np.ndarray]:
+    """Each of ``blocks`` cut into slices of rows whose lines, each written
+    ``repeat`` times, make at most :data:`_CSV_CHUNK_LINES` lines (one row
+    if its line alone makes more)."""
+    step = max(1, _CSV_CHUNK_LINES // repeat)
+    for block in blocks:
+        for start in range(0, len(block), step):
+            yield block[start:start + step]
+
+
+def _csv_part(rows: np.ndarray, repeat: int) -> bytes:
     """The lines of a 2-D float array, ``repr`` of each value, each line
     ``repeat`` times.
 
     Each distinct value (bit pattern, so -0.0 is not 0.0) is formatted once
     by :func:`_kernels.repr_bytes`. A line is its cells' NUL-padded bytes
-    with a separator after each, and dropping the NULs packs the lines.
+    with a separator after each, and dropping the NULs packs the lines, so
+    the text does not depend on how the rows are sliced.
     """
-    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits.reshape(-1), return_inverse=True)
     text = _kernels.repr_bytes(distinct.view(np.float64))
     n, cols = bits.shape
@@ -155,11 +176,30 @@ def _csv_block(block: np.ndarray, repeat: int) -> Iterator[bytes]:
     lines[:, :, :width] = text.take(inverse).view(np.uint8).reshape(
         n, cols, width)
     lines[:, :, width] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
-    lines = lines.reshape(n, cols * (width + 1))
-    step = max(1, _CSV_CHUNK_LINES // repeat)
-    for start in range(0, n, step):
-        part = np.repeat(lines[start:start + step], repeat, axis=0)
-        yield part[part != 0].tobytes()
+    part = np.repeat(lines.reshape(n, cols * (width + 1)), repeat, axis=0)
+    return part[part != 0].tobytes()
+
+
+def _csv_stream(parts, repeat: int) -> Iterator[bytes]:
+    """:func:`_csv_part` of each of ``parts``, in order.
+
+    The parts are formatted on :data:`_CSV_WORKERS` threads, at most that
+    many at once, while the caller writes the part before them and this
+    generator makes the next one; the formatting is numpy work that
+    releases the GIL. Closing the generator waits for the parts in
+    formatting.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    window: collections.deque = collections.deque()
+    with ThreadPoolExecutor(_CSV_WORKERS,
+                            thread_name_prefix="armkit-csv") as pool:
+        for rows in parts:
+            window.append(pool.submit(_csv_part, rows, repeat))
+            if len(window) > _CSV_WORKERS:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 class _Outputs:
@@ -172,8 +212,10 @@ class _Outputs:
         self.records: List[dict] = []
 
     def write(self, name: str, content) -> None:
-        """Write ``content``, text or an iterable of UTF-8 chunks, to
-        ``name``, hashing each chunk as it goes out."""
+        """Write ``content``, text or a generator of UTF-8 chunks, to
+        ``name``, hashing each chunk as it goes out. The generator is closed
+        however the write ends, which stops a streamed CSV's formatting
+        threads."""
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -187,6 +229,9 @@ class _Outputs:
                     fh.write(chunk)
         except OSError as exc:
             raise OutputError(f"cannot write {self.dir / name}: {exc}")
+        finally:
+            if not isinstance(content, str):
+                content.close()
         self.records.append({"path": name, "sha256": digest.hexdigest()})
 
     def write_manifest(self, subcommand: str, arm_source: str, seed: int,
@@ -355,20 +400,27 @@ def _handle_capstan(args, arm):
                            mode=args.mode)
     gamma = drivetrain.capstan_reduction(geom)
     windings = drivetrain.windings_required(gamma, args.output_range)
-    height = drivetrain.sheave_height(geom, gamma)
-    spacing = drivetrain.sheave_spacing(geom.cable_thickness)
+    height_mm = drivetrain.sheave_height(geom, gamma) * 1e3
+    spacing_mm = drivetrain.sheave_spacing(geom.cable_thickness) * 1e3
+    for what, mm in (("sheave height", height_mm),
+                     ("groove spacing", spacing_mm)):
+        if not math.isfinite(mm):
+            raise ComputationError(
+                f"{what} overflows a float at --cable-thickness "
+                f"{args.cable_thickness:g} mm (reduction {gamma!r}, "
+                f"--tolerance {args.tolerance:g} mm)")
     lines = [
         f"mode: {args.mode}",
         f"reduction_ratio: {gamma!r}",
         f"windings_for_{args.output_range:g}_deg: {windings!r}",
-        f"sheave_height_mm: {height * 1e3!r}",
-        f"groove_spacing_mm: {spacing * 1e3!r}",
+        f"sheave_height_mm: {height_mm!r}",
+        f"groove_spacing_mm: {spacing_mm!r}",
     ]
     return "\n".join(lines) + "\n", {"csv": lambda: ("capstan.csv", _csv(
         "metric,value", [("reduction_ratio", gamma),
                          ("windings", windings),
-                         ("sheave_height_mm", height * 1e3),
-                         ("groove_spacing_mm", spacing * 1e3)]))}
+                         ("sheave_height_mm", height_mm),
+                         ("groove_spacing_mm", spacing_mm)]))}
 
 
 def _handle_torque_table(args, arm):
@@ -408,7 +460,12 @@ def _handle_payload(args, arm):
         if not args.q:
             raise CliUsageError("--policy fixed requires --q")
         q = np.radians(_floats(args.q, 6, "--q"))
-        report = statics.static_report(arm, q, payload=args.payload_kg)
+        with np.errstate(over="ignore"):  # reported below, by flag
+            report = statics.static_report(arm, q, payload=args.payload_kg)
+        if not np.all(np.isfinite(report.required)):
+            raise ComputationError(
+                f"required joint torque overflows a float at "
+                f"--payload-kg {args.payload_kg:g}")
         result = statics.max_payload(arm, q, constraint_joints=limit_joints)
         lines = [f"pose_deg: {args.q}", f"payload_kg: {args.payload_kg:g}",
                  f"{'joint':>5} {'required':>10} {'available':>10} "

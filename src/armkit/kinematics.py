@@ -453,7 +453,9 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
 # workspace sampling and statistics
 # --------------------------------------------------------------------------
 
-#: Distinct tool points per chunk of a workspace sweep.
+#: Most distinct tool points per chunk of a workspace sweep: a quasi chunk
+#: holds this many, a grid chunk the lattice slice that fits (15,625 points
+#: on the default grid).
 SWEEP_CHUNK_ROWS = 65_536
 
 
@@ -530,37 +532,59 @@ class WorkspaceSweep:
     def chunks(self) -> Iterator[np.ndarray]:
         """Yield (m, 3) tool points in row order, each for ``repeat`` rows.
 
-        A chunk holds at most :data:`SWEEP_CHUNK_ROWS` points. The Sobol'
-        balance properties need a power-of-two count; a quasi sweep of any
-        other count warns at the caller's line.
+        A chunk holds at most :data:`SWEEP_CHUNK_ROWS` points. A grid chunk
+        is one slice of the lattice of distinct points (see
+        :func:`_lattice_slices`), computed by :func:`_kernels.fk_lattice`.
+        The Sobol' balance properties need a power-of-two count; a quasi
+        sweep of any other count warns at the caller's line.
         """
-        n = self.samples // self.repeat
-        lim = self.lim
-        if self.mode == "quasi":
-            sob = _kernels.ScrambledSobol(self.seed)
-            if n & (n - 1):
-                warnings.warn("The balance properties of Sobol' points "
-                              "require n to be a power of 2.", stacklevel=2)
-
-            def joints(start: int, m: int) -> np.ndarray:
-                return lim[:, 0] + sob.random(m) * (lim[:, 1] - lim[:, 0])
-        else:
-            steps, moving = self.per_joint_steps, self._moving
+        if self.mode == "grid":
+            lim = self.lim
             axes = [np.linspace(lim[j, 0], lim[j, 1], s)
-                    for j, s in enumerate(steps)]
-
-            def joints(start: int, m: int) -> np.ndarray:
-                qb = np.empty((m, 6))
-                rest = np.arange(start, start + m)
-                for j in range(moving - 1, -1, -1):
-                    rest, i = np.divmod(rest, steps[j])
-                    qb[:, j] = axes[j][i]
-                qb[:, moving:] = [ax[0] for ax in axes[moving:]]
-                return qb
-
+                    for j, s in enumerate(self.per_joint_steps)]
+            for part in _lattice_slices(axes, self._moving, SWEEP_CHUNK_ROWS):
+                yield _kernels.fk_lattice(self.rows, part)
+            return
+        n = self.samples
+        lim = self.lim
+        sob = _kernels.ScrambledSobol(self.seed)
+        if n & (n - 1):
+            warnings.warn("The balance properties of Sobol' points "
+                          "require n to be a power of 2.", stacklevel=2)
         for start in range(0, n, SWEEP_CHUNK_ROWS):
-            qb = joints(start, min(SWEEP_CHUNK_ROWS, n - start))
+            m = min(SWEEP_CHUNK_ROWS, n - start)
+            qb = lim[:, 0] + sob.random(m) * (lim[:, 1] - lim[:, 0])
             yield _kernels.fk_points(self.rows, qb)
+
+
+def _lattice_slices(axes: list, moving: int, cap: int
+                    ) -> Iterator[list]:
+    """Six axes per slice, whose ``ij`` lattices tile that of the distinct
+    tool points in row order: ``axes[:moving]`` in full and the first value
+    of each later axis.
+
+    A slice is the largest trailing sub-lattice of the moving axes that
+    holds at most ``cap`` points, at one value of each axis before it. An
+    innermost axis longer than ``cap`` is cut into ranges of ``cap``
+    values instead.
+    """
+    fixed = [ax[:1] for ax in axes[moving:]]
+    if not moving:
+        yield fixed
+        return
+    steps = [len(ax) for ax in axes[:moving]]
+    # axes[a] is cut into ranges of ``span`` values; the ``inner`` points of
+    # the axes after it come whole
+    a, inner = moving - 1, 1
+    while a and inner * steps[a] * steps[a - 1] <= cap:
+        inner *= steps[a]
+        a -= 1
+    span = min(steps[a], cap // inner)
+    tail = axes[a + 1:moving] + fixed
+    for outer in np.ndindex(*steps[:a]):
+        head = [ax[i:i + 1] for ax, i in zip(axes, outer)]
+        for r in range(0, steps[a], span):
+            yield head + [axes[a][r:r + span]] + tail
 
 
 def sample_workspace(arm: ArmDescription,

@@ -157,6 +157,27 @@ def test_statics_domain_errors_exit_4(capsys: pytest.CaptureFixture,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["capstan", "--small-diameter", "19.4", "--large-diameter", "155.2",
+      "--cable-thickness", "1e308"], "--cable-thickness 1e+308"),
+    (["capstan", "--small-diameter", "19.4", "--large-diameter", "155.2",
+      "--cable-thickness", "1.5e308", "--tolerance", "0"],
+     "--cable-thickness 1.5e+308"),
+    # joints 2 and 3 would tie at an infinite required torque
+    (["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+      "--payload-kg", "1e308"], "--payload-kg 1e+308"),
+])
+def test_overflowing_results_exit_4_naming_the_flag(
+        capsys: pytest.CaptureFixture, tmp_path: Path, argv: list,
+        flag: str) -> None:
+    rc = cli.run(argv + ["--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (4, "")
+    assert "overflows a float at " + flag in err
+    assert "inf" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bom_data_error_exits_6(capsys: pytest.CaptureFixture,
                                 tmp_path: Path) -> None:
     rc, _ = _run(capsys, ["bom", "--file", str(tmp_path / "absent.csv")])

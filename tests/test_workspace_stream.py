@@ -6,20 +6,27 @@ SVG's stride picks. Every output must equal what the whole in-memory cloud
 gives: ``sample_workspace``'s points (pinned here to FK of the full lattice
 or of one Sobol draw), the statistics' whole-cloud formulas, a plain
 one-line-per-row CSV rendering and ``svgplot.workspace_svg`` of the cloud.
-The quasi sweep's own scrambled-Sobol generator is pinned to scipy's bytes,
-and a quasi run must not import scipy.
+The grid's lattice kernel is pinned to FK of the expanded lattice, the
+quasi sweep's own scrambled-Sobol generator to scipy's bytes, and a quasi
+run must not import scipy. The CSV's formatter pool must give the same
+bytes at any pool size and leave no thread behind when a stage fails, and
+the CSV text in memory must not grow with the rows.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import io
+import itertools
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -29,7 +36,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import qmc
 
 from armkit import _kernels, cli, kinematics, model, svgplot
-from armkit.errors import ComputationError
+from armkit.errors import ComputationError, OutputError
 
 
 def _variant(arm: model.ArmDescription, name: str) -> model.ArmDescription:
@@ -44,14 +51,22 @@ def _variant(arm: model.ArmDescription, name: str) -> model.ArmDescription:
     return dataclasses.replace(arm, dh=tuple(dh))
 
 
+def _grid_axes(arm, steps) -> list:
+    lim = model.limits_array(arm)
+    return [np.linspace(lim[j, 0], lim[j, 1], s) for j, s in enumerate(steps)]
+
+
+def _lattice_rows(axes) -> np.ndarray:
+    """The (n, 6) rows of the ``ij`` lattice of six axes."""
+    return np.stack([m.reshape(-1) for m in
+                     np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def _full_cloud(arm, steps, mode, samples, seed) -> np.ndarray:
     """FK of every row at once: the meshgrid lattice or one Sobol draw."""
     rows, lim = model.dh_params(arm), model.limits_array(arm)
     if mode == "grid":
-        axes = [np.linspace(lim[j, 0], lim[j, 1], s)
-                for j, s in enumerate(steps)]
-        qb = np.stack([m.reshape(-1) for m in
-                       np.meshgrid(*axes, indexing="ij")], axis=1)
+        qb = _lattice_rows(_grid_axes(arm, steps))
     else:
         u = qmc.Sobol(d=6, scramble=True, seed=seed).random(samples)
         qb = lim[:, 0] + u * (lim[:, 1] - lim[:, 0])
@@ -98,16 +113,20 @@ _steps = st.lists(st.integers(2, 4), min_size=6, max_size=6)
 @given(variant=st.sampled_from(["default", "offset", "wrist"]),
        mode=st.sampled_from(["grid", "quasi"]), steps=_steps,
        samples=st.integers(1, 2000), seed=st.integers(0, 2**16),
-       chunk=st.integers(1, 50), shell_fraction=st.floats(0.05, 1.0))
+       chunk=st.integers(1, 50), shell_fraction=st.floats(0.05, 1.0),
+       workers=st.sampled_from([1, 2]))
 # over the SVG's 20,000-point decimation: a stride of 2 against chunks of 7
 # distinct points, each five rows long
 @example(variant="default", mode="grid", steps=[7, 6, 6, 4, 4, 5],
-         samples=1, seed=0, chunk=7, shell_fraction=0.98)
+         samples=1, seed=0, chunk=7, shell_fraction=0.98, workers=2)
 @example(variant="offset", mode="quasi", steps=[2] * 6, samples=20_011,
-         seed=5, chunk=1024, shell_fraction=0.98)
+         seed=5, chunk=1024, shell_fraction=0.98, workers=2)
+@example(variant="default", mode="grid", steps=[3, 2, 4, 3, 4, 2],
+         samples=1, seed=0, chunk=5, shell_fraction=0.98, workers=1)
 def test_streamed_outputs_equal_the_whole_cloud_reference(
         arm: model.ArmDescription, variant: str, mode: str, steps: list,
-        samples: int, seed: int, chunk: int, shell_fraction: float) -> None:
+        samples: int, seed: int, chunk: int, shell_fraction: float,
+        workers: int) -> None:
     arm = _variant(arm, variant)
     args = ["--per-joint-steps", ",".join(map(str, steps)), "--mode", mode,
             "--samples", str(samples), "--seed", str(seed),
@@ -115,6 +134,7 @@ def test_streamed_outputs_equal_the_whole_cloud_reference(
     with pytest.MonkeyPatch.context() as mp, \
             tempfile.TemporaryDirectory() as tmp:
         mp.setattr(kinematics, "SWEEP_CHUNK_ROWS", chunk)
+        mp.setattr(cli, "_CSV_WORKERS", workers)
         mp.setattr(cli, "resolve_arm", lambda selector: (arm, "test"))
         out = Path(tmp)
         text = _cli(["workspace", *args, "--format", "csv",
@@ -133,6 +153,65 @@ def test_streamed_outputs_equal_the_whole_cloud_reference(
     assert csv == ("x_m,y_m,z_m\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in pts.tolist())).encode()
     assert svg == svgplot.workspace_svg(pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(variant=st.sampled_from(["default", "offset", "wrist"]),
+       steps=st.lists(st.integers(2, 9), min_size=6, max_size=6),
+       single=st.lists(st.booleans(), min_size=6, max_size=6))
+@example(variant="default", steps=[9] * 6, single=[False] * 6)
+def test_lattice_kernel_equals_fk_of_the_expanded_lattice(
+        arm: model.ArmDescription, variant: str, steps: list,
+        single: list) -> None:
+    # an axis cut to one value stands for a sweep chunk's outer and
+    # fixed joints
+    arm = _variant(arm, variant)
+    rows = model.dh_params(arm)
+    axes = [ax[:1] if one else ax
+            for ax, one in zip(_grid_axes(arm, steps), single)]
+    got = _kernels.fk_lattice(rows, axes)
+    want = _kernels.fk_points(rows, _lattice_rows(axes))
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("steps, chunk, sizes", [
+    # the default grid: one q1 value per chunk, 25 x 25 x 5 x 5 points
+    ((25, 25, 25, 5, 5, 5), 65_536, [15_625] * 25),
+    # an innermost moving axis longer than a chunk is cut into ranges
+    ((2, 2, 2, 2, 300, 2), 64, [64, 64, 64, 64, 44] * 16),
+    ((3, 2, 2, 4, 5, 6), 9, [5] * 48),
+    ((3, 2, 2, 4, 5, 6), 1, [1] * 240),
+    ((2, 2, 2, 2, 2, 2), 65_536, [32]),
+])
+def test_grid_chunks_are_lattice_slices(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch,
+        steps: tuple, chunk: int, sizes: list) -> None:
+    monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", chunk)
+    sweep = kinematics.WorkspaceSweep(arm, steps)
+    parts = list(sweep.chunks())
+    assert [len(p) for p in parts] == sizes
+    # q6 cannot move the default arm's tool point: the sweep holds it at
+    # its first value, the lower limit
+    axes = _grid_axes(arm, steps[:5] + (1,))
+    assert np.concatenate(parts).tobytes() == _kernels.fk_points(
+        model.dh_params(arm), _lattice_rows(axes)).tobytes()
+
+
+def test_a_tool_point_no_joint_moves_is_one_chunk_of_one_point(
+        arm: model.ArmDescription) -> None:
+    # no offsets and no twists: the tool point stays on the base z axis
+    arm = dataclasses.replace(arm, dh=tuple(
+        dataclasses.replace(row, a_prev=0.0, alpha_prev=0.0)
+        for row in arm.dh))
+    steps = (2, 3, 2, 2, 2, 2)
+    sweep = kinematics.WorkspaceSweep(arm, steps)
+    assert (sweep.samples, sweep.repeat) == (96, 96)
+    parts = list(sweep.chunks())
+    assert [len(p) for p in parts] == [1]
+    assert np.array_equal(
+        kinematics.sample_workspace(arm, steps).points,
+        _full_cloud(arm, steps, "grid", None, 0))
 
 
 def test_repeat_count_comes_from_the_dh_table(arm: model.ArmDescription) -> None:
@@ -260,3 +339,156 @@ def test_workspace_csv_peak_rss_does_not_grow_with_samples(
         peaks.append(int(child.stderr.strip().splitlines()[-1]))  # KiB
     small, large = peaks
     assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
+
+
+# The peak RSS of this process image alone: ru_maxrss also counts the
+# parent's RSS at the fork, so under a large test runner it reads the same
+# for any run smaller than the runner.
+_PEAK_HWM = """
+import re, sys
+from pathlib import Path
+from armkit import cli, kinematics
+kinematics.SWEEP_CHUNK_ROWS = 4096
+code = cli.run(sys.argv[1:])
+status = Path("/proc/self/status").read_text()
+print(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_workspace_csv_peak_rss_does_not_grow_with_the_repeat(
+        tmp_path: Path) -> None:
+    # q6 cannot move the tool point, so its steps repeat each line: the
+    # same 16,384 distinct points in 4 chunks of 4,096, each line written
+    # 5 or 60 times (983,040 rows)
+    peaks = []
+    for steps in ("4,4,4,16,16,5", "4,4,4,16,16,60"):
+        child = subprocess.run(
+            [sys.executable, "-c", _PEAK_HWM, "workspace", "--per-joint-steps",
+             steps, "--format", "csv", "--out", str(tmp_path / steps)],
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        peaks.append(int(child.stderr.strip().splitlines()[-1]))  # KiB
+    small, large = peaks
+    assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
+
+
+def _run_within(seconds: float, argv: list) -> int:
+    """``cli.run(argv)`` on a thread of its own, which must end in time."""
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(cli.run(argv)),
+                              daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"cli.run {argv} hangs"
+    return codes[0]
+
+
+def test_csv_bytes_do_not_depend_on_thread_scheduling(
+        arm: model.ArmDescription, capsys: pytest.CaptureFixture,
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
+    # more formatting threads than cores, switching every microsecond,
+    # against one thread at the default interval; 24 chunks of 60 points
+    monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", 60)
+    steps = "6,4,5,3,4,5"
+    interval = sys.getswitchinterval()
+    for workers, switch in ((1, interval), (4, 1e-6)):
+        monkeypatch.setattr(cli, "_CSV_WORKERS", workers)
+        sys.setswitchinterval(switch)
+        try:
+            assert _run_within(60, [
+                "workspace", "--per-joint-steps", steps, "--format", "csv",
+                "--out", str(tmp_path / str(workers))]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+    capsys.readouterr()
+    cloud = kinematics.sample_workspace(
+        arm, [int(s) for s in steps.split(",")])
+    want = ("x_m,y_m,z_m\n" + "".join(",".join(map(repr, row)) + "\n"
+                                      for row in cloud.points.tolist()))
+    for workers in (1, 4):
+        got = (tmp_path / str(workers) / "workspace.csv").read_text()
+        assert got == want, workers
+
+
+class _FullDisk:
+    """A binary file whose writes fail with ENOSPC after ``room`` writes.
+
+    The failing write takes a while first, so the formatting threads are
+    ahead of the write when it fails."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def write(self, data) -> int:
+        self.room -= 1
+        if self.room < 0:
+            time.sleep(0.2)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+
+def _fail_on_call(fn, call: int, exc: Exception):
+    """``fn``, except that call number ``call`` (from 0) raises ``exc``."""
+    calls = itertools.count()
+
+    def failing(*args, **kwargs):
+        if next(calls) == call:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("stage, code", [
+    ("writer", 7), ("formatter", 7), ("producer", 4)])
+def test_a_failing_stream_stage_exits_cleanly(
+        capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch,
+        tmp_path: Path, stage: str, code: int) -> None:
+    # 100 chunks of 160 distinct points, each five rows long
+    monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", 200)
+    made = []  # one entry per chunk the sweep computes
+    lattice = _kernels.fk_lattice
+    monkeypatch.setattr(_kernels, "fk_lattice",
+                        lambda *args: made.append(1) or lattice(*args))
+    if stage == "writer":
+        monkeypatch.setattr(cli, "open", lambda path, mode: _FullDisk(
+            open(path, mode), room=5), raising=False)
+    elif stage == "formatter":
+        monkeypatch.setattr(cli, "_csv_part", _fail_on_call(
+            cli._csv_part, 7, OSError(errno.EIO, "formatter failed")))
+    else:
+        monkeypatch.setattr(_kernels, "fk_lattice", _fail_on_call(
+            _kernels.fk_lattice, 9, ComputationError("producer failed")))
+    before = threading.active_count()
+    rc = _run_within(60, ["workspace", "--per-joint-steps", "10,10,10,4,4,5",
+                          "--format", "csv", "--out", str(tmp_path)])
+    assert threading.active_count() == before
+    out, err = capsys.readouterr()
+    assert (rc, out) == (code, "")
+    assert "Traceback" not in err
+    assert err.startswith({7: "output error", 4: "computation error"}[code])
+    assert not (tmp_path / cli.MANIFEST_NAME).exists()
+    # the sweep stops at the failure, not at its end
+    assert len(made) < 20
+
+
+def test_a_failed_write_stops_the_formatting_threads(
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
+    # checked while the error, and so the failed write's frame with its
+    # chunk generator, is still alive
+    monkeypatch.setattr(cli, "open", lambda path, mode: _FullDisk(
+        open(path, mode), room=2), raising=False)
+    blocks = (np.full((4_000, 3), float(i)) for i in range(10))
+    with pytest.raises(OutputError, match="No space left") as failed:
+        cli._Outputs(str(tmp_path)).write("x.csv", cli._csv(None, blocks))
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("armkit-csv")], failed.value
