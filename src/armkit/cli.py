@@ -453,6 +453,16 @@ def _handle_resolution(args, arm):
         "joint,total_reduction,deg_per_microstep", rows))}
 
 
+def _fixed(v: float, width: int) -> str:
+    """``v`` right-aligned in ``width`` columns with five decimals, or where
+    fixed point would run to eleven or more digits before the point, in
+    exponent form with as many digits as fit a positive value with a
+    three-digit exponent."""
+    if abs(v) >= 1e10:
+        return f"{v:>{width}.{width - 7}e}"
+    return f"{v:>{width}.5f}"
+
+
 def _handle_payload(args, arm):
     sweep_joints = _ints(args.sweep_joints, None, "--sweep-joints")
     limit_joints = _ints(args.limit_joints, None, "--limit-joints")
@@ -471,9 +481,9 @@ def _handle_payload(args, arm):
                  f"{'joint':>5} {'required':>10} {'available':>10} "
                  f"{'utilization':>11}"]
         for j in range(6):
-            lines.append(f"{j + 1:>5} {report.required[j]:>10.5f} "
-                         f"{report.available[j]:>10.5f} "
-                         f"{report.utilization[j]:>11.5f}")
+            lines.append(f"{j + 1:>5} {_fixed(report.required[j], 10)} "
+                         f"{_fixed(report.available[j], 10)} "
+                         f"{_fixed(report.utilization[j], 11)}")
         lines.append(f"limiting_joint: {report.limiting_joint}")
         lines.append(f"max_payload_kg_at_pose: {result.mass!r} "
                      f"(limiting joint {result.limiting_joint}, "
@@ -671,12 +681,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rpy", required=True, metavar="R,P,Y",
                     help="tool orientation target, ZYX roll/pitch/yaw degrees")
     sp.add_argument("--q0", default=None, metavar="D1,...,D6",
-                    help="starting joint angles, degrees (default zeros)")
+                    help="starting joint angles, degrees (default zeros); "
+                         "the exact solution nearest them answers")
     sp.add_argument("--max-iters", type=int, default=200,
                     help="iterations per attempt (default 200)")
     sp.add_argument("--restarts", type=int, default=12,
-                    help="restarts after a failed first attempt: the nearest "
-                         "seeded starts, run together (default 12)")
+                    help="restarts of the damped-least-squares fallback "
+                         "after its first attempt fails: the nearest seeded "
+                         "starts, run together (default 12)")
 
     sp = add("jacobian", "geometric Jacobian at one joint vector")
     sp.add_argument("--q", required=True, metavar="D1,...,D6",

@@ -61,16 +61,20 @@ class Pose:
 class IKOptions:
     """Inverse-kinematics solver settings.
 
-    ``damping`` is the starting damped-least-squares lambda; the solver
-    adapts it multiplicatively (down on accepted steps, up on rejected
-    ones) with a hard floor of 1e-6. No joint moves by more than
-    ``step_limit`` rad in one step, and none leaves its limits: a joint on a
-    limit that a step would push further out is held there, and the step
-    is solved again for the other joints. When the attempt from the provided
-    seed fails, ``restarts`` more starts run together: the seeded joint
-    vectors of a per-arm table (:data:`START_TABLE_SIZE` entries drawn from
-    ``restart_seed``, so results are reproducible) whose tool poses lie
-    nearest the target, at most the whole table.
+    The tolerances, ``max_iters``, ``damping`` and ``step_limit`` apply to
+    every damped-least-squares batch of :func:`inverse_kinematics`: the
+    exact branches of the wrist scan and the fallback. ``damping`` is the
+    starting lambda; the solver adapts it multiplicatively (down on
+    accepted steps, up on rejected ones) with a hard floor of 1e-6. No
+    joint moves by more than ``step_limit`` rad in one step, and none
+    leaves its limits: a joint on a limit that a step would push further
+    out is held there, and the step is solved again for the other joints.
+    ``restarts`` and ``restart_seed`` govern the fallback only: when its
+    attempt from the provided seed fails, ``restarts`` more starts run
+    together, the seeded joint vectors of a per-arm table
+    (:data:`START_TABLE_SIZE` entries drawn from ``restart_seed``, so
+    results are reproducible) whose tool poses lie nearest the target, at
+    most the whole table.
 
     Raises:
         ValueError: a negative ``max_iters``, ``restarts``,
@@ -395,7 +399,18 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
                        opts: IKOptions = IKOptions()) -> np.ndarray:
     """Solve for joint angles reaching ``target``.
 
-    Damped-least-squares iteration, first from ``seed`` alone and, if that
+    For an arm whose table has the structure of :func:`_wrist.structure`
+    (the shipped one does), every exact solution comes first, from one scan
+    of the wrist circle (:func:`_wrist.branches`). Each joint of each
+    solution is moved by whole turns to its in-limit value nearest the
+    seed clipped to the limits, and the in-limit solutions, nearest the
+    clipped seed first (Euclidean joint distance), run as one
+    damped-least-squares batch: an exact one meets the tolerances before
+    any step, the nearest of those answers, and a near-root that does not
+    is polished by the steps.
+
+    If none converges, or the arm lacks the structure, damped-least-squares
+    iteration runs as the fallback: first from ``seed`` alone and, if that
     fails, from ``opts.restarts`` nearest seeded starts run together (see
     :class:`IKOptions`); the first of those to converge gives the answer.
     A joint on a limit that a step pushes further out is held there, and
@@ -409,10 +424,12 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
         opts: solver settings.
 
     Raises:
-        UnreachableTargetError: the residual stagnated above tolerance (the
-            target lies outside the reachable set, or outside it at the
-            requested orientation); carries the best residual seen.
-        NoConvergenceError: iteration budget exhausted while still improving.
+        UnreachableTargetError: the fallback's residual stagnated above
+            tolerance (the target lies outside the reachable set, or
+            outside it at the requested orientation); carries the best
+            residual the fallback saw.
+        NoConvergenceError: the fallback's iteration budget was exhausted
+            while still improving.
         ValueError: a NaN or infinite entry in ``target`` or ``seed``.
     """
     require_finite(target.position, "IK target position")
@@ -428,6 +445,14 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
 
     rows = dh_params(arm)
     q0 = np.clip(seed.reshape(1, 6), lim[:, 0], lim[:, 1])
+    from . import _wrist  # loaded by the first IK call, not by the import
+    structure = _wrist.structure(arm)
+    if structure is not None:
+        starts = _wrist.starts(structure, rows, lim, target, q0)
+        if len(starts):
+            q = _lockstep_dls(rows, lim, target, starts, opts)[0]
+            if q is not None:
+                return q
     q, best, exhausted = _lockstep_dls(rows, lim, target, q0, opts)
     if q is None and opts.restarts:
         q, best_r, exhausted_r = _lockstep_dls(

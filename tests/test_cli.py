@@ -473,6 +473,21 @@ def test_single_pose_outputs_keep_their_bytes(
     assert got == pinned
 
 
+def test_payload_fixed_prints_huge_values_in_exponent_form(
+        capsys: pytest.CaptureFixture) -> None:
+    rc, out = _run(capsys, ["payload", "--policy", "fixed", "--q",
+                            "0,0,90,0,-90,0", "--payload-kg", "1e300"])
+    assert rc == 0
+    rows = [ln.split() for ln in out.splitlines()[3:9]]
+    assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+    # J2 needs 3.9e300 N.m: 301 digits in fixed point
+    assert rows[1][1:] == ["3.893e+300", "23.62500", "1.6480e+299"]
+    assert rows[0][1:] == ["0.00000", "1.25600", "0.00000"]
+    # every value keeps to its column
+    widths = {len(ln) for ln in out.splitlines()[2:9]}
+    assert widths == {len(out.splitlines()[2])}
+
+
 def test_svg_format_is_limited_to_plots(capsys: pytest.CaptureFixture,
                                         tmp_path: Path) -> None:
     rc = cli.run(["fk", "--q", "0,0,0,0,0,0", "--format", "svg",

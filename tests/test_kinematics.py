@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from armkit import _kernels, cli, kinematics, model
+from armkit import _kernels, _wrist, cli, kinematics, model
 from armkit.errors import (EmptyCloudError, NoConvergenceError,
                            ResourceLimitError, UnreachableTargetError)
 from armkit.kinematics import IKOptions, Pose, WorkspaceCloud
@@ -584,6 +585,45 @@ def test_lockstep_ties_go_to_the_lowest_row(arm: model.ArmDescription) -> None:
         assert got.tobytes() == starts[0].tobytes()
 
 
+def _random_case(arm: model.ArmDescription, seed: int) -> tuple:
+    """One random in-limit start (1, 6) and the pose of a random in-limit
+    joint vector, drawn from ``default_rng(seed)``."""
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(lim[:, 0], lim[:, 1], size=(1, 6))
+    return start, kinematics.forward_kinematics(
+        arm, rng.uniform(lim[:, 0], lim[:, 1]))
+
+
+def test_lockstep_a_start_stalled_on_a_step_does_not_count_it(
+        arm: model.ArmDescription) -> None:
+    # this start stops on its twelfth slow step in a row, whose position
+    # residual is below every earlier one; a stopped start's step counts
+    # for neither the best residual nor convergence
+    start, target = _random_case(arm, 5)
+    opts = IKOptions()
+    (q, best, exhausted), trials = _traced_lockstep(arm, target, start, opts)
+    assert q is None and not exhausted
+    frames = _kernels.fk_frames_batch(model.dh_params(arm), trials[-1])
+    _, pe_last, _ = kinematics._pose_error(target, frames)
+    assert pe_last[0] < best[0]
+    (_, best_ref, _), _ = _traced_lockstep(arm, target, start, opts,
+                                           solve=_ref_lockstep)
+    assert best == best_ref
+
+
+def test_lockstep_a_start_stalled_on_its_last_step_is_not_exhausted(
+        arm: model.ArmDescription) -> None:
+    # this start's 36th accepted step is its twelfth slow one in a row: it
+    # stops as stalled, not as out of budget
+    start, target = _random_case(arm, 0)
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    for max_iters, exhausted in ((35, True), (36, False), (37, False)):
+        q, _, got = kinematics._lockstep_dls(
+            rows, lim, target, start, IKOptions(max_iters=max_iters))
+        assert q is None and got is exhausted, max_iters
+
+
 @settings(max_examples=30, deadline=None)
 @given(u_true=hnp.arrays(np.float64, 6, elements=_UNIT),
        dq=hnp.arrays(np.float64, 6, elements=st.floats(-0.5, 0.5)))
@@ -607,25 +647,67 @@ def _target_pool(arm: model.ArmDescription) -> np.ndarray:
     return np.random.default_rng(0).uniform(lim[:, 0], lim[:, 1], size=(60, 6))
 
 
-#: Pool targets whose answers changed when the active-set step replaced
-#: plain clamping.
+def _dls_path(arm: model.ArmDescription, target: Pose, seed,
+              opts: IKOptions):
+    """The answer of the damped-least-squares path alone, or None: the
+    attempt from the clipped seed, then the restarts, as
+    ``inverse_kinematics`` runs them when no branch of the wrist scan
+    converges."""
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    q0 = np.clip(np.reshape(seed, (1, 6)), lim[:, 0], lim[:, 1])
+    q = kinematics._lockstep_dls(rows, lim, target, q0, opts)[0]
+    if q is None and opts.restarts:
+        q = kinematics._lockstep_dls(
+            rows, lim, target, kinematics._nearest_starts(arm, target, opts),
+            opts)[0]
+    return q
+
+
+#: Pool targets whose damped-least-squares answers changed when the
+#: active-set step replaced plain clamping.
 _ACTIVE_SET_CHANGED = {6, 9, 11, 12, 13, 17, 18, 43, 45, 48, 50}
 
-#: SHA-256 of the other 49 answers, concatenated: plain clamping gave these
-#: same bytes.
+#: SHA-256 of the damped-least-squares path's other 49 answers,
+#: concatenated: plain clamping gave these same bytes.
 _UNCHANGED_POOL_SHA256 = \
     "69d67a12815fbbd454ac170b3d906c95c9c187e879bfe1990dff4007b50f5fda"
 
-#: SHA-256 of all 60 answers, concatenated in pool order, as the active-set
-#: step first gave them.
-_POOL_SHA256 = \
+#: SHA-256 of the damped-least-squares path's 60 answers, concatenated in
+#: pool order, as the active-set step first gave them.
+_DLS_POOL_SHA256 = \
     "5c67ad49c62580c21621d2cb873937bf72684a028484ea13f21c6a30eed94d02"
+
+#: SHA-256 of all 60 answers of ``inverse_kinematics``, concatenated in pool
+#: order: each the in-limit branch of the wrist scan nearest the zero start.
+_POOL_SHA256 = \
+    "2913fac48d3e720cc632237f8534979e3214f56693053b99e200d48c8891a927"
 
 
 def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
         arm: model.ArmDescription) -> None:
     opts = IKOptions()
-    lim = model.limits_array(arm)
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    wrist = _wrist.structure(arm)
+    answers = hashlib.sha256()
+    for q_true in _target_pool(arm):
+        target = kinematics.forward_kinematics(arm, q_true)
+        q = kinematics.inverse_kinematics(arm, target, np.zeros(6), opts)
+        answers.update(q.tobytes())
+        # the nearest branch meets the tolerances before any step
+        nearest = _wrist.starts(wrist, rows, lim, target,
+                                np.zeros((1, 6)))[0]
+        assert q.tobytes() == nearest.tobytes()
+        got = kinematics.forward_kinematics(arm, q)
+        pos_err = float(np.linalg.norm(got.position - target.position))
+        assert pos_err < opts.pos_tol
+        assert float(np.linalg.norm(kinematics._rotation_vector(
+            got.orientation @ target.orientation.T))) < opts.ori_tol
+        assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
+    assert answers.hexdigest() == _POOL_SHA256
+
+
+def test_dls_path_keeps_its_pool_answers(arm: model.ArmDescription) -> None:
+    opts = IKOptions()
     pool = _target_pool(arm)
     # a restart table holding the pool's own joint vectors would solve
     # every target in zero steps
@@ -634,18 +716,93 @@ def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
     unchanged, answers = hashlib.sha256(), hashlib.sha256()
     for n, q_true in enumerate(pool):
         target = kinematics.forward_kinematics(arm, q_true)
-        q = kinematics.inverse_kinematics(arm, target, np.zeros(6), opts)
+        q = _dls_path(arm, target, np.zeros(6), opts)
         answers.update(q.tobytes())
         if n not in _ACTIVE_SET_CHANGED:
             unchanged.update(q.tobytes())
-        got = kinematics.forward_kinematics(arm, q)
-        pos_err = float(np.linalg.norm(got.position - target.position))
-        assert pos_err < opts.pos_tol
-        assert float(np.linalg.norm(kinematics._rotation_vector(
-            got.orientation @ target.orientation.T))) < opts.ori_tol
-        assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
     assert unchanged.hexdigest() == _UNCHANGED_POOL_SHA256
-    assert answers.hexdigest() == _POOL_SHA256
+    assert answers.hexdigest() == _DLS_POOL_SHA256
+
+
+#: Draws of the wrist-scan tests stay this far (rad) from joint 3's angle at
+#: the stretched elbow. There the two elbow branches meet, and solution
+#: pairs close in on double roots that the scan may miss.
+_STRETCHED_MARGIN = math.radians(2.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(u=hnp.arrays(np.float64, 6, elements=_UNIT))
+def test_wrist_branches_are_exact_and_hold_the_drawn_joints(
+        arm: model.ArmDescription, u: np.ndarray) -> None:
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    q_true = lim[:, 0] + u * (lim[:, 1] - lim[:, 0])
+    tool = _kernels.fk_frames_batch(rows, q_true[None])[0, 6]
+    target = Pose(tool[:3, 3], tool[:3, :3])
+    wrist = _wrist.structure(arm)
+    Q = _wrist.branches(wrist, rows, target)
+    reached = _kernels.fk_frames_batch(rows, Q)[:, 6]
+    assert np.abs(reached - tool).max(initial=0.0) <= 1e-9
+    if abs(q_true[2] + rows[2, 0] - wrist.beta) > _STRETCHED_MARGIN:
+        turns = np.remainder(Q - q_true + math.pi, 2 * math.pi) - math.pi
+        assert (np.abs(turns).max(axis=1) < 1e-8).any()
+
+
+def test_an_arm_without_the_wrist_structure_keeps_the_dls_answers(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch) -> None:
+    # the tool origin off joint 6's axis: O5 no longer follows from the pose
+    dh = list(arm.dh)
+    dh[5] = dataclasses.replace(dh[5], a_prev=0.005)
+    edited = dataclasses.replace(arm, dh=tuple(dh))
+    assert _wrist.structure(arm) is not None
+    assert _wrist.structure(edited) is None
+
+    def no_scan(*args):
+        raise AssertionError("the wrist scan ran")
+
+    monkeypatch.setattr(_wrist, "branches", no_scan)
+    opts = IKOptions()
+    for q_true in _target_pool(edited)[:12]:
+        target = kinematics.forward_kinematics(edited, q_true)
+        want = _dls_path(edited, target, np.zeros(6), opts)
+        if want is None:
+            with pytest.raises((NoConvergenceError, UnreachableTargetError)):
+                kinematics.inverse_kinematics(edited, target, np.zeros(6),
+                                              opts)
+            continue
+        got = kinematics.inverse_kinematics(edited, target, np.zeros(6), opts)
+        assert got.tobytes() == want.tobytes()
+
+
+def _criterion_05_draw(arm: model.ArmDescription, n: int) -> tuple:
+    """Target ``n`` of acceptance criterion 05 and its perturbed start, as
+    that test draws them."""
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(12345)
+    rng.uniform(lim[:, 0], lim[:, 1], size=(100, 6))
+    targets = rng.uniform(lim[:, 0], lim[:, 1], size=(1000, 6))
+    for q_true in targets[:n + 1]:
+        seed = np.clip(q_true + rng.uniform(-0.2, 0.2, size=6),
+                       lim[:, 0], lim[:, 1])
+    return q_true, seed
+
+
+def test_criterion_05_target_840_solves_from_its_perturbed_start(
+        arm: model.ArmDescription) -> None:
+    q_true, seed = _criterion_05_draw(arm, 840)
+    np.testing.assert_allclose(
+        np.degrees(q_true), [107.15, -21.79, 84.30, 179.32, -85.19, -131.54],
+        atol=0.005)
+    target = kinematics.forward_kinematics(arm, q_true)
+    # the damped-least-squares path alone ends in a local minimum on the
+    # q5 limit
+    assert _dls_path(arm, target, seed, IKOptions()) is None
+    q = kinematics.inverse_kinematics(arm, target, seed)
+    got = kinematics.forward_kinematics(arm, q)
+    assert float(np.linalg.norm(got.position - target.position)) < 1e-6
+    assert float(np.linalg.norm(kinematics._rotation_vector(
+        got.orientation @ target.orientation.T))) < 1e-6
+    lim = model.limits_array(arm)
+    assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
 
 
 @pytest.mark.parametrize("n", [2, 16])
@@ -672,16 +829,26 @@ def test_restart_table_is_seeded_in_limits_and_cached(
     assert not Q.flags.writeable
 
 
-def test_restart_table_is_not_built_at_import() -> None:
+def _after_import(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter after ``import armkit``."""
     src = str(Path(kinematics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import armkit\n"
-            "print(armkit.kinematics._start_table.cache_info().currsize)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", "import armkit\n" + code],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    return proc.stdout.strip()
+
+
+def test_restart_table_is_not_built_at_import() -> None:
+    assert _after_import(
+        "print(armkit.kinematics._start_table.cache_info().currsize)") == "0"
+
+
+def test_the_wrist_scan_is_not_imported_with_armkit() -> None:
+    # the first IK call imports it; commands that run no IK never do
+    assert _after_import("import sys\n"
+                         "print('armkit._wrist' in sys.modules)") == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -315,32 +315,6 @@ def test_quasi_runs_do_not_import_scipy(tmp_path: Path) -> None:
     assert (tmp_path / "workspace.csv").stat().st_size > 0
 
 
-_PEAK_RSS = """
-import resource, sys
-from armkit import cli, kinematics
-kinematics.SWEEP_CHUNK_ROWS = 4096
-code = cli.run(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-sys.exit(code)
-"""
-
-
-def test_workspace_csv_peak_rss_does_not_grow_with_samples(
-        tmp_path: Path) -> None:
-    # chunks of 4,096 distinct points, so both grids span several chunks;
-    # the larger grid has 8x the rows (640,000)
-    peaks = []
-    for steps in ("10,10,10,4,4,5", "20,20,20,4,4,5"):
-        child = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, "workspace", "--per-joint-steps",
-             steps, "--format", "csv", "--out", str(tmp_path / steps)],
-            capture_output=True, text=True, timeout=120)
-        assert child.returncode == 0, child.stderr
-        peaks.append(int(child.stderr.strip().splitlines()[-1]))  # KiB
-    small, large = peaks
-    assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
-
-
 # The peak RSS of this process image alone: ru_maxrss also counts the
 # parent's RSS at the fork, so under a large test runner it reads the same
 # for any run smaller than the runner.
@@ -356,22 +330,42 @@ sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="reads the peak RSS from /proc/self/status")
-def test_workspace_csv_peak_rss_does_not_grow_with_the_repeat(
-        tmp_path: Path) -> None:
-    # q6 cannot move the tool point, so its steps repeat each line: the
-    # same 16,384 distinct points in 4 chunks of 4,096, each line written
-    # 5 or 60 times (983,040 rows)
+def _csv_peaks_kib(tmp_path: Path, grids: tuple) -> list:
+    """The peak RSS (KiB) of a child process writing the workspace CSV of
+    each grid, in chunks of 4,096 distinct points."""
     peaks = []
-    for steps in ("4,4,4,16,16,5", "4,4,4,16,16,60"):
+    for steps in grids:
         child = subprocess.run(
             [sys.executable, "-c", _PEAK_HWM, "workspace", "--per-joint-steps",
              steps, "--format", "csv", "--out", str(tmp_path / steps)],
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
-        peaks.append(int(child.stderr.strip().splitlines()[-1]))  # KiB
-    small, large = peaks
+        peaks.append(int(child.stderr.strip().splitlines()[-1]))
+    return peaks
+
+
+_NEEDS_PROC_STATUS = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(),
+    reason="reads the peak RSS from /proc/self/status")
+
+
+@_NEEDS_PROC_STATUS
+def test_workspace_csv_peak_rss_does_not_grow_with_samples(
+        tmp_path: Path) -> None:
+    # both grids span several chunks; the larger has 8x the rows (640,000)
+    small, large = _csv_peaks_kib(tmp_path, ("10,10,10,4,4,5",
+                                             "20,20,20,4,4,5"))
+    assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
+
+
+@_NEEDS_PROC_STATUS
+def test_workspace_csv_peak_rss_does_not_grow_with_the_repeat(
+        tmp_path: Path) -> None:
+    # q6 cannot move the tool point, so its steps repeat each line: the
+    # same 16,384 distinct points in 4 chunks, each line written 5 or 60
+    # times (983,040 rows)
+    small, large = _csv_peaks_kib(tmp_path, ("4,4,4,16,16,5",
+                                             "4,4,4,16,16,60"))
     assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
 
 
