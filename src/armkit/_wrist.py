@@ -86,7 +86,7 @@ def structure(arm: ArmDescription) -> Optional[Wrist]:
     * joint 1's axis meets joint 2's (a1 = 0, sin alpha1 != 0) and joints
       2 and 3 are parallel (alpha2 = 0), so joints 1-3 place the wrist
       point O4 = O3 + d4 z3 in closed form, with a shoulder and an elbow
-      branch (a2 != 0, and O4 off joint 3's axis);
+      branch (2 a2 L != 0: a2 != 0, and O4 off joint 3's axis);
     * joint 5's axis meets joint 4's at O4 (a4 = 0, sin alpha4 != 0,
       d5 = 0), so O5 = O4 + a5 x5;
     * the tool origin lies on joint 6's axis (a6 = 0, alpha6 = 0), so
@@ -98,7 +98,7 @@ def structure(arm: ArmDescription) -> Optional[Wrist]:
     b = d[3] * sa[2]
     L = math.hypot(a[2], b)
     if not (a[0] == 0.0 and sa[0] != 0.0 and alpha[1] == 0.0
-            and a[1] != 0.0 and L != 0.0 and a[3] == 0.0 and sa[3] != 0.0
+            and 2.0 * a[1] * L != 0.0 and a[3] == 0.0 and sa[3] != 0.0
             and d[4] == 0.0 and a[5] == 0.0 and alpha[5] == 0.0):
         return None
     return Wrist(d[0], ca[0], sa[0], d[1] + d[2] + d[3] * ca[2], a[1], L,

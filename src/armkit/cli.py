@@ -60,12 +60,6 @@ EXIT_CODES = {
     "output": 7,
 }
 
-SUBCOMMANDS = ("fk", "ik", "jacobian", "workspace", "reach", "capstan",
-               "torque-table", "resolution", "payload", "repeat-sim", "bom")
-
-_SVG_CAPABLE = ("workspace", "repeat-sim")
-
-
 class CliUsageError(Exception):
     """Flag combination or value the parser alone cannot reject."""
 
@@ -120,21 +114,17 @@ def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[bytes]:
 
     ``header`` is the first line (None: no header). ``rows`` is a list of
     rows of cells: None -> empty, str -> ``,`` replaced by ``;``, int ->
-    decimal, anything else -> ``repr(float(v))``. Or it is a float ndarray,
-    rendered by :func:`_csv_part` with each row's line written ``repeat``
-    times. Or it is an iterable of float ndarrays (a streamed workspace
-    sweep), formatted by :func:`_csv_stream`, so a cloud is never held as
-    text all at once.
+    decimal, anything else -> ``repr(float(v))``. Or it is an iterable of
+    float ndarrays (a streamed workspace sweep), formatted by
+    :func:`_csv_stream` with each row's line written ``repeat`` times, so a
+    cloud is never held as text all at once.
     """
     if header is not None:
         yield (header + "\n").encode()
     if isinstance(rows, list):
         yield "".join(",".join(map(_cell, row)) + "\n" for row in rows).encode()
-    elif isinstance(rows, np.ndarray):
-        for part in _row_slices((rows,), repeat):
-            yield _csv_part(part, repeat)
     else:
-        yield from _csv_stream(_row_slices(rows, repeat), repeat)
+        yield from _csv_stream(rows, repeat)
 
 
 #: Lines per part of CSV text, once repeated; bounds the formatting's
@@ -146,16 +136,6 @@ _CSV_CHUNK_LINES = 32_768
 #: Threads that format a streamed CSV, and so the most parts in formatting
 #: at once.
 _CSV_WORKERS = 2
-
-
-def _row_slices(blocks, repeat: int) -> Iterator[np.ndarray]:
-    """Each of ``blocks`` cut into slices of rows whose lines, each written
-    ``repeat`` times, make at most :data:`_CSV_CHUNK_LINES` lines (one row
-    if its line alone makes more)."""
-    step = max(1, _CSV_CHUNK_LINES // repeat)
-    for block in blocks:
-        for start in range(0, len(block), step):
-            yield block[start:start + step]
 
 
 def _csv_part(rows: np.ndarray, repeat: int) -> bytes:
@@ -180,8 +160,10 @@ def _csv_part(rows: np.ndarray, repeat: int) -> bytes:
     return part[part != 0].tobytes()
 
 
-def _csv_stream(parts, repeat: int) -> Iterator[bytes]:
-    """:func:`_csv_part` of each of ``parts``, in order.
+def _csv_stream(blocks, repeat: int) -> Iterator[bytes]:
+    """:func:`_csv_part` of each of ``blocks``, in order, cut into parts of
+    rows whose lines, each written ``repeat`` times, make at most
+    :data:`_CSV_CHUNK_LINES` lines (one row if its line alone makes more).
 
     The parts are formatted on :data:`_CSV_WORKERS` threads, at most that
     many at once, while the caller writes the part before them and this
@@ -191,13 +173,16 @@ def _csv_stream(parts, repeat: int) -> Iterator[bytes]:
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    step = max(1, _CSV_CHUNK_LINES // repeat)
     window: collections.deque = collections.deque()
     with ThreadPoolExecutor(_CSV_WORKERS,
                             thread_name_prefix="armkit-csv") as pool:
-        for rows in parts:
-            window.append(pool.submit(_csv_part, rows, repeat))
-            if len(window) > _CSV_WORKERS:
-                yield window.popleft().result()
+        for block in blocks:
+            for start in range(0, len(block), step):
+                window.append(pool.submit(_csv_part, block[start:start + step],
+                                          repeat))
+                if len(window) > _CSV_WORKERS:
+                    yield window.popleft().result()
         while window:
             yield window.popleft().result()
 
@@ -236,7 +221,7 @@ class _Outputs:
 
     def write_manifest(self, subcommand: str, arm_source: str, seed: int,
                        argv: List[str]) -> None:
-        text_name = _text_name(subcommand)
+        text_name = _stem(subcommand) + ".txt"
         doc = {
             "schema": MANIFEST_SCHEMA,
             "toolkit_version": __version__,
@@ -255,30 +240,34 @@ class _Outputs:
             raise OutputError(f"cannot write manifest: {exc}")
 
 
-def _text_name(subcommand: str) -> str:
-    """Output file that holds a run's stdout text."""
-    return subcommand.replace("-", "_") + ".txt"
+def _stem(subcommand: str) -> str:
+    """Name stem of a subcommand's output files."""
+    return subcommand.replace("-", "_")
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: ``(args, arm) -> (stdout text, artifacts)``, where
-# ``artifacts`` maps a --format to a zero-argument callable returning
-# ``(file name, content)``; run() calls it only when that file is written.
-# The text may instead be a zero-argument callable, which run() calls after
-# writing the artifact: the workspace CSV streams the sweep its text sums up.
+# subcommand handlers: ``(args, arm) -> (stdout lines, artifacts)``, where
+# ``artifacts`` maps a --format to a zero-argument callable returning the
+# file's content; run() calls it only when that file is written, and names
+# the file by the subcommand's table row. run() reads the lines after
+# writing the artifact, so a handler may return a generator: the workspace
+# CSV streams the sweep its lines sum up.
 # --------------------------------------------------------------------------
+
+def _vec(values) -> str:
+    """Floats as ``repr`` joined by spaces."""
+    return " ".join(repr(float(v)) for v in values)
+
 
 def _handle_fk(args, arm):
     q = np.radians(_floats(args.q, 6, "--q"))
     pose = kinematics.forward_kinematics(arm, q)
-    x, y, z = (float(v) for v in pose.position)
     lines = [f"q_deg: {args.q}",
-             f"position_m: {x!r} {y!r} {z!r}",
+             "position_m: " + _vec(pose.position),
              "rotation:"]
     for row in pose.orientation:
-        lines.append("  " + " ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n", {
-        "csv": lambda: ("fk.csv", _csv("x_m,y_m,z_m", [pose.position]))}
+        lines.append("  " + _vec(row))
+    return lines, {"csv": lambda: _csv("x_m,y_m,z_m", [pose.position])}
 
 
 def _handle_ik(args, arm):
@@ -292,14 +281,12 @@ def _handle_ik(args, arm):
     reached = kinematics.forward_kinematics(arm, q)
     err = float(np.linalg.norm(reached.position - target.position))
     q_deg = np.degrees(q)
-    lines = [
-        "q_deg: " + " ".join(repr(float(v)) for v in q_deg),
-        "position_m: " + " ".join(repr(float(v)) for v in reached.position),
+    return [
+        "q_deg: " + _vec(q_deg),
+        "position_m: " + _vec(reached.position),
         f"position_error_m: {err!r}",
-    ]
-    return "\n".join(lines) + "\n", {
-        "csv": lambda: ("ik.csv", _csv(
-            "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg", [q_deg]))}
+    ], {"csv": lambda: _csv("q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg",
+                            [q_deg])}
 
 
 def _handle_jacobian(args, arm):
@@ -308,9 +295,8 @@ def _handle_jacobian(args, arm):
     lines = [f"q_deg: {args.q}",
              "jacobian (rows: vx vy vz wx wy wz; columns: joints 1-6):"]
     for row in J:
-        lines.append("  " + " ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n", {
-        "csv": lambda: ("jacobian.csv", _csv(None, J))}
+        lines.append("  " + _vec(row))
+    return lines, {"csv": lambda: _csv(None, list(J))}
 
 
 def _sweep(args, arm):
@@ -337,14 +323,14 @@ def _walk(sweep, stats, picks: list):
         yield pts
 
 
-def _reach_text(args, sweep, stats) -> str:
+def _reach_lines(args, sweep, stats) -> List[str]:
     """The workspace/reach summary of a walked sweep."""
     radial = stats.max_radial
     recipe = (f"grid steps={','.join(map(str, sweep.per_joint_steps))}"
               if sweep.mode == "grid" else f"quasi seed={sweep.seed}")
     d_nom = 100.0 * (radial / REFERENCE_NOMINAL_REACH_M - 1.0)
     d_rad = 100.0 * (radial / REFERENCE_RADIAL_REACH_M - 1.0)
-    lines = [
+    return [
         f"samples: {sweep.samples} ({recipe})",
         f"max_reach_m: {stats.max_reach!r}",
         f"max_radial_reach_m: {radial!r}",
@@ -357,7 +343,6 @@ def _reach_text(args, sweep, stats) -> str:
         f"quoted with the payload test); computed max radial {radial:.5f} m "
         f"is {d_nom:+.1f}% of the former and {d_rad:+.1f}% of the latter.",
     ]
-    return "\n".join(lines) + "\n"
 
 
 def _handle_workspace(args, arm):
@@ -365,17 +350,16 @@ def _handle_workspace(args, arm):
     picks: list = []
     chunks = _walk(sweep, stats, picks)
 
-    def text():
+    def lines():
         collections.deque(chunks, maxlen=0)  # walk what no artifact streamed
-        return _reach_text(args, sweep, stats)
+        yield from _reach_lines(args, sweep, stats)
 
     def svg():
         collections.deque(chunks, maxlen=0)
-        return "workspace.svg", svgplot.workspace_svg(np.concatenate(picks))
+        return svgplot.workspace_svg(np.concatenate(picks))
 
-    return text, {
-        "csv": lambda: ("workspace.csv",
-                        _csv("x_m,y_m,z_m", chunks, sweep.repeat)),
+    return lines(), {
+        "csv": lambda: _csv("x_m,y_m,z_m", chunks, sweep.repeat),
         "svg": svg,
     }
 
@@ -383,13 +367,12 @@ def _handle_workspace(args, arm):
 def _handle_reach(args, arm):
     sweep, stats = _sweep(args, arm)
     collections.deque(_walk(sweep, stats, []), maxlen=0)
-    dist, radial = stats.max_reach, stats.max_radial
-    return _reach_text(args, sweep, stats), {"csv": lambda: ("reach.csv", _csv(
+    return _reach_lines(args, sweep, stats), {"csv": lambda: _csv(
         "metric,value", [
-            ("max_reach_m", dist),
-            ("max_radial_reach_m", radial),
+            ("max_reach_m", stats.max_reach),
+            ("max_radial_reach_m", stats.max_radial),
             ("nominal_reference_m", REFERENCE_NOMINAL_REACH_M),
-            ("radial_reference_m", REFERENCE_RADIAL_REACH_M)]))}
+            ("radial_reference_m", REFERENCE_RADIAL_REACH_M)])}
 
 
 def _handle_capstan(args, arm):
@@ -409,18 +392,17 @@ def _handle_capstan(args, arm):
                 f"{what} overflows a float at --cable-thickness "
                 f"{args.cable_thickness:g} mm (reduction {gamma!r}, "
                 f"--tolerance {args.tolerance:g} mm)")
-    lines = [
+    return [
         f"mode: {args.mode}",
         f"reduction_ratio: {gamma!r}",
         f"windings_for_{args.output_range:g}_deg: {windings!r}",
         f"sheave_height_mm: {height_mm!r}",
         f"groove_spacing_mm: {spacing_mm!r}",
-    ]
-    return "\n".join(lines) + "\n", {"csv": lambda: ("capstan.csv", _csv(
+    ], {"csv": lambda: _csv(
         "metric,value", [("reduction_ratio", gamma),
                          ("windings", windings),
                          ("sheave_height_mm", height_mm),
-                         ("groove_spacing_mm", spacing_mm)]))}
+                         ("groove_spacing_mm", spacing_mm)])}
 
 
 def _handle_torque_table(args, arm):
@@ -436,12 +418,12 @@ def _handle_torque_table(args, arm):
             f"{r.total_reduction:>9.4f} {r.holding_torque:>8.3f} "
             f"{r.max_joint_torque:>10.5f} {listed:>8}  {r.annotation or ''}"
         )
-    return "\n".join(lines) + "\n", {"csv": lambda: ("torque_table.csv", _csv(
+    return lines, {"csv": lambda: _csv(
         "joint,motor,mechanism,total_reduction,holding_torque_nm,"
         "max_joint_torque_nm,listed_max_torque_nm,annotation",
         [(r.joint_index, r.motor, r.mechanism, r.total_reduction,
           r.holding_torque, r.max_joint_torque, r.listed_max_torque,
-          r.annotation) for r in rows]))}
+          r.annotation) for r in rows])}
 
 
 def _handle_resolution(args, arm):
@@ -449,8 +431,8 @@ def _handle_resolution(args, arm):
     lines = [f"{'joint':>5} {'reduction':>9} {'deg_per_microstep':>18}"]
     for j, red, deg in rows:
         lines.append(f"{j:>5} {red:>9.4f} {deg:>18.6f}")
-    return "\n".join(lines) + "\n", {"csv": lambda: ("resolution.csv", _csv(
-        "joint,total_reduction,deg_per_microstep", rows))}
+    return lines, {"csv": lambda: _csv(
+        "joint,total_reduction,deg_per_microstep", rows)}
 
 
 def _fixed(v: float, width: int) -> str:
@@ -488,7 +470,7 @@ def _handle_payload(args, arm):
         lines.append(f"max_payload_kg_at_pose: {result.mass!r} "
                      f"(limiting joint {result.limiting_joint}, "
                      f"utilization {result.utilization:.5f})")
-        return "\n".join(lines) + "\n", {}
+        return lines, {}
 
     result = statics.max_payload(arm, "worst_case_sweep",
                                  grid_deg=args.grid_deg,
@@ -510,12 +492,12 @@ def _handle_payload(args, arm):
         poses, caps, limiting = statics.sweep_payload_caps(
             arm, grid_deg=args.grid_deg, sweep_joints=sweep_joints,
             constraint_joints=limit_joints)
-        return "payload_sweep.csv", _csv(
+        return _csv(
             "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,cap_kg,limiting_joint",
             [(*p, c, lj) for p, c, lj in zip(np.degrees(poses).tolist(),
                                              caps.tolist(), limiting.tolist())])
 
-    return "\n".join(lines) + "\n", {"csv": sweep_csv}
+    return lines, {"csv": sweep_csv}
 
 
 def _handle_repeat_sim(args, arm):
@@ -543,15 +525,15 @@ def _handle_repeat_sim(args, arm):
     for speed, std in zip(result.speeds, result.stds):
         lines.append(f"{speed:>8g} {std * 1e3:>12.6f}")
     lines.append(f"grand_mean_abs_deviation_mm: {result.grand_mean * 1e3!r}")
-    return "\n".join(lines) + "\n", {
-        "csv": lambda: ("repeat_sim.csv", _csv(
+    return lines, {
+        "csv": lambda: _csv(
             "speed_steps_per_s,cycle,deviation_mm",
             [(speed, ci, d * 1e3)
              for speed, devs in zip(result.speeds, result.deviations)
-             for ci, d in enumerate(devs.tolist())])),
-        "svg": lambda: ("repeat_sim.svg", svgplot.box_plot_svg(
+             for ci, d in enumerate(devs.tolist())]),
+        "svg": lambda: svgplot.box_plot_svg(
             [f"{s:g}" for s in result.speeds],
-            [d * 1e3 for d in result.deviations], "deviation (mm)")),
+            [d * 1e3 for d in result.deviations], "deviation (mm)"),
     }
 
 
@@ -585,26 +567,33 @@ def _handle_bom(args, arm):
         f"cable: {','.join(f'{v:g}' for v in bom_mod.CABLE_LENGTHS_MM)} mm "
         f"per arm x {bill.batch_size} -> {float(cable.total_mm):g} mm "
         f"({ft:.3f} ft)")
-    return "\n".join(lines) + "\n", {"csv": lambda: ("bom.csv", _csv(
+    return lines, {"csv": lambda: _csv(
         "category,subtotal_usd",
-        subtotals + [("batch_total", total), ("per_arm", per_arm)]))}
+        subtotals + [("batch_total", total), ("per_arm", per_arm)])}
 
 
-_HANDLERS = {
-    "fk": _handle_fk,
-    "ik": _handle_ik,
-    "jacobian": _handle_jacobian,
-    "workspace": _handle_workspace,
-    "reach": _handle_reach,
-    "capstan": _handle_capstan,
-    "torque-table": _handle_torque_table,
-    "resolution": _handle_resolution,
-    "payload": _handle_payload,
-    "repeat-sim": _handle_repeat_sim,
-    "bom": _handle_bom,
+#: A subcommand's handler, whether it loads an arm, whether it has a
+#: --format svg file, and the stem of its --format file where that is not
+#: the stem of its text.
+_Command = collections.namedtuple("_Command", "handler loads_arm can_plot "
+                                  "artifact", defaults=(True, False, ""))
+
+
+_COMMANDS = {
+    "fk": _Command(_handle_fk),
+    "ik": _Command(_handle_ik),
+    "jacobian": _Command(_handle_jacobian),
+    "workspace": _Command(_handle_workspace, can_plot=True),
+    "reach": _Command(_handle_reach),
+    "capstan": _Command(_handle_capstan, loads_arm=False),
+    "torque-table": _Command(_handle_torque_table),
+    "resolution": _Command(_handle_resolution),
+    "payload": _Command(_handle_payload, artifact="payload_sweep"),
+    "repeat-sim": _Command(_handle_repeat_sim, can_plot=True),
+    "bom": _Command(_handle_bom, loads_arm=False),
 }
 
-_NEEDS_ARM = {name: name not in ("capstan", "bom") for name in SUBCOMMANDS}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 # --------------------------------------------------------------------------
@@ -789,23 +778,25 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else EXIT_CODES["usage"]
 
     try:
-        if args.format == "svg" and args.subcommand not in _SVG_CAPABLE:
+        command = _COMMANDS[args.subcommand]
+        if args.format == "svg" and not command.can_plot:
             raise CliUsageError(
-                f"--format svg is only available for "
-                f"{', '.join(_SVG_CAPABLE)}")
+                "--format svg is only available for " + ", ".join(
+                    name for name, c in _COMMANDS.items() if c.can_plot))
         arm = None
         arm_source = "n/a"
-        if _NEEDS_ARM[args.subcommand]:
+        if command.loads_arm:
             arm, arm_source = resolve_arm(args.arm)
         out = _Outputs(args.out) if args.out else None
-        text, artifacts = _HANDLERS[args.subcommand](args, arm)
+        lines, artifacts = command.handler(args, arm)
+        stem = _stem(args.subcommand)
         # files land before stdout, so a failed artifact prints nothing
         if out is not None and args.format in artifacts:
-            out.write(*artifacts[args.format]())
-        if callable(text):
-            text = text()
+            out.write(f"{command.artifact or stem}.{args.format}",
+                      artifacts[args.format]())
+        text = "".join(line + "\n" for line in lines)
         if out is not None:
-            out.write(_text_name(args.subcommand), text)
+            out.write(stem + ".txt", text)
         sys.stdout.write(text)
         if out is not None:
             out.write_manifest(args.subcommand, arm_source, args.seed, argv)

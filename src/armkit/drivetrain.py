@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ComputationError, require_finite
-from .model import ArmDescription, CapstanGeometry, JointDrive, MotorSpec
+
+if TYPE_CHECKING:
+    from .model import ArmDescription, CapstanGeometry, JointDrive, MotorSpec
 
 
 @dataclass(frozen=True)

@@ -658,7 +658,8 @@ class CloudStats:
     ``shell_fraction`` of the running radial maximum and pruned as it rises.
 
     Raises:
-        ComputationError: ``shell_fraction`` outside (0, 1].
+        ComputationError: ``shell_fraction`` outside (0, 1], or from
+            :meth:`add`, a distance or height that overflows a float.
     """
 
     def __init__(self, shell_fraction: float = DEFAULT_SHELL_FRACTION):
@@ -678,10 +679,13 @@ class CloudStats:
         radial = np.hypot(pts[:, 0], pts[:, 1])
         self.count += len(pts) * repeat
         self.below += int(np.count_nonzero(pts[:, 2] < 0.0)) * repeat
-        self.max_reach = float(np.maximum(
-            self.max_reach, np.max(np.linalg.norm(pts, axis=1))))
+        with np.errstate(over="ignore"):  # refused below
+            self.max_reach = float(np.maximum(
+                self.max_reach, np.max(np.linalg.norm(pts, axis=1))))
         self.min_z = float(np.minimum(self.min_z, np.min(pts[:, 2])))
         rmax = float(np.maximum(self.max_radial, np.max(radial)))
+        require_finite((self.max_reach, rmax, self.min_z),
+                       "workspace extremes", error=ComputationError)
         cut = self.shell_fraction * rmax
         if rmax > self.max_radial:
             keep = self._shell_radial >= cut

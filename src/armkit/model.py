@@ -32,7 +32,8 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from . import drivetrain
+from .errors import ConfigError, ValidationError
 
 log = logging.getLogger("armkit")
 
@@ -209,7 +210,7 @@ class Violation:
 def _angle(value, path: str) -> float:
     """Angle from config: plain number = radians, or "X deg" / "X rad"."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, path)
     if isinstance(value, str):
         parts = value.strip().split()
         if len(parts) == 2 and parts[1] in ("deg", "rad"):
@@ -259,33 +260,45 @@ def _require(mapping, key, path: str):
     return mapping[key]
 
 
+def _fields(raw, path: str, **parsers) -> dict:
+    """Each required key of ``raw``, in order, read by its parser under
+    ``f"{path}.{key}"``."""
+    return {key: parse(_require(raw, key, path), f"{path}.{key}")
+            for key, parse in parsers.items()}
+
+
+def _text(value, path: str) -> str:
+    return str(value)
+
+
 # --------------------------------------------------------------------------
 # load / dump
 # --------------------------------------------------------------------------
 
+def _curve(value, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    curve = []
+    for k, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{path}[{k}]: expected [rate, torque]")
+        curve.append((_number(pair[0], f"{path}[{k}][0]"),
+                      _number(pair[1], f"{path}[{k}][1]")))
+    return tuple(curve)
+
+
 def _parse_motor(raw, path: str) -> tuple[MotorSpec, list[str]]:
     notices: list[str] = []
-    curve_raw = _require(raw, "torque_speed_curve", path)
-    if not isinstance(curve_raw, list) or not curve_raw:
-        raise ConfigError(f"{path}.torque_speed_curve: expected a non-empty list")
-    curve = []
-    for k, pair in enumerate(curve_raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path}.torque_speed_curve[{k}]: expected [rate, torque]")
-        curve.append((_number(pair[0], f"{path}.torque_speed_curve[{k}][0]"),
-                      _number(pair[1], f"{path}.torque_speed_curve[{k}][1]")))
+    fields = _fields(raw, path, torque_speed_curve=_curve, name=_text,
+                     holding_torque=_number, mass=_number)
     if "steps_per_rev" in raw:
         steps = _integer(raw["steps_per_rev"], f"{path}.steps_per_rev")
         is_default = bool(raw.get("steps_per_rev_is_default", False))
     else:
         steps, is_default = DEFAULT_STEPS_PER_REV, True
     spec = MotorSpec(
-        name=str(_require(raw, "name", path)),
-        holding_torque=_number(_require(raw, "holding_torque", path),
-                               f"{path}.holding_torque"),
+        **fields,
         steps_per_rev=steps,
-        torque_speed_curve=tuple(curve),
-        mass=_number(_require(raw, "mass", path), f"{path}.mass"),
         mass_source=str(raw.get("mass_source", "datasheet")),
         steps_per_rev_is_default=is_default,
     )
@@ -304,25 +317,21 @@ def _parse_motor(raw, path: str) -> tuple[MotorSpec, list[str]]:
 
 
 def _parse_stage(raw, path: str) -> TransmissionStage:
-    kind = str(_require(raw, "kind", path))
-    ratio = _number(_require(raw, "ratio", path), f"{path}.ratio")
+    fields = _fields(raw, path, kind=_text, ratio=_number)
     geometry = None
     if "geometry" in raw and raw["geometry"] is not None:
         gp = f"{path}.geometry"
         g = _mapping(raw["geometry"], gp)
         mode = str(g.get("mode", "")) or (
-            "stationary" if kind == "capstan_stationary" else "rotating")
+            "stationary" if fields["kind"] == "capstan_stationary"
+            else "rotating")
         geometry = CapstanGeometry(
-            sheave_diameter=_number(_require(g, "sheave_diameter", gp),
-                                    f"{gp}.sheave_diameter"),
-            pulley_diameter=_number(_require(g, "pulley_diameter", gp),
-                                    f"{gp}.pulley_diameter"),
-            cable_thickness=_number(_require(g, "cable_thickness", gp),
-                                    f"{gp}.cable_thickness"),
+            **_fields(g, gp, sheave_diameter=_number, pulley_diameter=_number,
+                      cable_thickness=_number),
             tolerance=_number(g.get("tolerance", 0.002), f"{gp}.tolerance"),
             mode=mode,
         )
-    return TransmissionStage(kind=kind, ratio=ratio, geometry=geometry)
+    return TransmissionStage(**fields, geometry=geometry)
 
 
 def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
@@ -332,13 +341,9 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
         ConfigError: on schema/shape problems.
         ValidationError: when the assembled model violates invariants.
     """
-    from .errors import ValidationError
-
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
-    if "schema_version" not in data:
-        raise ConfigError(f"{source}: missing required key 'schema_version'")
-    version = data["schema_version"]
+    version = _require(data, "schema_version", source)
     if not isinstance(version, int) or isinstance(version, bool):
         raise ConfigError(f"{source}: schema_version must be an integer")
     if version != SCHEMA_VERSION:
@@ -353,23 +358,14 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
     if not isinstance(dh_raw, list):
         raise ConfigError(f"{source}.dh: expected a list of rows")
     dh = tuple(
-        DHRow(
-            theta_offset=_angle(_require(row, "theta_offset", f"dh[{i}]"),
-                                f"dh[{i}].theta_offset"),
-            alpha_prev=_angle(_require(row, "alpha_prev", f"dh[{i}]"),
-                              f"dh[{i}].alpha_prev"),
-            a_prev=_number(_require(row, "a_prev", f"dh[{i}]"), f"dh[{i}].a_prev"),
-            d=_number(_require(row, "d", f"dh[{i}]"), f"dh[{i}].d"),
-        )
+        DHRow(**_fields(row, f"dh[{i}]", theta_offset=_angle,
+                        alpha_prev=_angle, a_prev=_number, d=_number))
         for i, row in enumerate(dh_raw)
     )
 
     lim_raw = _list(_require(data, "limits", source), f"{source}.limits")
     limits = tuple(
-        JointLimits(
-            min=_angle(_require(row, "min", f"limits[{i}]"), f"limits[{i}].min"),
-            max=_angle(_require(row, "max", f"limits[{i}]"), f"limits[{i}].max"),
-        )
+        JointLimits(**_fields(row, f"limits[{i}]", min=_angle, max=_angle))
         for i, row in enumerate(lim_raw)
     )
 
@@ -377,19 +373,15 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
     drives = []
     for i, row in enumerate(drives_raw):
         dp = f"drives[{i}]"
-        motor, motor_notices = _parse_motor(_require(row, "motor", dp), f"{dp}.motor")
+        fields = _fields(row, dp, motor=_parse_motor, stages=_list,
+                         joint_index=_integer, microstep_factor=_integer)
+        fields["motor"], motor_notices = fields["motor"]
         notices.extend(motor_notices)
-        stages_raw = _list(_require(row, "stages", dp), f"{dp}.stages")
-        stages = tuple(_parse_stage(s, f"{dp}.stages[{k}]")
-                       for k, s in enumerate(stages_raw))
+        fields["stages"] = tuple(_parse_stage(s, f"{dp}.stages[{k}]")
+                                 for k, s in enumerate(fields["stages"]))
         listed = row.get("listed_max_torque")
         drives.append(JointDrive(
-            joint_index=_integer(_require(row, "joint_index", dp),
-                                 f"{dp}.joint_index"),
-            motor=motor,
-            stages=stages,
-            microstep_factor=_integer(_require(row, "microstep_factor", dp),
-                                      f"{dp}.microstep_factor"),
+            **fields,
             listed_max_torque=(None if listed is None
                                else _number(listed, f"{dp}.listed_max_torque")),
         ))
@@ -398,27 +390,16 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
     mm_raw = _mapping(_require(data, "mass_model", source),
                       f"{source}.mass_model")
     links = tuple(
-        MassPoint(
-            frame=_integer(_require(row, "frame", f"mass_model.links[{i}]"),
-                           f"mass_model.links[{i}].frame"),
-            mass=_number(_require(row, "mass", f"mass_model.links[{i}]"),
-                         f"mass_model.links[{i}].mass"),
-            offset=_number(_require(row, "offset", f"mass_model.links[{i}]"),
-                           f"mass_model.links[{i}].offset"),
-            label=str(row.get("label", "")),
-        )
+        MassPoint(**_fields(row, f"mass_model.links[{i}]", frame=_integer,
+                            mass=_number, offset=_number),
+                  label=str(row.get("label", "")))
         for i, row in enumerate(_list(mm_raw.get("links", []),
                                       "mass_model.links"))
     )
     motors = tuple(
-        MotorPlacement(
-            drive=_integer(_require(row, "drive", f"mass_model.motors[{i}]"),
-                           f"mass_model.motors[{i}].drive"),
-            frame=_integer(_require(row, "frame", f"mass_model.motors[{i}]"),
-                           f"mass_model.motors[{i}].frame"),
-            offset=_number(_require(row, "offset", f"mass_model.motors[{i}]"),
-                           f"mass_model.motors[{i}].offset"),
-        )
+        MotorPlacement(**_fields(row, f"mass_model.motors[{i}]",
+                                 drive=_integer, frame=_integer,
+                                 offset=_number))
         for i, row in enumerate(_list(mm_raw.get("motors", []),
                                       "mass_model.motors"))
     )
@@ -433,8 +414,6 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
     )
 
     # torque bookkeeping notice: listed output torque vs holding x reduction
-    from . import drivetrain  # local import to avoid a cycle
-
     for d in drives:
         if d.listed_max_torque is None:
             continue
@@ -518,13 +497,9 @@ def dump_arm(arm: ArmDescription, path: str) -> None:
     data = {
         "schema_version": arm.schema_version,
         "name": arm.name,
-        "dh": [
-            # angles stay in radians so reload is bit-exact
-            {"theta_offset": r.theta_offset, "alpha_prev": r.alpha_prev,
-             "a_prev": r.a_prev, "d": r.d}
-            for r in arm.dh
-        ],
-        "limits": [{"min": l.min, "max": l.max} for l in arm.limits],
+        # angles stay in radians so reload is bit-exact
+        "dh": [dataclasses.asdict(r) for r in arm.dh],
+        "limits": [dataclasses.asdict(l) for l in arm.limits],
         "drives": [
             {
                 "joint_index": d.joint_index,
@@ -562,28 +537,24 @@ def dump_arm(arm: ArmDescription, path: str) -> None:
 
 def validate_arm(arm: ArmDescription) -> list[Violation]:
     """Check every model invariant; returns violations (empty = valid)."""
-    from . import drivetrain  # local import to avoid a cycle
-
     v: list[Violation] = []
 
     def bad(code, path, message):
         v.append(Violation(code=code, path=path, message=message))
 
-    def finite(path, value):
-        """Records a violation and returns False for a NaN or infinite mass
-        model value."""
+    def finite(path, value, code="mass.nonfinite"):
+        """Records a violation and returns False for a NaN or infinite
+        value."""
         ok = math.isfinite(value)
         if not ok:
-            bad("mass.nonfinite", path, "value must be finite")
+            bad(code, path, "value must be finite")
         return ok
 
     if len(arm.dh) != 6:
         bad("dh.count", "dh", f"expected 6 rows, got {len(arm.dh)}")
     for i, row in enumerate(arm.dh):
         for name in ("theta_offset", "alpha_prev", "a_prev", "d"):
-            val = getattr(row, name)
-            if not math.isfinite(val):
-                bad("dh.nonfinite", f"dh[{i}].{name}", "value must be finite")
+            finite(f"dh[{i}].{name}", getattr(row, name), "dh.nonfinite")
         if row.a_prev < 0 or row.d < 0:
             bad("dh.negative_length", f"dh[{i}]",
                 "link lengths must be non-negative for this arm")
@@ -591,7 +562,9 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
     if len(arm.limits) != 6:
         bad("limits.count", "limits", f"expected 6 entries, got {len(arm.limits)}")
     for i, lim in enumerate(arm.limits):
-        if not (lim.min < lim.max):
+        ends = [finite(f"limits[{i}].{end}", getattr(lim, end),
+                       "limits.nonfinite") for end in ("min", "max")]
+        if all(ends) and not lim.min < lim.max:
             bad("limits.order", f"limits[{i}] (JointLimits)",
                 f"min {lim.min} must be < max {lim.max}")
 
@@ -611,7 +584,20 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
             bad("drive.microstep", f"{dp}.microstep_factor", "must be >= 1")
 
         m = d.motor
-        if not m.holding_torque > 0:
+        if d.listed_max_torque is not None:
+            finite(f"{dp}.listed_max_torque", d.listed_max_torque,
+                   "drive.nonfinite")
+        reduction = drivetrain.total_reduction(d)
+        if not 0 < m.holding_torque * reduction < math.inf:
+            bad("drive.torque_budget", dp,
+                "holding_torque x total reduction must be finite and > 0")
+        elif m.steps_per_rev >= 1 and d.microstep_factor >= 1 and not (
+                0 < 360.0 / (float(m.steps_per_rev) * d.microstep_factor
+                             * reduction) < math.inf):
+            bad("drive.resolution", dp,
+                "degrees per microstep must be finite and > 0")
+        if finite(f"{dp}.motor.holding_torque", m.holding_torque,
+                  "motor.nonfinite") and not m.holding_torque > 0:
             bad("motor.holding_torque", f"{dp}.motor.holding_torque", "must be > 0")
         if finite(f"{dp}.motor.mass", m.mass) and m.mass < 0:
             bad("motor.mass.negative", f"{dp}.motor.mass (MassModel)",
@@ -619,27 +605,29 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
         if m.steps_per_rev < 1:
             bad("motor.steps_per_rev", f"{dp}.motor.steps_per_rev", "must be >= 1")
         curve = m.torque_speed_curve
+        cp = f"{dp}.motor.torque_speed_curve"
         if not curve:
-            bad("motor.curve.empty", f"{dp}.motor.torque_speed_curve",
-                "curve needs at least one point")
-        else:
+            bad("motor.curve.empty", cp, "curve needs at least one point")
+        elif all([finite(f"{cp}[{k}][{j}]", x, "motor.nonfinite")
+                  for k, point in enumerate(curve)
+                  for j, x in enumerate(point)]):
             if abs(curve[0][0]) > 1e-12 or abs(curve[0][1] - m.holding_torque) > 1e-12:
-                bad("motor.curve.origin", f"{dp}.motor.torque_speed_curve",
+                bad("motor.curve.origin", cp,
                     "curve must start at (0, holding_torque)")
             rates = [p[0] for p in curve]
             torqs = [p[1] for p in curve]
             if any(b <= a for a, b in zip(rates, rates[1:])):
-                bad("motor.curve.rates", f"{dp}.motor.torque_speed_curve",
-                    "rates must be strictly increasing")
+                bad("motor.curve.rates", cp, "rates must be strictly increasing")
             if any(b > a + 1e-12 for a, b in zip(torqs, torqs[1:])):
-                bad("motor.curve.increasing", f"{dp}.motor.torque_speed_curve",
+                bad("motor.curve.increasing", cp,
                     "torque must be non-increasing with rate")
 
         for k, s in enumerate(d.stages):
             sp = f"{dp}.stages[{k}] (TransmissionStage)"
             if s.kind not in STAGE_KINDS:
                 bad("stage.kind", sp, f"unknown stage kind {s.kind!r}")
-            if not s.ratio > 0:
+            if finite(f"{dp}.stages[{k}].ratio", s.ratio,
+                      "stage.nonfinite") and not s.ratio > 0:
                 bad("stage.ratio", sp, "ratio must be > 0")
             is_capstan = s.kind in ("capstan_rotating", "capstan_stationary")
             if is_capstan and s.geometry is None:
@@ -651,6 +639,9 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
             if is_capstan and s.geometry is not None:
                 g = s.geometry
                 gp = f"{dp}.stages[{k}].geometry"
+                for name in ("sheave_diameter", "pulley_diameter",
+                             "cable_thickness", "tolerance"):
+                    finite(f"{gp}.{name}", getattr(g, name), "capstan.nonfinite")
                 expect_mode = "rotating" if s.kind == "capstan_rotating" else "stationary"
                 if g.mode != expect_mode:
                     bad("stage.capstan.mode_mismatch", gp,

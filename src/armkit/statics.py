@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import drivetrain
-from .errors import NoConvergenceError, ResourceLimitError, require_finite
+from .errors import (ComputationError, NoConvergenceError,
+                     ResourceLimitError, require_finite)
 from ._kernels import fk_frames_batch
 from .kinematics import DEFAULT_SAMPLE_CAP
 from .model import ArmDescription, dh_params, limits_array
@@ -123,11 +124,11 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
         ``j`` (links, motors, payload).
 
     Raises:
-        ValueError: negative or non-finite payload.
+        ValueError: negative or non-finite payload, or a non-finite angle.
     """
     payload = arm.mass_model.payload if payload is None else float(payload)
     require_finite(payload, "payload (kg)", ">= 0")
-    q = np.asarray(q, dtype=float)
+    q = require_finite(q, "joint angles q")
     tau, lever = _torque_split(arm, q.reshape(-1, 6))
     if payload > 0:
         tau = tau + payload * lever * (-arm.mass_model.gravity)
@@ -143,7 +144,7 @@ def available_torques(arm: ArmDescription, rate: float = 0.0) -> np.ndarray:
 
 def _utilization(required: np.ndarray, available: np.ndarray) -> np.ndarray:
     """required/available; a zero budget is 0 when unloaded, else inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(available > 0.0,
                         required / np.where(available > 0.0, available, 1.0),
                         np.where(required > 0.0, np.inf, 0.0))
@@ -244,7 +245,7 @@ def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
         raise NoConvergenceError(
             f"every pose holds over {_CEILING_KG:g} kg on the constrained joints")
     c = lever * (-g)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bound = np.where(c > 0.0, (avail - tau_s) / c,
                          np.where(c < 0.0, (avail + tau_s) / -c, np.inf))
     caps = np.where(fits(np.zeros(len(poses))),
@@ -282,6 +283,7 @@ def max_payload(arm: ArmDescription,
         utilization at that mass, and that utilization.
 
     Raises:
+        ComputationError: the limiting utilization overflows a float.
         NoConvergenceError: every pose holds over 1e6 kg.
         ValueError: unknown policy, bad lattice or constraint joints.
     """
@@ -299,6 +301,9 @@ def max_payload(arm: ArmDescription,
     mass = float(caps.min())
     util = util_at(np.full(len(poses), mass))
     pi, ci = np.unravel_index(int(np.argmax(util)), util.shape)
+    if not math.isfinite(util[pi, ci]):
+        raise ComputationError(f"joint {cols[ci] + 1}'s utilization "
+                               "overflows a float")
     return PayloadResult(mass=mass, limiting_joint=cols[ci] + 1,
                          utilization=float(util[pi, ci]), pose=poses[pi],
                          policy=policy)

@@ -143,8 +143,9 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
     exact trajectory. At each leg the gravity torque required at the leg
     target is compared to the torque available at the commanded rate;
     overloads drop whole microsteps per the margin rule, always against the
-    direction of motion. A leg rate that is not finite and > 0, or a target
-    that is not six in-limit angles, raises ValueError.
+    direction of motion. A leg rate that is not finite and > 0, a target
+    that is not six in-limit angles, or a payload whose required torque
+    overflows a float raises ValueError.
 
     Returns (delta, missed, achieved, sigma): the tool-point displacement
     from the reference (m), the missed microsteps, the achieved joint angles
@@ -168,7 +169,9 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
         n_leg = np.rint(exact_total).astype(np.int64) - commanded
         commanded += n_leg
 
-        required = np.abs(statics.gravity_torques(arm, target, payload))
+        with np.errstate(over="ignore"):  # refused just below
+            required = np.abs(statics.gravity_torques(arm, target, payload))
+        require_finite(required, f"required joint torque at {payload:g} kg")
         avail = statics.available_torques(arm, rate)
         for j in range(6):
             steps = int(abs(n_leg[j]))

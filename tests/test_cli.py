@@ -358,7 +358,8 @@ def test_csv_cell_rule() -> None:
     assert b"".join(cli._csv("h1,h2,h3,h4,h5", [row])) == \
         b"h1,h2,h3,h4,h5\n,a;b,7,0.1,2.5\n"
     block = np.array([[1.0, -0.0], [1e-300, 3.0]])
-    assert b"".join(cli._csv(None, block)) == b"1.0,-0.0\n1e-300,3.0\n"
+    assert b"".join(cli._csv(None, list(block))) == \
+        b"".join(cli._csv(None, iter([block]))) == b"1.0,-0.0\n1e-300,3.0\n"
     # a streamed sweep: each row's line once per row it stands for
     assert b"".join(cli._csv("x", iter([block[:1], block[1:]]), repeat=2)) == \
         b"x\n1.0,-0.0\n1.0,-0.0\n1e-300,3.0\n1e-300,3.0\n"
@@ -427,6 +428,63 @@ def test_replay_reproduces_identical_outputs(capsys: pytest.CaptureFixture,
     capsys.readouterr()
     assert rc2 == 0
     assert _manifest(second)["outputs"] == a["outputs"]
+
+
+#: SHA-256 of (stdout, artifact) for each small run at the default seed.
+_SMALL_RUN_SHA256 = {
+    ("fk", "csv"): (
+        "0693816ee0ae7538fc9218e5e3d76d998f8506a7035fc4a26ebcaab5120f782a",
+        "8dbb4626f4e58003eb12c28295f9cc7c7cc34fb2513afac3e44afa8c28caca85"),
+    ("ik", "csv"): (
+        "0cb052993cd1334b2e03f70f2b4a5e2911a19df071a750afa84bdc5506de6c6e",
+        "83549f8eab09538a5aa85acf1ab13edd6959ac6af726d222ec9aaca68b9a4acd"),
+    ("jacobian", "csv"): (
+        "da162d775eb48047ee5b47c73743af5270d26d01d85cd7c7cd2ecfb4a71a54b0",
+        "86f391bdd2742e1ce64b391cded9c28a84312c1817b2df0cf1cf71c25cf4778a"),
+    ("workspace", "csv"): (
+        "f0f423c114928af9e955ca2cf609041a4b271ae4f6c85cc46fd658574b506c2f",
+        "6d1bbb23170909bf1a6cf9d1ec232394c36fe174e05d0478d8157687c37429a3"),
+    ("reach", "csv"): (
+        "f0f423c114928af9e955ca2cf609041a4b271ae4f6c85cc46fd658574b506c2f",
+        "63cce407b5c9e0707689df755bcc53ae826d43aa50ab8bf9037dc8d03fe3520d"),
+    ("capstan", "csv"): (
+        "5918cf78faa606e7ab1066ad4f3c062b149cc65446a5d1832751d09ff9e11d99",
+        "fcb661a138c1641f3e5605b4a13354a7c7cc7389b640ed73b93257b6b92e64e4"),
+    ("torque-table", "csv"): (
+        "25a2fddbd6b2e7ca6010678ec00c8afe45609a250c3c642b0a9789eaf18f92fd",
+        "b2f4808efa2b0f56487fe48f8db8ec178fd03e9b1244eb8272a6e52b743f688c"),
+    ("resolution", "csv"): (
+        "4aa4ec72f93ba29829b1a9e3df81bf4731c284d1f406083cb34402035d56b190",
+        "03b54477154b9f325c482a6699d743a4a0d360f1d7cb8ff4bdfa4786b16478c8"),
+    ("payload", "csv"): (
+        "d26558181b7871d59e15493c3351f6120a548fd17f48b9188c09b3e4e1f48061",
+        "2fde2c6aa274945cc44c37a8e3a0fbdecbf49227f67459c632edb6f33e25cd03"),
+    ("repeat-sim", "csv"): (
+        "ec14ae4792e58984fa3590fd31132ad6266688f7afe46309b3b3babac756c014",
+        "d7ff39a4615d057a7f38b24b5f1b1463bc59cb8684c859239bc3c7ef426cdfb5"),
+    ("bom", "csv"): (
+        "75628593728becc666ff3032990379e0c27335e8f00eb78db4637a81c0d1a1e5",
+        "b26794a968de2fc760db57e2c1490a71db612853cf59bb1f19e7bfbf33d9f897"),
+    ("workspace", "svg"): (
+        "f0f423c114928af9e955ca2cf609041a4b271ae4f6c85cc46fd658574b506c2f",
+        "45f10f4c2ce548de92a8771d4765b514936fbfea412b746b6ac6917a8dac4fca"),
+    ("repeat-sim", "svg"): (
+        "ec14ae4792e58984fa3590fd31132ad6266688f7afe46309b3b3babac756c014",
+        "bd271df0b8fc4aa78ac92e20052a930f76d2e16a97357d241d4e31d9b498eda6"),
+}
+
+
+@pytest.mark.parametrize("name,fmt", list(_SMALL_RUN_SHA256), ids=lambda v: v)
+def test_small_runs_keep_their_bytes(capsys: pytest.CaptureFixture,
+                                     tmp_path: Path, name: str,
+                                     fmt: str) -> None:
+    rc, out = _run(capsys, _SMALL_RUNS[name] + [
+        "--format", fmt, "--out", str(tmp_path)])
+    assert rc == 0
+    artifact = "payload_sweep" if name == "payload" else name.replace("-", "_")
+    got = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(
+        (tmp_path / f"{artifact}.{fmt}").read_bytes()).hexdigest())
+    assert got == _SMALL_RUN_SHA256[name, fmt]
 
 
 @pytest.mark.parametrize("argv", [

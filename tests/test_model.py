@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from armkit import cli, model
-from armkit.errors import ConfigError
+from armkit.errors import ConfigError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +281,176 @@ def test_validate_flags_negative_mass(arm: model.ArmDescription) -> None:
     mm = dataclasses.replace(arm.mass_model, links=links)
     broken = dataclasses.replace(arm, mass_model=mm)
     assert "mass.negative" in _codes(broken)
+
+
+# ---------------------------------------------------------------------------
+# loader and validator error paths, each one edit of the shipped arm
+# ---------------------------------------------------------------------------
+
+_DELETE = object()
+
+
+def _edited(keys: tuple, value):
+    """The shipped arm's data with the field at ``keys`` set to ``value``
+    (or removed, for ``_DELETE``); no keys replace the whole document."""
+    if not keys:
+        return value
+    data = yaml.safe_load(_shipped_yaml())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return data
+
+
+#: (keys, value, the loader's exact message for source "arm")
+_LOADER_FAULTS = [
+    ((), [1, 2], "arm: top level must be a mapping"),
+    (("schema_version",), _DELETE,
+     "arm: missing required key 'schema_version'"),
+    (("schema_version",), "1", "arm: schema_version must be an integer"),
+    (("schema_version",), True, "arm: schema_version must be an integer"),
+    (("schema_version",), 2,
+     "arm: unsupported schema_version 2 (this toolkit reads version 1)"),
+    (("dh",), {"rows": 6}, "arm.dh: expected a list of rows"),
+    (("dh", 0, "d"), _DELETE, "dh[0]: missing required key 'd'"),
+    # past the float range
+    (("dh", 0, "theta_offset"), 10**400,
+     f"dh[0].theta_offset: expected a number, got {10**400}"),
+    (("dh", 2, "alpha_prev"), "ninety deg",
+     "dh[2].alpha_prev: cannot parse angle 'ninety deg'"),
+    (("limits", 1, "min"), "90 grad",
+     "limits[1].min: angle must be a number (radians) or 'X deg'/'X rad', "
+     "got '90 grad'"),
+    (("limits", 1, "max"), True,
+     "limits[1].max: angle must be a number (radians) or 'X deg'/'X rad', "
+     "got True"),
+    (("limits", 4), 0.5, "limits[4]: missing required key 'min'"),
+    (("drives", 1, "motor", "torque_speed_curve"), [],
+     "drives[1].motor.torque_speed_curve: expected a non-empty list"),
+    (("drives", 1, "motor", "torque_speed_curve"), [[0.0, 1.26], [3000.0]],
+     "drives[1].motor.torque_speed_curve[1]: expected [rate, torque]"),
+    (("drives", 1, "motor", "torque_speed_curve"), [[0.0, "x"]],
+     "drives[1].motor.torque_speed_curve[0][1]: expected a number, got 'x'"),
+    (("drives", 1, "motor", "name"), _DELETE,
+     "drives[1].motor: missing required key 'name'"),
+    (("drives", 1, "motor", "holding_torque"), "1.26 Nm",
+     "drives[1].motor.holding_torque: expected a number, got '1.26 Nm'"),
+    (("drives", 2, "motor"), 5,
+     "drives[2].motor: missing required key 'torque_speed_curve'"),
+    (("drives", 2, "stages", 0, "ratio"), _DELETE,
+     "drives[2].stages[0]: missing required key 'ratio'"),
+    (("drives", 0, "stages", 0, "geometry", "cable_thickness"), _DELETE,
+     "drives[0].stages[0].geometry: missing required key 'cable_thickness'"),
+    (("drives", 0, "stages", 0, "geometry", "tolerance"), "2 mm",
+     "drives[0].stages[0].geometry.tolerance: expected a number, "
+     "got '2 mm'"),
+    (("drives", 3, "stages"), {"kind": "gear"}, "drives[3].stages: expected a list"),
+    (("drives", 3, "microstep_factor"), _DELETE,
+     "drives[3]: missing required key 'microstep_factor'"),
+    (("drives", 3, "listed_max_torque"), "high",
+     "drives[3].listed_max_torque: expected a number, got 'high'"),
+    (("mass_model",), _DELETE, "arm: missing required key 'mass_model'"),
+    (("mass_model", "links", 0, "frame"), "base",
+     "mass_model.links[0].frame: expected a number, got 'base'"),
+    (("mass_model", "motors", 1, "drive"), _DELETE,
+     "mass_model.motors[1]: missing required key 'drive'"),
+    (("mass_model", "reference_total"), "3.5 kg",
+     "mass_model.reference_total: expected a number, got '3.5 kg'"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", _LOADER_FAULTS,
+                         ids=[m.split(":")[0] + "-" + str(k)
+                              for k, (_, _, m) in enumerate(_LOADER_FAULTS)])
+def test_loader_faults_raise_their_exact_message(keys: tuple, value,
+                                                 message: str) -> None:
+    with pytest.raises(ConfigError) as caught:
+        model.load_arm_data(_edited(keys, value), source="arm")
+    assert type(caught.value) is ConfigError
+    assert str(caught.value) == message
+
+
+_GEOMETRY = {"sheave_diameter": 0.02, "pulley_diameter": 0.06,
+             "cable_thickness": 0.001}
+
+#: (keys, value, the code and path of a violation validate_arm reports)
+_VIOLATIONS = [
+    (("dh", 5), _DELETE, "dh.count", "dh"),
+    (("dh", 0, "d"), math.nan, "dh.nonfinite", "dh[0].d"),
+    (("dh", 1, "a_prev"), -0.2, "dh.negative_length", "dh[1]"),
+    (("limits", 5), _DELETE, "limits.count", "limits"),
+    (("limits", 2, "min"), -math.inf, "limits.nonfinite", "limits[2].min"),
+    (("drives", 5), _DELETE, "drive.count", "drives"),
+    (("drives", 5, "joint_index"), 7, "drive.joint_index.range", "drives[5]"),
+    (("drives", 2, "microstep_factor"), 0, "drive.microstep",
+     "drives[2].microstep_factor"),
+    (("drives", 1, "motor", "holding_torque"), 0.0, "motor.holding_torque",
+     "drives[1].motor.holding_torque"),
+    (("drives", 1, "motor", "mass"), -0.6, "motor.mass.negative",
+     "drives[1].motor.mass (MassModel)"),
+    (("drives", 1, "motor", "steps_per_rev"), 0, "motor.steps_per_rev",
+     "drives[1].motor.steps_per_rev"),
+    (("drives", 1, "motor", "steps_per_rev"), 1e308, "drive.resolution",
+     "drives[1]"),
+    (("drives", 1, "motor", "holding_torque"), math.inf, "motor.nonfinite",
+     "drives[1].motor.holding_torque"),
+    (("drives", 1, "motor", "torque_speed_curve"), [[0.0, 1.26], [math.nan, 0.6]],
+     "motor.nonfinite", "drives[1].motor.torque_speed_curve[1][0]"),
+    (("drives", 1, "motor", "torque_speed_curve"), [[10.0, 1.26]],
+     "motor.curve.origin", "drives[1].motor.torque_speed_curve"),
+    (("drives", 1, "motor", "torque_speed_curve"),
+     [[0.0, 1.26], [3000.0, 0.63], [3000.0, 0.5]],
+     "motor.curve.rates", "drives[1].motor.torque_speed_curve"),
+    (("drives", 1, "motor", "torque_speed_curve"), [[0.0, 1.26], [3000.0, 1.5]],
+     "motor.curve.increasing", "drives[1].motor.torque_speed_curve"),
+    (("drives", 3, "stages", 0, "kind"), "chain", "stage.kind",
+     "drives[3].stages[0] (TransmissionStage)"),
+    (("drives", 3, "stages", 0, "ratio"), 0.0, "stage.ratio",
+     "drives[3].stages[0] (TransmissionStage)"),
+    (("drives", 3, "stages", 0, "ratio"), math.inf, "stage.nonfinite",
+     "drives[3].stages[0].ratio"),
+    # finite ratios whose product overflows
+    (("drives", 1, "stages", 0, "ratio"), 1e308, "drive.torque_budget",
+     "drives[1]"),
+    (("drives", 4, "listed_max_torque"), math.nan, "drive.nonfinite",
+     "drives[4].listed_max_torque"),
+    (("drives", 2, "stages", 0, "ratio"), 5e-324, "drive.resolution",
+     "drives[2]"),
+    (("drives", 0, "stages", 0, "geometry"), None,
+     "stage.capstan.geometry_missing", "drives[0].stages[0] (TransmissionStage)"),
+    (("drives", 3, "stages", 0, "geometry"), _GEOMETRY,
+     "stage.capstan.geometry_unexpected",
+     "drives[3].stages[0] (TransmissionStage)"),
+    (("drives", 0, "stages", 0, "geometry", "mode"), "stationary",
+     "stage.capstan.mode_mismatch", "drives[0].stages[0].geometry"),
+    (("drives", 0, "stages", 0, "geometry", "cable_thickness"), 0.0,
+     "capstan.thickness", "drives[0].stages[0].geometry"),
+    (("drives", 0, "stages", 0, "geometry", "tolerance"), -0.001,
+     "capstan.tolerance", "drives[0].stages[0].geometry"),
+    (("drives", 0, "stages", 0, "geometry", "tolerance"), math.inf,
+     "capstan.nonfinite", "drives[0].stages[0].geometry.tolerance"),
+    (("mass_model", "payload"), -1.0, "mass.negative",
+     "mass_model.payload (MassModel)"),
+    (("mass_model", "links", 0, "frame"), 7, "mass.frame.range",
+     "mass_model.links[0] (MassModel)"),
+    (("mass_model", "motors", 0, "frame"), -1, "mass.frame.range",
+     "mass_model.motors[0] (MassModel)"),
+    (("mass_model", "motors", 0, "drive"), 9, "mass.motor_placement.drive",
+     "mass_model.motors[0] (MassModel)"),
+    (("mass_model", "gravity"), 0.0, "mass.gravity", "mass_model.gravity"),
+]
+
+
+@pytest.mark.parametrize("keys, value, code, path", _VIOLATIONS,
+                         ids=[f"{c}-{k}" for k, (_, _, c, _) in
+                              enumerate(_VIOLATIONS)])
+def test_validator_reports_each_violation_at_its_path(keys: tuple, value,
+                                                      code: str,
+                                                      path: str) -> None:
+    with pytest.raises(ValidationError) as caught:
+        model.load_arm_data(_edited(keys, value), source="arm")
+    assert (code, path) in {(v.code, v.path) for v in caught.value.violations}
