@@ -7,8 +7,7 @@ is specified). Output files are only written when ``--out DIR`` is given:
 ``<subcommand>.txt`` (the stdout text) always, plus the ``--format csv|svg``
 file where the subcommand has one. A ``manifest.json`` recording the
 subcommand, arm source, seed, full argv, and the SHA-256 of every written
-file lands next to them, and :func:`replay` re-executes a manifest
-bit-exactly.
+file lands next to them, and :func:`replay` re-executes a manifest's argv.
 
 Exit codes (also in the README): 0 success, 2 usage, 3 arm-config,
 4 computation, 5 resource limit, 6 BOM data, 7 output I/O.
@@ -38,6 +37,7 @@ from .errors import (
     ConfigError,
     OutputError,
     ResourceLimitError,
+    fixed,
 )
 from .kinematics import (
     IKOptions,
@@ -415,8 +415,9 @@ def _handle_torque_table(args, arm):
         listed = "" if r.listed_max_torque is None else f"{r.listed_max_torque:g}"
         lines.append(
             f"{r.joint_index:>5} {r.motor:<14} {r.mechanism:<16} "
-            f"{r.total_reduction:>9.4f} {r.holding_torque:>8.3f} "
-            f"{r.max_joint_torque:>10.5f} {listed:>8}  {r.annotation or ''}"
+            f"{fixed(r.total_reduction, 4, 9)} {fixed(r.holding_torque, 3, 8)} "
+            f"{fixed(r.max_joint_torque, 5, 10)} {listed:>8}  "
+            f"{r.annotation or ''}"
         )
     return lines, {"csv": lambda: _csv(
         "joint,motor,mechanism,total_reduction,holding_torque_nm,"
@@ -430,19 +431,9 @@ def _handle_resolution(args, arm):
     rows = drivetrain.resolution_table(arm)
     lines = [f"{'joint':>5} {'reduction':>9} {'deg_per_microstep':>18}"]
     for j, red, deg in rows:
-        lines.append(f"{j:>5} {red:>9.4f} {deg:>18.6f}")
+        lines.append(f"{j:>5} {fixed(red, 4, 9)} {fixed(deg, 6, 18)}")
     return lines, {"csv": lambda: _csv(
         "joint,total_reduction,deg_per_microstep", rows)}
-
-
-def _fixed(v: float, width: int) -> str:
-    """``v`` right-aligned in ``width`` columns with five decimals, or where
-    fixed point would run to eleven or more digits before the point, in
-    exponent form with as many digits as fit a positive value with a
-    three-digit exponent."""
-    if abs(v) >= 1e10:
-        return f"{v:>{width}.{width - 7}e}"
-    return f"{v:>{width}.5f}"
 
 
 def _handle_payload(args, arm):
@@ -452,8 +443,7 @@ def _handle_payload(args, arm):
         if not args.q:
             raise CliUsageError("--policy fixed requires --q")
         q = np.radians(_floats(args.q, 6, "--q"))
-        with np.errstate(over="ignore"):  # reported below, by flag
-            report = statics.static_report(arm, q, payload=args.payload_kg)
+        report = statics.static_report(arm, q, payload=args.payload_kg)
         if not np.all(np.isfinite(report.required)):
             raise ComputationError(
                 f"required joint torque overflows a float at "
@@ -463,13 +453,13 @@ def _handle_payload(args, arm):
                  f"{'joint':>5} {'required':>10} {'available':>10} "
                  f"{'utilization':>11}"]
         for j in range(6):
-            lines.append(f"{j + 1:>5} {_fixed(report.required[j], 10)} "
-                         f"{_fixed(report.available[j], 10)} "
-                         f"{_fixed(report.utilization[j], 11)}")
+            lines.append(f"{j + 1:>5} {fixed(report.required[j], 5, 10)} "
+                         f"{fixed(report.available[j], 5, 10)} "
+                         f"{fixed(report.utilization[j], 5, 11)}")
         lines.append(f"limiting_joint: {report.limiting_joint}")
         lines.append(f"max_payload_kg_at_pose: {result.mass!r} "
                      f"(limiting joint {result.limiting_joint}, "
-                     f"utilization {result.utilization:.5f})")
+                     f"utilization {fixed(result.utilization, 5)})")
         return lines, {}
 
     result = statics.max_payload(arm, "worst_case_sweep",
@@ -788,13 +778,15 @@ def run(argv: Optional[List[str]] = None) -> int:
         if command.loads_arm:
             arm, arm_source = resolve_arm(args.arm)
         out = _Outputs(args.out) if args.out else None
-        lines, artifacts = command.handler(args, arm)
         stem = _stem(args.subcommand)
-        # files land before stdout, so a failed artifact prints nothing
-        if out is not None and args.format in artifacts:
-            out.write(f"{command.artifact or stem}.{args.format}",
-                      artifacts[args.format]())
-        text = "".join(line + "\n" for line in lines)
+        # an overflow or NaN is refused where it matters, by a finite check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lines, artifacts = command.handler(args, arm)
+            # files land before stdout, so a failed artifact prints nothing
+            if out is not None and args.format in artifacts:
+                out.write(f"{command.artifact or stem}.{args.format}",
+                          artifacts[args.format]())
+            text = "".join(line + "\n" for line in lines)
         if out is not None:
             out.write(stem + ".txt", text)
         sys.stdout.write(text)
@@ -822,7 +814,8 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def replay(manifest_path, out_dir: Optional[str] = None) -> int:
-    """Re-run a recorded manifest; identical inputs give identical bytes.
+    """Re-run a recorded manifest's argv and return its exit code; it
+    compares no hashes.
 
     Args:
         manifest_path: path to a ``manifest.json`` written by :func:`run`.

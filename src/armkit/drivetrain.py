@@ -16,14 +16,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ComputationError, require_finite
+from .errors import ComputationError, fixed, require_finite
 
 if TYPE_CHECKING:
     from .model import ArmDescription, CapstanGeometry, JointDrive, MotorSpec
+
+
+class StageKind(NamedTuple):
+    """What a reduction stage's ``kind`` means."""
+
+    label: str  # the mechanism's name in the torque table
+    capstan_mode: Optional[str]  # a capstan's geometry mode; None: no geometry
+
+
+#: Every stage kind an arm file may name.
+STAGE_KINDS = {
+    "capstan_rotating": StageKind("Capstan", "rotating"),
+    "capstan_stationary": StageKind("Capstan", "stationary"),
+    "belt": StageKind("Belt", None),
+    "gear": StageKind("Gear", None),
+    "cable": StageKind("Cable", None),
+}
 
 
 @dataclass(frozen=True)
@@ -120,6 +137,13 @@ def joint_resolution(drive: JointDrive) -> float:
     return 360.0 / (steps * total_reduction(drive))
 
 
+def listed_torque_conflicts(drive: JointDrive) -> bool:
+    """Whether ``drive.listed_max_torque`` is set and differs from holding
+    torque x total reduction by more than 5e-5 N.m."""
+    listed = drive.listed_max_torque
+    return listed is not None and abs(listed - max_joint_torque(drive)) > 5e-5
+
+
 def motor_torque_at(motor: MotorSpec, rate: float) -> float:
     """Available motor torque at a step rate via the piecewise-linear curve.
 
@@ -137,16 +161,10 @@ def available_joint_torque(drive: JointDrive, rate: float = 0.0) -> float:
 
 
 def _mechanism_label(drive: JointDrive) -> str:
-    names = {
-        "capstan_rotating": "Capstan",
-        "capstan_stationary": "Capstan",
-        "belt": "Belt",
-        "gear": "Gear",
-        "cable": "Cable",
-    }
     if not drive.stages:
         return "Direct"
-    return " + ".join(names.get(s.kind, s.kind) for s in drive.stages)
+    return " + ".join(STAGE_KINDS[s.kind].label if s.kind in STAGE_KINDS
+                      else s.kind for s in drive.stages)
 
 
 def torque_table(arm: ArmDescription) -> list[TorqueTableRow]:
@@ -154,7 +172,8 @@ def torque_table(arm: ArmDescription) -> list[TorqueTableRow]:
 
     Rows whose configured ``listed_max_torque`` conflicts with the computed
     product carry an annotation naming both values; the computed value is the
-    one reported in ``max_joint_torque``.
+    one reported in ``max_joint_torque``. The annotation also names the
+    reduction the listed figure implies, where that is a finite number.
     """
     rows = []
     for j in range(1, 7):
@@ -162,12 +181,13 @@ def torque_table(arm: ArmDescription) -> list[TorqueTableRow]:
         computed = max_joint_torque(drive)
         listed = drive.listed_max_torque
         annotation = None
-        if listed is not None and abs(listed - computed) > 5e-5:
+        if listed_torque_conflicts(drive):
+            chain = listed / drive.motor.holding_torque
             annotation = (
                 f"listed value {listed} N.m conflicts with holding x reduction = "
-                f"{computed:.5f} N.m (listed figure matches a "
-                f"{listed / drive.motor.holding_torque:.2f}:1 chain)"
-            )
+                f"{fixed(computed, 5)} N.m" + (
+                    f" (listed figure matches a {fixed(chain, 2)}:1 chain)"
+                    if math.isfinite(chain) else ""))
         rows.append(TorqueTableRow(
             joint_index=j,
             motor=drive.motor.name,

@@ -3,7 +3,8 @@
 Every error that can surface through the CLI maps to a stable exit code so
 scripts can branch on failure class. The mapping lives in ``cli.EXIT_CODES``
 and is documented in the README. :func:`require_finite` is the one check
-the modules share for non-finite and wrongly signed inputs.
+the modules share for non-finite and wrongly signed inputs, and
+:func:`fixed` the one rule for writing a number in a table or message.
 """
 
 from __future__ import annotations
@@ -98,3 +99,14 @@ def require_finite(value, what: str, sign: str = "",
         rule = f" and {sign}" if sign else ""
         raise error(f"{what} must be finite{rule}, got {arr.tolist()!r}")
     return arr
+
+
+def fixed(value: float, decimals: int, width: int = 0) -> str:
+    """``value`` right-aligned in ``width`` columns with ``decimals``
+    decimals; or, where fixed point would run to eleven or more digits
+    before the point, in exponent form, with as many digits as fit a
+    positive value with a three-digit exponent in ``width`` columns (with
+    ``decimals`` digits for no width)."""
+    if abs(value) >= 1e10:
+        return f"{value:>{width}.{width - 7 if width else decimals}e}"
+    return f"{value:>{width}.{decimals}f}"

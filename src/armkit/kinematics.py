@@ -174,12 +174,6 @@ START_TABLE_SIZE = 4096
 #: to the target.
 START_ROTATION_WEIGHT = 0.1
 
-#: Poses per FK call while the restart table is built. Chunks bound peak
-#: RSS: one 4096-pose call lifts it by about 6.8 MB, chunks of 64 by
-#: 2.8 MB, and the 4 MB between them is about 9% of perfbench's 42 MB
-#: ``design_session``, near its 10% bound (2-core x86-64, numpy 2.4).
-_START_TABLE_CHUNK = 64
-
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``x`` (n, m), rounded like
@@ -245,19 +239,13 @@ def _start_table(arm: ArmDescription, restart_seed: int
     """The restart table: :data:`START_TABLE_SIZE` in-limit joint vectors
     drawn from a child stream of ``restart_seed`` (not the stream of
     ``default_rng(restart_seed)``), with their tool positions (n, 3) and
-    rotations (n, 3, 3). Built on first use, in small FK chunks."""
+    rotations (n, 3, 3). Built on first use."""
     lim = limits_array(arm)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=restart_seed, spawn_key=(0,)))
     Q = rng.uniform(lim[:, 0], lim[:, 1], size=(START_TABLE_SIZE, 6))
-    rows = dh_params(arm)
-    P = np.empty((START_TABLE_SIZE, 3))
-    R = np.empty((START_TABLE_SIZE, 3, 3))
-    for s in range(0, START_TABLE_SIZE, _START_TABLE_CHUNK):
-        chunk = slice(s, s + _START_TABLE_CHUNK)
-        tool = _kernels.fk_frames_batch(rows, Q[chunk])[:, 6]
-        P[chunk] = tool[:, :3, 3]
-        R[chunk] = tool[:, :3, :3]
+    tool = _kernels.fk_frames_batch(dh_params(arm), Q)[:, 6]
+    P, R = tool[:, :3, 3].copy(), tool[:, :3, :3].copy()
     for a in (Q, P, R):
         a.setflags(write=False)
     return Q, P, R

@@ -33,12 +33,11 @@ import numpy as np
 import yaml
 
 from . import drivetrain
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, fixed
 
 log = logging.getLogger("armkit")
 
 SCHEMA_VERSION = 1
-STAGE_KINDS = ("capstan_rotating", "capstan_stationary", "belt", "gear", "cable")
 DEFAULT_STEPS_PER_REV = 200
 #: Plausibility reference for the total structural + motor mass (kg).
 REFERENCE_TOTAL_MASS = 3.5
@@ -267,8 +266,23 @@ def _fields(raw, path: str, **parsers) -> dict:
             for key, parse in parsers.items()}
 
 
+def _optional(raw, path: str, **parsers) -> dict:
+    """Like :func:`_fields` for the keys ``raw`` holds; a key it lacks is
+    left out, so its dataclass default applies."""
+    return {key: parse(raw[key], f"{path}.{key}")
+            for key, parse in parsers.items() if key in raw}
+
+
 def _text(value, path: str) -> str:
     return str(value)
+
+
+def _flag(value, path: str) -> bool:
+    return bool(value)
+
+
+def _number_or_none(value, path: str) -> Optional[float]:
+    return None if value is None else _number(value, path)
 
 
 # --------------------------------------------------------------------------
@@ -292,16 +306,12 @@ def _parse_motor(raw, path: str) -> tuple[MotorSpec, list[str]]:
     fields = _fields(raw, path, torque_speed_curve=_curve, name=_text,
                      holding_torque=_number, mass=_number)
     if "steps_per_rev" in raw:
-        steps = _integer(raw["steps_per_rev"], f"{path}.steps_per_rev")
-        is_default = bool(raw.get("steps_per_rev_is_default", False))
+        fields.update(_optional(raw, path, steps_per_rev=_integer,
+                                steps_per_rev_is_default=_flag))
     else:
-        steps, is_default = DEFAULT_STEPS_PER_REV, True
-    spec = MotorSpec(
-        **fields,
-        steps_per_rev=steps,
-        mass_source=str(raw.get("mass_source", "datasheet")),
-        steps_per_rev_is_default=is_default,
-    )
+        fields.update(steps_per_rev=DEFAULT_STEPS_PER_REV,
+                      steps_per_rev_is_default=True)
+    spec = MotorSpec(**fields, **_optional(raw, path, mass_source=_text))
     if spec.mass_source == "placeholder":
         notices.append(
             f"{path}.mass = {spec.mass} kg is a placeholder; replace it with the "
@@ -318,20 +328,18 @@ def _parse_motor(raw, path: str) -> tuple[MotorSpec, list[str]]:
 
 def _parse_stage(raw, path: str) -> TransmissionStage:
     fields = _fields(raw, path, kind=_text, ratio=_number)
-    geometry = None
-    if "geometry" in raw and raw["geometry"] is not None:
+    if raw.get("geometry") is not None:
         gp = f"{path}.geometry"
         g = _mapping(raw["geometry"], gp)
-        mode = str(g.get("mode", "")) or (
-            "stationary" if fields["kind"] == "capstan_stationary"
-            else "rotating")
-        geometry = CapstanGeometry(
+        geometry = {
             **_fields(g, gp, sheave_diameter=_number, pulley_diameter=_number,
                       cable_thickness=_number),
-            tolerance=_number(g.get("tolerance", 0.002), f"{gp}.tolerance"),
-            mode=mode,
-        )
-    return TransmissionStage(**fields, geometry=geometry)
+            **_optional(g, gp, tolerance=_number, mode=_text)}
+        kind = drivetrain.STAGE_KINDS.get(fields["kind"])
+        if kind and kind.capstan_mode and not geometry.get("mode"):
+            geometry["mode"] = kind.capstan_mode  # no mode: the kind's
+        fields["geometry"] = CapstanGeometry(**geometry)
+    return TransmissionStage(**fields)
 
 
 def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
@@ -379,12 +387,8 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
         notices.extend(motor_notices)
         fields["stages"] = tuple(_parse_stage(s, f"{dp}.stages[{k}]")
                                  for k, s in enumerate(fields["stages"]))
-        listed = row.get("listed_max_torque")
-        drives.append(JointDrive(
-            **fields,
-            listed_max_torque=(None if listed is None
-                               else _number(listed, f"{dp}.listed_max_torque")),
-        ))
+        drives.append(JointDrive(**fields, **_optional(
+            row, dp, listed_max_torque=_number_or_none)))
     drives = tuple(drives)
 
     mm_raw = _mapping(_require(data, "mass_model", source),
@@ -392,7 +396,7 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
     links = tuple(
         MassPoint(**_fields(row, f"mass_model.links[{i}]", frame=_integer,
                             mass=_number, offset=_number),
-                  label=str(row.get("label", "")))
+                  **_optional(row, f"mass_model.links[{i}]", label=_text))
         for i, row in enumerate(_list(mm_raw.get("links", []),
                                       "mass_model.links"))
     )
@@ -403,28 +407,17 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
         for i, row in enumerate(_list(mm_raw.get("motors", []),
                                       "mass_model.motors"))
     )
-    ref = mm_raw.get("reference_total", REFERENCE_TOTAL_MASS)
     mass_model = MassModel(
-        links=links,
-        motors=motors,
-        payload=_number(mm_raw.get("payload", 0.0), "mass_model.payload"),
-        gravity=_number(mm_raw.get("gravity", 9.81), "mass_model.gravity"),
-        reference_total=None if ref is None else _number(
-            ref, "mass_model.reference_total"),
-    )
+        links=links, motors=motors,
+        **_optional(mm_raw, "mass_model", payload=_number, gravity=_number,
+                    reference_total=_number_or_none))
 
-    # torque bookkeeping notice: listed output torque vs holding x reduction
-    for d in drives:
-        if d.listed_max_torque is None:
-            continue
-        computed = drivetrain.max_joint_torque(d)
-        if abs(computed - d.listed_max_torque) > 5e-5:
-            notices.append(
-                f"drive {d.joint_index}: listed_max_torque {d.listed_max_torque} N.m "
-                f"is inconsistent with holding_torque x total reduction = "
-                f"{computed:.5f} N.m; the computed value is authoritative and the "
-                "torque table annotates this row"
-            )
+    notices += [
+        f"drive {d.joint_index}: listed_max_torque {d.listed_max_torque} N.m "
+        f"is inconsistent with holding_torque x total reduction = "
+        f"{fixed(drivetrain.max_joint_torque(d), 5)} N.m; the computed value "
+        "is authoritative and the torque table annotates this row"
+        for d in drives if drivetrain.listed_torque_conflicts(d)]
 
     arm = ArmDescription(
         name=str(data.get("name", "arm")),
@@ -482,53 +475,24 @@ def resolve_arm(selector: Optional[str]) -> tuple[ArmDescription, str]:
     return default_arm(), "builtin:default"
 
 
+class _Dumper(yaml.SafeDumper):
+    """Writes a tuple as a YAML list."""
+
+
+_Dumper.add_representer(tuple, yaml.SafeDumper.represent_list)
+
+
 def dump_arm(arm: ArmDescription, path: str) -> None:
-    """Serialize an arm description to YAML.
+    """Serialize an arm description to YAML: every dataclass field but
+    ``notices``, in field order, ``None`` as ``null``.
 
     Numbers are written as plain radians/meters via Python float repr, so a
     dump/load round trip reproduces every field bit-exactly.
     """
-    def stage_out(s: TransmissionStage):
-        out = {"kind": s.kind, "ratio": s.ratio}
-        if s.geometry is not None:
-            out["geometry"] = dataclasses.asdict(s.geometry)
-        return out
-
-    data = {
-        "schema_version": arm.schema_version,
-        "name": arm.name,
-        # angles stay in radians so reload is bit-exact
-        "dh": [dataclasses.asdict(r) for r in arm.dh],
-        "limits": [dataclasses.asdict(l) for l in arm.limits],
-        "drives": [
-            {
-                "joint_index": d.joint_index,
-                "microstep_factor": d.microstep_factor,
-                **({"listed_max_torque": d.listed_max_torque}
-                   if d.listed_max_torque is not None else {}),
-                "motor": {
-                    "name": d.motor.name,
-                    "holding_torque": d.motor.holding_torque,
-                    "steps_per_rev": d.motor.steps_per_rev,
-                    "steps_per_rev_is_default": d.motor.steps_per_rev_is_default,
-                    "torque_speed_curve": [list(p) for p in d.motor.torque_speed_curve],
-                    "mass": d.motor.mass,
-                    "mass_source": d.motor.mass_source,
-                },
-                "stages": [stage_out(s) for s in d.stages],
-            }
-            for d in arm.drives
-        ],
-        "mass_model": {
-            "gravity": arm.mass_model.gravity,
-            "payload": arm.mass_model.payload,
-            "reference_total": arm.mass_model.reference_total,
-            "links": [dataclasses.asdict(m) for m in arm.mass_model.links],
-            "motors": [dataclasses.asdict(m) for m in arm.mass_model.motors],
-        },
-    }
+    data = dataclasses.asdict(arm)
+    del data["notices"]  # the loader derives them
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)
+        yaml.dump(data, fh, Dumper=_Dumper, sort_keys=False)
 
 
 # --------------------------------------------------------------------------
@@ -624,12 +588,14 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
 
         for k, s in enumerate(d.stages):
             sp = f"{dp}.stages[{k}] (TransmissionStage)"
-            if s.kind not in STAGE_KINDS:
+            kind = drivetrain.STAGE_KINDS.get(s.kind)
+            if kind is None:
                 bad("stage.kind", sp, f"unknown stage kind {s.kind!r}")
             if finite(f"{dp}.stages[{k}].ratio", s.ratio,
                       "stage.nonfinite") and not s.ratio > 0:
                 bad("stage.ratio", sp, "ratio must be > 0")
-            is_capstan = s.kind in ("capstan_rotating", "capstan_stationary")
+            expect_mode = kind.capstan_mode if kind else None
+            is_capstan = expect_mode is not None
             if is_capstan and s.geometry is None:
                 bad("stage.capstan.geometry_missing", sp,
                     "capstan stages require geometry")
@@ -642,7 +608,6 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
                 for name in ("sheave_diameter", "pulley_diameter",
                              "cable_thickness", "tolerance"):
                     finite(f"{gp}.{name}", getattr(g, name), "capstan.nonfinite")
-                expect_mode = "rotating" if s.kind == "capstan_rotating" else "stationary"
                 if g.mode != expect_mode:
                     bad("stage.capstan.mode_mismatch", gp,
                         f"geometry mode {g.mode!r} vs stage kind {s.kind!r}")
@@ -686,7 +651,7 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
         lo, hi = 0.9 * mm.reference_total, 1.1 * mm.reference_total
         if not lo <= total <= hi:
             bad("mass.total_band", "mass_model (MassModel)",
-                f"structural+motor mass {total:.5f} kg outside 10% of the "
+                f"structural+motor mass {fixed(total, 5)} kg outside 10% of the "
                 f"reference total {mm.reference_total} kg")
     return v
 

@@ -1,10 +1,12 @@
 """Fuzz gate for the CLI and the arm loader.
 
 Every argv and every arm file gets an answer or one of the documented exit
-codes 2-7: no exception leaves ``cli.run``, and a run that exits 0 prints no
-NaN or infinity. Each option, and each scalar leaf of the shipped arm, is
-drawn from valid values and the same edge values, with sample counts, cycles
-and lattices kept small so that the gate stays fast.
+codes 2-7: no exception leaves ``cli.run``, no numpy ``RuntimeWarning``
+is raised, and a run that exits 0 prints no NaN, infinity or number of
+more than 20 digits before its decimal point. Each option, and each scalar
+leaf of the shipped arm, is drawn from valid values and the same edge
+values, with sample counts, cycles and lattices kept small so that the gate
+stays fast.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +33,8 @@ EDGES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "5e-324", "",
          "1,2", "1e400", "0x10", " 1", "1_0", "-0", "1e-300")
 
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+#: A run of more than 20 digits that is not a fraction's.
+_HUGE = re.compile(r"(?<![\d.])\d{21}")
 
 #: Sized so that the two fuzz tests take about 8 s on a 2-core host.
 _SETTINGS = settings(max_examples=200, derandomize=True, deadline=None,
@@ -116,16 +121,21 @@ def _argvs(draw) -> list:
 
 
 def _check(argv: list, out_dir) -> tuple:
-    """Run ``argv``; the exit code is documented and, at exit 0, stdout and
-    every written file hold only finite numbers."""
+    """Run ``argv``; it raises no ``RuntimeWarning``, the exit code is
+    documented and, at exit 0, stdout and every written file hold only
+    finite numbers, and stdout none of more than 20 digits before the
+    point."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rc = cli.run(argv + (["--out", str(out_dir)] if out_dir else []))
     out, err = out.getvalue(), err.getvalue()
     assert rc in (0, 2, 3, 4, 5, 6, 7), (argv, rc, err)
     assert "Traceback" not in err, argv
     if rc == 0:
         assert not _NON_FINITE.search(out), (argv, out)
+        assert not _HUGE.search(out), (argv, out)
         for f in Path(out_dir).iterdir() if out_dir else ():
             if f.suffix in (".csv", ".svg"):
                 assert not _NON_FINITE.search(f.read_text()), (argv, f.name)
@@ -162,14 +172,15 @@ _LEAVES = [leaf for leaf in _leaves(_ARM) if leaf[0][-1] != "name"]
 _YAML_EDGES = (math.nan, math.inf, -math.inf, 0, -1, 1e308, -1e308, 5e-324,
                "", "1,2", 10**400, 16, " 1", "1_0", -0.0, 1e-300)
 
-def _arm_file(directory: str, keys: tuple, value) -> Path:
-    """An arm file in ``directory``: the shipped arm with the leaf at
-    ``keys`` set to ``value``."""
+def _arm_file(directory: str, *edits: tuple) -> Path:
+    """An arm file in ``directory``: the shipped arm with, for each
+    ``(keys, value)`` of ``edits``, the leaf at ``keys`` set to ``value``."""
     data = json.loads(json.dumps(_ARM))
-    node = data
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
+    for keys, value in edits:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
     cfg = Path(directory) / "arm.yaml"
     cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
     return cfg
@@ -201,7 +212,7 @@ def test_fuzzed_arm_leaves_exit_3_naming_their_path(leaf: tuple, value,
                                                     argv: list) -> None:
     keys, path = leaf
     with tempfile.TemporaryDirectory() as tmp:
-        rc, err = _check(argv + ["--arm", str(_arm_file(tmp, keys, value))],
+        rc, err = _check(argv + ["--arm", str(_arm_file(tmp, (keys, value)))],
                          None)
     if rc == 3:
         # the field, or the row or table it belongs to, or a rule that ties
@@ -228,14 +239,38 @@ def test_fuzzed_arm_leaves_exit_3_naming_their_path(leaf: tuple, value,
     (["ik", "--target", "0.25788,0,-0.14691688", "--rpy", "180,0,0",
       "--restarts", "1", "--max-iters", "30"], (("dh", 1, "a_prev"), 5e-324),
      "IK residual stagnated"),
+    # overflows that numpy warned of before the message
+    (["payload", "--grid-deg", "45"],
+     (("mass_model", "motors", 5, "offset"), 1e308),
+     "joint 2's utilization overflows a float"),
+    (["ik", "--target", "0.2,0,0", "--rpy", "0,0,0"],
+     (("dh", 1, "a_prev"), 1e308), "IK residual stagnated"),
 ], ids=["payload-q-inf", "repeat-sim-payload-1e308", "workspace-dh-1e308",
-        "payload-offset-1e308", "ik-a2-5e-324"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+        "payload-offset-1e308", "ik-a2-5e-324", "payload-motor-offset-1e308",
+        "ik-a2-1e308"])
 def test_fuzz_findings_exit_4_naming_the_fault(argv: list, arm_edit,
                                                message: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         if arm_edit is not None:
-            argv = argv + ["--arm", str(_arm_file(tmp, *arm_edit))]
+            argv = argv + ["--arm", str(_arm_file(tmp, arm_edit))]
         rc, err = _check(argv + ["--format", "csv"], Path(tmp) / "out")
     assert rc == 4
     assert message in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv, edits", [
+    (["torque-table"], [(("drives", 0, "listed_max_torque"), 1e308)]),
+    (["torque-table"], [(("drives", 1, "listed_max_torque"), 1e308)]),
+    (["torque-table"], [(("drives", 1, "stages", 0, "ratio"), 1e300)]),
+    (["resolution"], [(("drives", 1, "stages", 0, "ratio"), 1e300)]),
+    (["torque-table"], [(("drives", 1, "motor", "holding_torque"), 1e300),
+                        (("drives", 1, "motor", "torque_speed_curve"),
+                         [[0, 1e300]])]),
+], ids=["listed-over-holding-inf", "listed-over-holding-7.9e307",
+        "belt-ratio-1e300", "resolution-belt-ratio-1e300", "holding-1e300"])
+def test_huge_arm_values_print_short_finite_numbers(argv: list,
+                                                    edits: list) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _ = _check(argv + ["--arm", str(_arm_file(tmp, *edits))], None)
+    assert rc == 0  # and, by _check, no inf and no 21-digit number

@@ -98,7 +98,79 @@ def test_dump_load_round_trip_is_exact(arm: model.ArmDescription, tmp_path: Path
     assert again.limits == arm.limits
     assert again.drives == arm.drives
     assert again.mass_model == arm.mass_model
-    assert again == dataclasses.replace(arm, notices=again.notices)
+    assert again == arm  # notices included
+
+
+def test_edited_arm_round_trips_with_its_notices(tmp_path: Path) -> None:
+    data = yaml.safe_load(_shipped_yaml())
+    del data["drives"][5]["listed_max_torque"]  # the conflicting listing
+    data["mass_model"]["reference_total"] = None
+    del data["mass_model"]["links"][0]["label"]
+    arm = model.load_arm_data(data)
+    assert arm.drives[5].listed_max_torque is None
+    assert arm.mass_model.reference_total is None
+    assert arm.drives[1].stages[0].geometry is None
+    assert arm.mass_model.links[0].label == ""
+    assert arm.mass_model.links[1].label == "yaw platform"
+    assert not any("listed_max_torque" in n for n in arm.notices)
+    out = tmp_path / "arm.yaml"
+    model.dump_arm(arm, str(out))
+    assert model.load_arm(str(out)) == arm
+
+
+def _assert_keys_are_fields(node, obj, path: str) -> None:
+    """``node``, dumped from ``obj``, has the keys of ``obj``'s dataclass
+    fields but ``notices``, in order, at every level."""
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj) if f.name != "notices"]
+        assert list(node) == names, path
+        for name in names:
+            _assert_keys_are_fields(node[name], getattr(obj, name),
+                                    f"{path}.{name}")
+    elif isinstance(obj, tuple):
+        assert isinstance(node, list) and len(node) == len(obj), path
+        for k, (sub, item) in enumerate(zip(node, obj)):
+            _assert_keys_are_fields(sub, item, f"{path}[{k}]")
+    else:
+        assert node == obj, path
+
+
+def test_dump_writes_every_dataclass_field(arm: model.ArmDescription,
+                                           tmp_path: Path) -> None:
+    out = tmp_path / "arm.yaml"
+    model.dump_arm(arm, str(out))
+    _assert_keys_are_fields(yaml.safe_load(out.read_text(encoding="utf-8")),
+                            arm, "arm")
+
+
+def test_omitted_optional_keys_take_the_dataclass_defaults() -> None:
+    data = yaml.safe_load(_shipped_yaml())
+    for drive in data["drives"]:
+        drive.pop("listed_max_torque", None)
+        drive["motor"].pop("mass_source", None)
+        drive["motor"].pop("steps_per_rev_is_default", None)
+        for stage in drive["stages"]:
+            for key in ("tolerance", "mode"):
+                (stage.get("geometry") or {}).pop(key, None)
+    for link in data["mass_model"]["links"]:
+        link.pop("label", None)
+    for key in ("payload", "gravity", "reference_total"):
+        del data["mass_model"][key]
+    arm = model.load_arm_data(data)
+    geometries = [s.geometry for d in arm.drives for s in d.stages
+                  if s.geometry is not None]
+    checked = set()
+    for obj in (arm.mass_model, *arm.mass_model.links, *arm.drives,
+                *(d.motor for d in arm.drives), *geometries):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING and f.name != "mode":
+                assert getattr(obj, f.name) == f.default, (obj, f.name)
+                checked.add(f.name)
+    assert checked == {"listed_max_torque", "mass_source",
+                       "steps_per_rev_is_default", "tolerance", "label",
+                       "payload", "gravity", "reference_total"}
+    # a capstan without a mode takes its stage kind's
+    assert [g.mode for g in geometries] == ["rotating", "stationary"]
 
 
 def test_resolve_arm_default_and_explicit(arm: model.ArmDescription, tmp_path: Path) -> None:
@@ -454,3 +526,10 @@ def test_validator_reports_each_violation_at_its_path(keys: tuple, value,
     with pytest.raises(ValidationError) as caught:
         model.load_arm_data(_edited(keys, value), source="arm")
     assert (code, path) in {(v.code, v.path) for v in caught.value.violations}
+
+
+def test_total_band_message_writes_a_huge_total_in_exponent_form() -> None:
+    with pytest.raises(ValidationError) as caught:
+        # the shipped YAML gives four drives this motor
+        model.load_arm_data(_edited(("drives", 0, "motor", "mass"), 1e300))
+    assert "structural+motor mass 4.00000e+300 kg" in str(caught.value)
