@@ -177,27 +177,24 @@ def category_subtotals(bom: BillOfMaterials) -> Dict[str, Fraction]:
     return out
 
 
-def filament_spools(grams_per_arm: float, batch: int,
-                    spool_grams: float = SPOOL_GRAMS) -> int:
-    """Whole spools needed: ceil(grams_per_arm x batch / spool_grams).
+def filament_spools(grams_per_arm: float, batch: int) -> int:
+    """Whole spools of :data:`SPOOL_GRAMS` needed:
+    ceil(grams_per_arm x batch / SPOOL_GRAMS).
 
     Inputs are re-read through their decimal string forms so e.g.
     1080.21 x 25 lands exactly on 27005.25 before the ceiling.
     """
-    if grams_per_arm <= 0 or batch <= 0 or spool_grams <= 0:
+    if grams_per_arm <= 0 or batch <= 0:
         raise ValueError("filament quantities must be positive")
     need = Fraction(Decimal(str(grams_per_arm))) * batch
-    per = Fraction(Decimal(str(spool_grams)))
-    return int(math.ceil(need / per))
+    return int(math.ceil(need / Fraction(Decimal(str(SPOOL_GRAMS)))))
 
 
 @dataclass(frozen=True)
 class FilamentReport:
     """Computed spool demand vs. what the parts list actually orders."""
 
-    grams_per_arm: float
     batch: int
-    spool_grams: float
     computed_spools: int
     listed_spools: Optional[Fraction]  # None if no spool line in the BOM
 
@@ -207,23 +204,21 @@ class FilamentReport:
                 and self.listed_spools != self.computed_spools)
 
 
-def filament_report(bom: BillOfMaterials,
-                    grams_per_arm: float = FILAMENT_GRAMS_PER_ARM,
-                    spool_grams: float = SPOOL_GRAMS) -> FilamentReport:
-    """Compare the ceiling-rule spool count against the BOM's spool line.
+def filament_report(bom: BillOfMaterials) -> FilamentReport:
+    """Compare the ceiling-rule spool count of :data:`FILAMENT_GRAMS_PER_ARM`
+    per arm against the BOM's spool line.
 
     The shipped data orders 27 spools while 1080.21 g x 25 arms needs
     27005.25 g, i.e. 28 whole 1 kg spools; the report surfaces that
     difference instead of silently adopting either number.
     """
-    computed = filament_spools(grams_per_arm, bom.batch_size, spool_grams)
+    computed = filament_spools(FILAMENT_GRAMS_PER_ARM, bom.batch_size)
     listed = None
     for line in bom.lines:
         if "spool" in line.item.lower():
             listed = line.quantity
             break
-    return FilamentReport(grams_per_arm=grams_per_arm, batch=bom.batch_size,
-                          spool_grams=spool_grams, computed_spools=computed,
+    return FilamentReport(batch=bom.batch_size, computed_spools=computed,
                           listed_spools=listed)
 
 

@@ -275,9 +275,8 @@ def _handle_ik(args, arm):
                   orientation=_rpy_matrix(_floats(args.rpy, 3, "--rpy")))
     q0 = (np.radians(_floats(args.q0, 6, "--q0")) if args.q0
           else np.zeros(6))
-    opts = IKOptions(max_iters=args.max_iters, restarts=args.restarts,
-                     restart_seed=args.seed)
-    q = kinematics.inverse_kinematics(arm, target, q0, opts)
+    q = kinematics.inverse_kinematics(arm, target, q0,
+                                      IKOptions(max_iters=args.max_iters))
     reached = kinematics.forward_kinematics(arm, q)
     err = float(np.linalg.norm(reached.position - target.position))
     q_deg = np.degrees(q)
@@ -328,8 +327,11 @@ def _reach_lines(args, sweep, stats) -> List[str]:
     radial = stats.max_radial
     recipe = (f"grid steps={','.join(map(str, sweep.per_joint_steps))}"
               if sweep.mode == "grid" else f"quasi seed={sweep.seed}")
-    d_nom = 100.0 * (radial / REFERENCE_NOMINAL_REACH_M - 1.0)
-    d_rad = 100.0 * (radial / REFERENCE_RADIAL_REACH_M - 1.0)
+
+    def percent(reference: float) -> str:
+        text = fixed(100.0 * (radial / reference - 1.0), 1)
+        return text if text.startswith("-") else "+" + text
+
     return [
         f"samples: {sweep.samples} ({recipe})",
         f"max_reach_m: {stats.max_reach!r}",
@@ -340,8 +342,9 @@ def _reach_lines(args, sweep, stats) -> List[str]:
         f"radial): {stats.azimuth_span()!r}",
         f"note: the recorded reach figures disagree with each other "
         f"(nominal {REFERENCE_NOMINAL_REACH_M} m vs {REFERENCE_RADIAL_REACH_M} m "
-        f"quoted with the payload test); computed max radial {radial:.5f} m "
-        f"is {d_nom:+.1f}% of the former and {d_rad:+.1f}% of the latter.",
+        f"quoted with the payload test); computed max radial "
+        f"{fixed(radial, 5)} m is {percent(REFERENCE_NOMINAL_REACH_M)}% of "
+        f"the former and {percent(REFERENCE_RADIAL_REACH_M)}% of the latter.",
     ]
 
 
@@ -513,7 +516,7 @@ def _handle_repeat_sim(args, arm):
         f"{'speed':>8} {'std_mm':>12}",
     ]
     for speed, std in zip(result.speeds, result.stds):
-        lines.append(f"{speed:>8g} {std * 1e3:>12.6f}")
+        lines.append(f"{speed:>8g} {fixed(std * 1e3, 6, 12)}")
     lines.append(f"grand_mean_abs_deviation_mm: {result.grand_mean * 1e3!r}")
     return lines, {
         "csv": lambda: _csv(
@@ -550,13 +553,14 @@ def _handle_bom(args, arm):
         spool_note = (f" -- parts list orders {fil.listed_spools}, "
                       f"short of the ceiling rule")
     lines.append(
-        f"filament: {fil.grams_per_arm:g} g/arm x {fil.batch} arms -> "
-        f"{fil.computed_spools} x {fil.spool_grams:g} g spools{spool_note}")
+        f"filament: {bom_mod.FILAMENT_GRAMS_PER_ARM:g} g/arm x {fil.batch} "
+        f"arms -> {fil.computed_spools} x {bom_mod.SPOOL_GRAMS:g} g spools"
+        f"{spool_note}")
     ft = float(cable.total_ft)
     lines.append(
         f"cable: {','.join(f'{v:g}' for v in bom_mod.CABLE_LENGTHS_MM)} mm "
         f"per arm x {bill.batch_size} -> {float(cable.total_mm):g} mm "
-        f"({ft:.3f} ft)")
+        f"({fixed(ft, 3)} ft)")
     return lines, {"csv": lambda: _csv(
         "category,subtotal_usd",
         subtotals + [("batch_total", total), ("per_arm", per_arm)])}
@@ -664,10 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "the exact solution nearest them answers")
     sp.add_argument("--max-iters", type=int, default=200,
                     help="iterations per attempt (default 200)")
-    sp.add_argument("--restarts", type=int, default=12,
-                    help="restarts of the damped-least-squares fallback "
-                         "after its first attempt fails: the nearest seeded "
-                         "starts, run together (default 12)")
 
     sp = add("jacobian", "geometric Jacobian at one joint vector")
     sp.add_argument("--q", required=True, metavar="D1,...,D6",

@@ -25,11 +25,12 @@ from .errors import (
     NoConvergenceError,
     ResourceLimitError,
     UnreachableTargetError,
+    fixed,
     require_finite,
 )
 from .model import ArmDescription, dh_params, limits_array
 
-#: Hard cap on workspace sample counts (overridable per call).
+#: Hard cap on workspace sample counts.
 DEFAULT_SAMPLE_CAP = 20_000_000
 
 #: Outer-shell fraction for the azimuth-span statistic (see azimuth_span).
@@ -59,47 +60,27 @@ class Pose:
 
 @dataclass(frozen=True)
 class IKOptions:
-    """Inverse-kinematics solver settings.
+    """Inverse-kinematics tolerances and iteration budget.
 
-    The tolerances, ``max_iters``, ``damping`` and ``step_limit`` apply to
-    every damped-least-squares batch of :func:`inverse_kinematics`: the
-    exact branches of the wrist scan and the fallback. ``damping`` is the
-    starting lambda; the solver adapts it multiplicatively (down on
-    accepted steps, up on rejected ones) with a hard floor of 1e-6. No
-    joint moves by more than ``step_limit`` rad in one step, and none
-    leaves its limits: a joint on a limit that a step would push further
-    out is held there, and the step is solved again for the other joints.
-    ``restarts`` and ``restart_seed`` govern the fallback only: when its
-    attempt from the provided seed fails, ``restarts`` more starts run
-    together, the seeded joint vectors of a per-arm table
-    (:data:`START_TABLE_SIZE` entries drawn from ``restart_seed``, so
-    results are reproducible) whose tool poses lie nearest the target, at
-    most the whole table.
+    They apply to every damped-least-squares batch of
+    :func:`inverse_kinematics`: the exact branches of the wrist scan and
+    the fallback, whose other settings are the module constants
+    :data:`DAMPING`, :data:`STEP_LIMIT` and :data:`RESTARTS`.
 
     Raises:
-        ValueError: a negative ``max_iters``, ``restarts``,
-            ``restart_seed`` or ``damping``, a ``pos_tol``/``ori_tol``/
-            ``step_limit`` that is not > 0, or a NaN or infinite tolerance,
-            step limit or damping.
+        ValueError: a negative ``max_iters``, or a ``pos_tol``/``ori_tol``
+            that is NaN, infinite or not > 0.
     """
 
     pos_tol: float = 1e-6
     ori_tol: float = 1e-6
     max_iters: int = 200
-    damping: float = 1e-3
-    restarts: int = 12
-    restart_seed: int = 0
-    step_limit: float = 0.5  # max joint step per iteration (rad)
 
     def __post_init__(self):
-        if self.max_iters < 0 or self.restarts < 0:
-            raise ValueError("max_iters and restarts must be >= 0")
-        if self.restart_seed < 0:
-            raise ValueError(
-                f"restart_seed must be >= 0, got {self.restart_seed!r}")
-        for name in ("pos_tol", "ori_tol", "step_limit"):
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        for name in ("pos_tol", "ori_tol"):
             require_finite(getattr(self, name), name, "> 0")
-        require_finite(self.damping, "damping", ">= 0")
 
 
 @dataclass(frozen=True)
@@ -167,8 +148,19 @@ def jacobian(arm: ArmDescription, q) -> np.ndarray:
 # inverse kinematics
 # --------------------------------------------------------------------------
 
+#: Starting lambda of every damped-least-squares start. It adapts
+#: multiplicatively (down on accepted steps, up on rejected ones) with a
+#: hard floor of 1e-6.
+DAMPING = 1e-3
+
+#: Largest move (rad) of any joint in one step.
+STEP_LIMIT = 0.5
+
 #: Seeded joint vectors in the per-arm restart table (see _start_table).
 START_TABLE_SIZE = 4096
+
+#: Table starts the fallback runs together when its first attempt fails.
+RESTARTS = 12
 
 #: Weight (m/rad) of the rotation angle in the distance from a table pose
 #: to the target.
@@ -234,15 +226,15 @@ def _pose_error(target: Pose, frames: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _start_table(arm: ArmDescription, restart_seed: int
+def _start_table(arm: ArmDescription
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The restart table: :data:`START_TABLE_SIZE` in-limit joint vectors
-    drawn from a child stream of ``restart_seed`` (not the stream of
-    ``default_rng(restart_seed)``), with their tool positions (n, 3) and
-    rotations (n, 3, 3). Built on first use."""
+    drawn from the first child stream of seed 0 (not the stream of
+    ``default_rng(0)``), with their tool positions (n, 3) and rotations
+    (n, 3, 3). Built on first use."""
     lim = limits_array(arm)
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=restart_seed, spawn_key=(0,)))
+        np.random.SeedSequence(entropy=0, spawn_key=(0,)))
     Q = rng.uniform(lim[:, 0], lim[:, 1], size=(START_TABLE_SIZE, 6))
     tool = _kernels.fk_frames_batch(dh_params(arm), Q)[:, 6]
     P, R = tool[:, :3, 3].copy(), tool[:, :3, :3].copy()
@@ -251,16 +243,15 @@ def _start_table(arm: ArmDescription, restart_seed: int
     return Q, P, R
 
 
-def _nearest_starts(arm: ArmDescription, target: Pose,
-                    opts: IKOptions) -> np.ndarray:
-    """The ``opts.restarts`` table joint vectors whose tool poses lie nearest
+def _nearest_starts(arm: ArmDescription, target: Pose) -> np.ndarray:
+    """The :data:`RESTARTS` table joint vectors whose tool poses lie nearest
     ``target`` (position distance plus :data:`START_ROTATION_WEIGHT` times
     the rotation angle), nearest first."""
-    Q, P, R = _start_table(arm, opts.restart_seed)
+    Q, P, R = _start_table(arm)
     cos = (np.einsum("nij,ij->n", R, target.orientation) - 1.0) / 2.0
     dist = (np.linalg.norm(P - target.position, axis=1)
             + START_ROTATION_WEIGHT * np.arccos(np.clip(cos, -1.0, 1.0)))
-    return Q[np.argsort(dist, kind="stable")[:opts.restarts]]
+    return Q[np.argsort(dist, kind="stable")[:RESTARTS]]
 
 
 #: The identity that :func:`_dls_step` scales by the squared damping.
@@ -308,7 +299,7 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     a row that each cut the error by under 0.1%). A step comes from
     :func:`_dls_step`, so a joint held on a limit does not push against it.
     It is then scaled down so that no joint moves by more than
-    ``opts.step_limit``, and clipped to the limits.
+    :data:`STEP_LIMIT`, and clipped to the limits.
 
     The state arrays hold the live starts only, in their order in
     ``starts``: a start that stops loses its row. Each trial computes
@@ -330,7 +321,7 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     E, pe, re_ = _pose_error(target, frames)
     err = _row_norms(E)
     J = _jacobian_from_frames(frames)
-    lam = np.full(k, max(opts.damping, lam_floor))
+    lam = np.full(k, DAMPING)
     stall = np.zeros(k, dtype=int)
     steps = np.zeros(k, dtype=int)
     rejects = np.zeros(k, dtype=int)
@@ -358,8 +349,8 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
         # one trial step per live start
         dq = _dls_step(J, J @ J.transpose(0, 2, 1), E, lam, Q == lo, Q == hi)
         peak = np.abs(dq).max(axis=1)
-        big = peak > opts.step_limit
-        dq[big] *= (opts.step_limit / peak[big])[:, None]
+        big = peak > STEP_LIMIT
+        dq[big] *= (STEP_LIMIT / peak[big])[:, None]
         q_new = (Q + dq).clip(lo, hi)
         frames = _kernels.fk_frames_batch(rows, q_new)
         e_new, pe_new, re_new = _pose_error(target, frames)
@@ -399,8 +390,9 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
 
     If none converges, or the arm lacks the structure, damped-least-squares
     iteration runs as the fallback: first from ``seed`` alone and, if that
-    fails, from ``opts.restarts`` nearest seeded starts run together (see
-    :class:`IKOptions`); the first of those to converge gives the answer.
+    fails, from the :data:`RESTARTS` starts of a fixed seeded table whose
+    tool poses lie nearest the target (see :func:`_nearest_starts`), run
+    together; the first of those to converge gives the answer.
     A joint on a limit that a step pushes further out is held there, and
     the other joints take the step solved without it. The returned vector
     is always within limits and satisfies the pose tolerances in ``opts``.
@@ -424,12 +416,12 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
     require_finite(target.orientation, "IK target orientation")
     seed = require_finite(seed, "IK start pose")
     lim = limits_array(arm)
-    if float(np.linalg.norm(target.position)) > _chain_reach_bound(arm):
+    distance, bound = (float(np.linalg.norm(target.position)),
+                       _chain_reach_bound(arm))
+    if distance > bound:
         raise UnreachableTargetError(
-            f"target at {np.linalg.norm(target.position):.4f} m exceeds the "
-            f"chain's {_chain_reach_bound(arm):.4f} m reach bound",
-            best_residual=None,
-        )
+            f"target at {fixed(distance, 4)} m exceeds the chain's "
+            f"{fixed(bound, 4)} m reach bound", best_residual=None)
 
     rows = dh_params(arm)
     q0 = np.clip(seed.reshape(1, 6), lim[:, 0], lim[:, 1])
@@ -442,9 +434,9 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
             if q is not None:
                 return q
     q, best, exhausted = _lockstep_dls(rows, lim, target, q0, opts)
-    if q is None and opts.restarts:
+    if q is None:
         q, best_r, exhausted_r = _lockstep_dls(
-            rows, lim, target, _nearest_starts(arm, target, opts), opts)
+            rows, lim, target, _nearest_starts(arm, target), opts)
         best = min(best, best_r, key=lambda b: b[0])
         exhausted = exhausted or exhausted_r
     if q is not None:
@@ -452,7 +444,7 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
 
     best_pos, best_rot = best
     detail = (f"best residual {best_pos:.3e} m / {best_rot:.3e} rad after "
-              f"{1 + min(opts.restarts, START_TABLE_SIZE)} attempts")
+              f"{1 + RESTARTS} attempts")
     if exhausted:
         raise NoConvergenceError(
             f"IK iteration budget exhausted ({detail})",
@@ -503,13 +495,14 @@ class WorkspaceSweep:
     each of them once.
 
     Raises:
-        ResourceLimitError: requested samples exceed ``cap``.
+        ResourceLimitError: requested samples exceed
+            :data:`DEFAULT_SAMPLE_CAP`.
         ComputationError: bad step counts or mode, or a negative quasi seed.
     """
 
     def __init__(self, arm: ArmDescription, per_joint_steps: Sequence[int],
                  mode: str = "grid", samples: Optional[int] = None,
-                 seed: int = 0, cap: int = DEFAULT_SAMPLE_CAP):
+                 seed: int = 0):
         self.rows = dh_params(arm)
         self.lim = limits_array(arm)
         self.mode = mode
@@ -522,9 +515,9 @@ class WorkspaceSweep:
                 raise ComputationError(
                     f"per_joint_steps needs six entries >= 2, got {steps}")
             total = math.prod(steps)
-            if total > cap:
-                raise ResourceLimitError(
-                    f"grid of {total} samples exceeds the cap of {cap}")
+            if total > DEFAULT_SAMPLE_CAP:
+                raise ResourceLimitError(f"grid of {total} samples exceeds "
+                                         f"the cap of {DEFAULT_SAMPLE_CAP}")
             self.per_joint_steps = steps
             self.samples = total
             self._moving = 6 - _fixed_tail(self.rows)
@@ -532,9 +525,9 @@ class WorkspaceSweep:
         elif mode == "quasi":
             if not samples or samples < 1:
                 raise ComputationError("quasi mode requires samples >= 1")
-            if samples > cap:
-                raise ResourceLimitError(
-                    f"{samples} samples exceeds the cap of {cap}")
+            if samples > DEFAULT_SAMPLE_CAP:
+                raise ResourceLimitError(f"{samples} samples exceeds the cap "
+                                         f"of {DEFAULT_SAMPLE_CAP}")
             if seed < 0:
                 raise ComputationError(
                     f"quasi mode requires seed >= 0, got {seed}")
@@ -604,8 +597,7 @@ def sample_workspace(arm: ArmDescription,
                      per_joint_steps: Sequence[int],
                      mode: str = "grid",
                      samples: Optional[int] = None,
-                     seed: int = 0,
-                     cap: int = DEFAULT_SAMPLE_CAP) -> WorkspaceCloud:
+                     seed: int = 0) -> WorkspaceCloud:
     """Sample reachable tool positions over the joint limits.
 
     The cloud holds every row of a :class:`WorkspaceSweep`, whose chunks it
@@ -620,14 +612,14 @@ def sample_workspace(arm: ArmDescription,
             points).
         samples: point count for quasi mode.
         seed: quasi-mode scramble seed (recorded in the cloud either way).
-        cap: resource guard on the total sample count.
 
     Raises:
-        ResourceLimitError: requested samples exceed ``cap``.
+        ResourceLimitError: requested samples exceed
+            :data:`DEFAULT_SAMPLE_CAP`.
         ComputationError: bad step counts or mode.
     """
     sweep = WorkspaceSweep(arm, per_joint_steps, mode=mode, samples=samples,
-                           seed=seed, cap=cap)
+                           seed=seed)
     points = np.empty((sweep.samples, 3))
     stop = 0
     for pts in sweep.chunks():

@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import fixed
+
 _POINT_COLOR = "#2c6fbb"
 _BOX_COLOR = "#2c6fbb"
 _AXIS_COLOR = "#222222"
@@ -60,7 +62,7 @@ def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
             f'stroke="{_GRID_COLOR}"/>')
         parts.append(
             f'<text x="{_f(px(t))}" y="{_f(oy + _PAD + _PANEL + 14)}" '
-            f'text-anchor="middle" font-size="9">{t:.3f}</text>')
+            f'text-anchor="middle" font-size="9">{fixed(t, 3)}</text>')
     for t in _axis_ticks(lo_y, hi_y):
         parts.append(
             f'<line x1="{_f(ox + _MARGIN)}" y1="{_f(py(t))}" '
@@ -68,7 +70,7 @@ def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
             f'stroke="{_GRID_COLOR}"/>')
         parts.append(
             f'<text x="{_f(ox + _MARGIN - 4)}" y="{_f(py(t) + 3)}" '
-            f'text-anchor="end" font-size="9">{t:.3f}</text>')
+            f'text-anchor="end" font-size="9">{fixed(t, 3)}</text>')
     parts.append(
         f'<text x="{_f(ox + _MARGIN + _PANEL / 2)}" '
         f'y="{_f(oy + _PAD + _PANEL + 30)}" text-anchor="middle" '
@@ -84,20 +86,20 @@ def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
     return parts
 
 
-def decimation_stride(n: int, max_points: int = WORKSPACE_MAX_POINTS) -> int:
+def decimation_stride(n: int) -> int:
     """Row stride :func:`workspace_svg` keeps of an ``n``-point cloud."""
-    return max(1, -(-n // max_points))
+    return max(1, -(-n // WORKSPACE_MAX_POINTS))
 
 
-def workspace_svg(points: np.ndarray,
-                  max_points: int = WORKSPACE_MAX_POINTS) -> str:
+def workspace_svg(points: np.ndarray) -> str:
     """Top (x-y) and side (x-z) scatter views of a reachable-point cloud.
 
-    Clouds larger than ``max_points`` are decimated with a fixed stride
-    (:func:`decimation_stride`) so the output stays deterministic and small.
+    Clouds larger than :data:`WORKSPACE_MAX_POINTS` are decimated with a
+    fixed stride (:func:`decimation_stride`) so the output stays
+    deterministic and small.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    pts = pts[::decimation_stride(pts.shape[0], max_points)]
+    pts = pts[::decimation_stride(pts.shape[0])]
     width = 2 * (_MARGIN + _PANEL + _PAD)
     height = _MARGIN + _PANEL + 2 * _PAD
     parts = [
@@ -145,7 +147,7 @@ def box_plot_svg(labels: Sequence[str], datasets: Sequence[np.ndarray],
                      f'x2="{_f(width - _PAD)}" y2="{_f(py(t))}" '
                      f'stroke="{_GRID_COLOR}"/>')
         parts.append(f'<text x="{_f(_MARGIN - 4)}" y="{_f(py(t) + 3)}" '
-                     f'text-anchor="end" font-size="9">{t:.3f}</text>')
+                     f'text-anchor="end" font-size="9">{fixed(t, 3)}</text>')
     parts.append(
         f'<text x="{_f(12)}" y="{_f(_PAD + _PANEL / 2)}" '
         f'text-anchor="middle" font-size="11" '

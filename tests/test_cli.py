@@ -27,6 +27,9 @@ def test_usage_errors_exit_2(capsys: pytest.CaptureFixture) -> None:
     assert cli.run(["frobnicate"]) == 2
     assert cli.run(["fk", "--q", "1,2"]) == 2
     assert cli.run(["payload", "--policy", "fixed"]) == 2
+    # the fallback's restart count is a constant, not an option
+    assert cli.run(["ik", "--target", "0.2,0,0", "--rpy", "0,0,0",
+                    "--restarts", "0"]) == 2
     capsys.readouterr()
 
 
@@ -49,7 +52,7 @@ def test_non_finite_integer_lists_exit_2(capsys: pytest.CaptureFixture,
     ["jacobian", "--q", "-10,-20,30,0,15,5"],
     ["payload", "--policy", "fixed", "--q", "-5,0,90,0,-90,0"],
     ["ik", "--target", "-0.032745,0.209744,0.159752",
-     "--rpy", "-174.2342,36.5229,-66.6136", "--restarts", "0"],
+     "--rpy", "-174.2342,36.5229,-66.6136"],
     ["ik", "--target", "0.2,0.1,0.1", "--rpy", "0,90,0",
      "--q0", "-.5,0,0,0,0,0"],
 ])
@@ -128,7 +131,6 @@ def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
     ["ik", "--target", "nan,0,0", "--rpy", "0,0,0"],
     ["jacobian", "--q", "inf,0,0,0,0,0"],
     ["ik", "--target", "0.2,0,0", "--rpy", "0,0,0", "--max-iters", "-1"],
-    ["ik", "--target", "0.2,0,0", "--rpy", "0,0,0", "--restarts", "-3"],
     ["repeat-sim", "--speeds", "500", "--cycles", "2", "--sigma0-mm", "nan",
      "--k-mm-s-per-step", "0"],
     ["repeat-sim", "--speeds", "500", "--cycles", "2", "--sigma0-mm", "0.1",
@@ -256,8 +258,7 @@ def test_ik_first_attempt_solves_after_running_into_a_limit(
         capsys: pytest.CaptureFixture) -> None:
     # the benchmark pool's target 17, the argv of the CI smoke step
     rc, out = _run(capsys, ["ik", "--target=-0.032745,0.209744,0.159752",
-                            "--rpy=-174.2342,36.5229,-66.6136",
-                            "--restarts", "0"])
+                            "--rpy=-174.2342,36.5229,-66.6136"])
     assert rc == 0
     assert float(out.split("position_error_m: ")[1]) < 1e-6
 
@@ -335,6 +336,13 @@ def test_bom_summarizes_costs_and_flags_the_spool_count(
     assert "5310.01" in out
     assert "212.40" in out
     assert "27" in out and "28" in out
+
+
+def test_bom_writes_a_huge_cable_length_in_exponent_form(
+        capsys: pytest.CaptureFixture) -> None:
+    rc, out = _run(capsys, ["bom", "--batch", str(10**21)])
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(" mm (7.218e+21 ft)")
 
 
 def test_arm_config_env_is_honored(capsys: pytest.CaptureFixture,

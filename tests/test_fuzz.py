@@ -64,8 +64,7 @@ _OPTIONS = {
     "ik": {"--target": _vector(3, _floats(-0.4, 0.4)),
            "--rpy": _vector(3, _floats(-180, 180)),
            "--q0": _vector(6, _floats(-90, 90)),
-           "--max-iters": _value(st.integers(0, 20).map(str)),
-           "--restarts": _value(st.integers(0, 2).map(str))},
+           "--max-iters": _value(st.integers(0, 20).map(str))},
     "jacobian": {"--q": _vector(6, _floats(-180, 180))},
     "workspace": {"--per-joint-steps": _vector(6, st.sampled_from("123")),
                   "--mode": st.sampled_from(("grid", "quasi")),
@@ -122,8 +121,8 @@ def _argvs(draw) -> list:
 
 def _check(argv: list, out_dir) -> tuple:
     """Run ``argv``; it raises no ``RuntimeWarning``, the exit code is
-    documented and, at exit 0, stdout and every written file hold only
-    finite numbers, and stdout none of more than 20 digits before the
+    documented and, at exit 0, stdout and every written CSV and SVG file
+    hold only finite numbers, none of more than 20 digits before the
     point."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -138,7 +137,9 @@ def _check(argv: list, out_dir) -> tuple:
         assert not _HUGE.search(out), (argv, out)
         for f in Path(out_dir).iterdir() if out_dir else ():
             if f.suffix in (".csv", ".svg"):
-                assert not _NON_FINITE.search(f.read_text()), (argv, f.name)
+                text = f.read_text()
+                assert not _NON_FINITE.search(text), (argv, f.name)
+                assert not _HUGE.search(text), (argv, f.name)
     return rc, err
 
 
@@ -195,7 +196,7 @@ _TIES = {"mass.total_band": ".motor.mass",
 #: Subcommands that read the arm, kept small.
 _ARM_RUNS = (["fk", "--q", "10,-20,30,0,15,5"],
              ["ik", "--target", "0.25788,0,-0.14691688", "--rpy", "180,0,0",
-              "--restarts", "1", "--max-iters", "30"],
+              "--max-iters", "30"],
              ["jacobian", "--q", "10,-20,30,0,15,5"],
              ["workspace", "--per-joint-steps", "3,3,3,2,2,2"],
              ["reach", "--mode", "quasi", "--samples", "64"],
@@ -237,7 +238,7 @@ def test_fuzzed_arm_leaves_exit_3_naming_their_path(leaf: tuple, value,
      "joint 5's utilization overflows a float"),
     # 2 a2 L, the elbow law's divisor, rounds to 0: no wrist scan
     (["ik", "--target", "0.25788,0,-0.14691688", "--rpy", "180,0,0",
-      "--restarts", "1", "--max-iters", "30"], (("dh", 1, "a_prev"), 5e-324),
+      "--max-iters", "30"], (("dh", 1, "a_prev"), 5e-324),
      "IK residual stagnated"),
     # overflows that numpy warned of before the message
     (["payload", "--grid-deg", "45"],
@@ -274,3 +275,25 @@ def test_huge_arm_values_print_short_finite_numbers(argv: list,
     with tempfile.TemporaryDirectory() as tmp:
         rc, _ = _check(argv + ["--arm", str(_arm_file(tmp, *edits))], None)
     assert rc == 0  # and, by _check, no inf and no 21-digit number
+
+
+@pytest.mark.parametrize("argv, edits, code", [
+    (["reach", "--mode", "quasi", "--samples", "64"],
+     [(("dh", 1, "a_prev"), 1e100)], 0),
+    (["workspace", "--per-joint-steps", "3,3,3,2,2,2", "--format", "svg"],
+     [(("dh", 1, "a_prev"), 1e100)], 0),
+    (["repeat-sim", "--speeds", "500", "--cycles", "2", "--sigma0-mm", "1e100",
+      "--k-mm-s-per-step", "0", "--format", "svg"], [], 0),
+    (["ik", "--target", "1e100,0,0", "--rpy", "0,0,0"], [], 4),
+], ids=["reach-note", "workspace-svg-ticks", "repeat-sim-std-column",
+        "ik-reach-bound-message"])
+def test_values_of_1e100_print_in_exponent_form(argv: list, edits: list,
+                                                code: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        if edits:
+            argv = argv + ["--arm", str(_arm_file(tmp, *edits))]
+        out = Path(tmp) / "out"
+        rc, err = _check(argv, out)
+        texts = [err] + [f.read_text() for f in out.glob("*")]
+    assert rc == code
+    assert not any(_HUGE.search(text) for text in texts), argv
