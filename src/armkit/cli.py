@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import hashlib
-import json
 import math
 import os
 import re
@@ -28,8 +26,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import bom as bom_mod
-from . import _kernels, drivetrain, kinematics, statics, steppersim, svgplot
+from . import _kernels, drivetrain, kinematics, statics, steppersim
 from ._version import __version__
 from .errors import (
     BomDataError,
@@ -205,6 +202,8 @@ class _Outputs:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise OutputError(f"cannot create output dir {self.dir}: {exc}")
+        import hashlib
+
         digest = hashlib.sha256()
         try:
             with open(self.dir / name, "wb") as fh:
@@ -221,6 +220,8 @@ class _Outputs:
 
     def write_manifest(self, subcommand: str, arm_source: str, seed: int,
                        argv: List[str]) -> None:
+        import json
+
         text_name = _stem(subcommand) + ".txt"
         doc = {
             "schema": MANIFEST_SCHEMA,
@@ -310,6 +311,8 @@ def _walk(sweep, stats, picks: list):
     """Yield the sweep's chunks, folding each into ``stats`` and appending
     the rows ``svgplot.workspace_svg`` would keep of the whole cloud to
     ``picks``."""
+    from . import svgplot
+
     stride = svgplot.decimation_stride(sweep.samples)
     start = 0
     for pts in sweep.chunks():
@@ -358,6 +361,8 @@ def _handle_workspace(args, arm):
         yield from _reach_lines(args, sweep, stats)
 
     def svg():
+        from . import svgplot
+
         collections.deque(chunks, maxlen=0)
         return svgplot.workspace_svg(np.concatenate(picks))
 
@@ -518,19 +523,27 @@ def _handle_repeat_sim(args, arm):
     for speed, std in zip(result.speeds, result.stds):
         lines.append(f"{speed:>8g} {fixed(std * 1e3, 6, 12)}")
     lines.append(f"grand_mean_abs_deviation_mm: {result.grand_mean * 1e3!r}")
+
+    def svg():
+        from . import svgplot
+
+        return svgplot.box_plot_svg(
+            [f"{s:g}" for s in result.speeds],
+            [d * 1e3 for d in result.deviations], "deviation (mm)")
+
     return lines, {
         "csv": lambda: _csv(
             "speed_steps_per_s,cycle,deviation_mm",
             [(speed, ci, d * 1e3)
              for speed, devs in zip(result.speeds, result.deviations)
              for ci, d in enumerate(devs.tolist())]),
-        "svg": lambda: svgplot.box_plot_svg(
-            [f"{s:g}" for s in result.speeds],
-            [d * 1e3 for d in result.deviations], "deviation (mm)"),
+        "svg": svg,
     }
 
 
 def _handle_bom(args, arm):
+    from . import bom as bom_mod
+
     if args.file:
         bill = bom_mod.load_bom(args.file, batch_size=args.batch)
     else:
@@ -821,6 +834,8 @@ def replay(manifest_path, out_dir: Optional[str] = None) -> int:
         manifest_path: path to a ``manifest.json`` written by :func:`run`.
         out_dir: redirect outputs (defaults to the manifest's own --out).
     """
+    import json
+
     with open(manifest_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != MANIFEST_SCHEMA:

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
-
 from .errors import ComputationError, fixed, require_finite
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .model import ArmDescription, CapstanGeometry, JointDrive, MotorSpec
 
 
@@ -149,6 +149,8 @@ def motor_torque_at(motor: MotorSpec, rate: float) -> float:
 
     Rates beyond the last knot hold the last value; negative rates clamp to 0.
     """
+    import numpy as np
+
     curve = motor.torque_speed_curve
     rates = [p[0] for p in curve]
     torqs = [p[1] for p in curve]
@@ -212,5 +214,7 @@ def resolution_table(arm: ArmDescription) -> list[tuple[int, float, float]]:
 
 def microstep_sizes(arm: ArmDescription) -> np.ndarray:
     """Output-side microstep size per joint (radians)."""
+    import numpy as np
+
     return np.array([math.radians(joint_resolution(arm.drive(j)))
                      for j in range(1, 7)])

@@ -9,7 +9,10 @@ the modules share for non-finite and wrongly signed inputs, and
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ToolkitError(Exception):
@@ -93,6 +96,8 @@ def require_finite(value, what: str, sign: str = "",
     Raises:
         ``error`` with a message naming ``what``.
     """
+    import numpy as np
+
     arr = np.asarray(value, dtype=float)
     signed = {"": True, "> 0": arr > 0, ">= 0": arr >= 0}[sign]
     if not np.all(np.isfinite(arr) & signed):

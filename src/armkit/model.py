@@ -27,13 +27,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
 import yaml
 
 from . import drivetrain
 from .errors import ConfigError, ValidationError, fixed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger("armkit")
 
@@ -670,6 +672,8 @@ def total_modeled_mass(arm: ArmDescription) -> float:
 
 def dh_params(arm: ArmDescription) -> np.ndarray:
     """(6, 4) float64 array of [theta_offset, d, a_prev, alpha_prev] rows."""
+    import numpy as np
+
     return np.array(
         [[r.theta_offset, r.d, r.a_prev, r.alpha_prev] for r in arm.dh],
         dtype=np.float64,
@@ -678,4 +682,6 @@ def dh_params(arm: ArmDescription) -> np.ndarray:
 
 def limits_array(arm: ArmDescription) -> np.ndarray:
     """(6, 2) [min, max] in radians."""
+    import numpy as np
+
     return np.array([[l.min, l.max] for l in arm.limits], dtype=np.float64)
