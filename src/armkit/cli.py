@@ -307,20 +307,22 @@ def _sweep(args, arm):
     return sweep, kinematics.CloudStats(args.shell_fraction)
 
 
-def _walk(sweep, stats, picks: list):
-    """Yield the sweep's chunks, folding each into ``stats`` and appending
-    the rows ``svgplot.workspace_svg`` would keep of the whole cloud to
-    ``picks``."""
-    from . import svgplot
+def _walk(sweep, stats, picks: Optional[list] = None):
+    """Yield the sweep's chunks, folding each into ``stats`` and, when a
+    ``picks`` list is given, appending to it the rows
+    ``svgplot.workspace_svg`` would keep of the whole cloud."""
+    if picks is not None:
+        from . import svgplot
 
-    stride = svgplot.decimation_stride(sweep.samples)
+        stride = svgplot.decimation_stride(sweep.samples)
     start = 0
     for pts in sweep.chunks():
         stats.add(pts, sweep.repeat)
         stop = start + len(pts)
-        first = -(-start * sweep.repeat // stride) * stride
-        rows = np.arange(first, stop * sweep.repeat, stride)
-        picks.append(pts[rows // sweep.repeat - start])
+        if picks is not None:
+            first = -(-start * sweep.repeat // stride) * stride
+            rows = np.arange(first, stop * sweep.repeat, stride)
+            picks.append(pts[rows // sweep.repeat - start])
         start = stop
         yield pts
 
@@ -353,7 +355,7 @@ def _reach_lines(args, sweep, stats) -> List[str]:
 
 def _handle_workspace(args, arm):
     sweep, stats = _sweep(args, arm)
-    picks: list = []
+    picks: Optional[list] = [] if args.out and args.format == "svg" else None
     chunks = _walk(sweep, stats, picks)
 
     def lines():
@@ -374,7 +376,7 @@ def _handle_workspace(args, arm):
 
 def _handle_reach(args, arm):
     sweep, stats = _sweep(args, arm)
-    collections.deque(_walk(sweep, stats, []), maxlen=0)
+    collections.deque(_walk(sweep, stats), maxlen=0)
     return _reach_lines(args, sweep, stats), {"csv": lambda: _csv(
         "metric,value", [
             ("max_reach_m", stats.max_reach),

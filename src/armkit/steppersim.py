@@ -20,6 +20,7 @@ mimicking a dial indicator; pass ``probe=None`` for the full 3D norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -49,6 +50,11 @@ DEFAULT_TARGET_Q = tuple(math.radians(v) for v in (25, 60, -60, 15, -60, 10))
 DEFAULT_PROBE = (1.0, 0.0, 0.0)
 
 MARGIN_RULES = ("proportional", "full_stall")
+
+#: Most normals in one cached jitter table: with :func:`_jitter_normals`'
+#: four entries the cache holds at most 4 x 65,536 float64 = 2 MiB. A larger
+#: experiment draws its table without keeping it.
+CACHED_NORMALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,17 +197,44 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
     return delta, missed_total, achieved, sigma
 
 
+def _unit(probe: Sequence[float]) -> np.ndarray:
+    """The probe direction as a unit vector."""
+    axis = np.asarray(probe, dtype=float)
+    return axis / np.linalg.norm(axis)
+
+
 def _deviation(delta: np.ndarray, sigma: float,
                probe: Optional[Sequence[float]], seed) -> float:
     """Settled displacement ``delta`` plus one seeded jitter draw of std
     ``sigma``, measured along ``probe`` (or as a 3D norm when None)."""
     rng = np.random.default_rng(seed)
     if probe is not None:
-        axis = np.asarray(probe, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        return float(delta @ axis) + sigma * rng.standard_normal()
+        return float(delta @ _unit(probe)) + sigma * rng.standard_normal()
     jitter = sigma / math.sqrt(3.0) * rng.standard_normal(3)
     return float(np.linalg.norm(delta + jitter))
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _jitter_normals(seed: int, n_speeds: int, cycles: int,
+                    width: int) -> np.ndarray:
+    """The standard normals of one experiment, (n_speeds, cycles, width).
+
+    Row (si, ci) is the first draw of a generator on
+    ``SeedSequence(entropy=seed, spawn_key=(si, ci))``: ``standard_normal()``
+    for width 1 (a probe axis) or ``standard_normal(3)`` for width 3 (the 3D
+    norm), the draw :func:`_deviation` makes at that child seed. The rows
+    depend on nothing else, so experiments at one seed with another arm,
+    payload or noise model share one table. Read-only.
+    """
+    z = np.empty((n_speeds, cycles, width))
+    for si in range(n_speeds):
+        for ci in range(cycles):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(si, ci)))
+            z[si, ci] = (rng.standard_normal() if width == 1
+                         else rng.standard_normal(width))
+    z.setflags(write=False)
+    return z
 
 
 def simulate_cycle(arm: ArmDescription,
@@ -236,7 +269,9 @@ def repeatability_experiment(arm: ArmDescription,
     and its cycles differ only by their jitter draw. Every (speed, cycle)
     pair draws from its own child seed spawned from ``seed`` by index, so
     each deviation equals :func:`simulate_cycle`'s with that child seed, bit
-    for bit, whatever the execution order.
+    for bit, whatever the execution order. The draws are held per (seed,
+    ladder length, cycles, probe kind) in :func:`_jitter_normals`, so a
+    second experiment at one seed, at any payload, draws nothing.
 
     Args:
         speeds: motor step rates (steps/s); must be non-empty.
@@ -251,14 +286,26 @@ def repeatability_experiment(arm: ArmDescription,
     if noise is None:
         noise = default_noise()
 
+    width = 3 if probe is None else 1
+    axis = None if probe is None else _unit(probe)
+    draw = (_jitter_normals
+            if len(speeds) * cycles_per_speed * width <= CACHED_NORMALS
+            else _jitter_normals.__wrapped__)
+    z = None
     all_devs, missed = [], []
     for si, speed in enumerate(speeds):
         delta, miss, _, sigma = _settle(arm, default_cycle(speed), payload,
                                         noise)
-        all_devs.append(np.array([
-            _deviation(delta, sigma, probe,
-                       np.random.SeedSequence(entropy=seed, spawn_key=(si, ci)))
-            for ci in range(cycles_per_speed)]))
+        if z is None:  # drawn after the first settle, as the cycles drew
+            z = draw(seed, len(speeds), cycles_per_speed, width)
+        with np.errstate(over="ignore"):  # checked below
+            if axis is not None:
+                devs = float(delta @ axis) + sigma * z[si, :, 0]
+            else:
+                devs = np.array([
+                    float(np.linalg.norm(v))
+                    for v in delta + sigma / math.sqrt(3.0) * z[si]])
+        all_devs.append(devs)
         missed.append(miss * cycles_per_speed)
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

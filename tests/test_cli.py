@@ -530,6 +530,11 @@ def test_single_pose_outputs_keep_their_bytes(
             "ba72456c6c6841dfa68b8c975a4d650a3824e142fdcb54664a5cf6856d408656",
         "repeat-sim --speeds 500,2500 --cycles 3 --payload-kg 0.6":
             "16c5bf8b5ae81b60809d61e6a91edb75974cf511276f73c799a172802e95e6ba",
+        # the default ladder along the probe axis, and the 3D norm
+        "repeat-sim":
+            "d82bf05f0684c38b3ee90b3f6be164448c9cc507f4e3e2e5a972a54ca2f4994c",
+        "repeat-sim --probe norm --payload-kg 0.6 --cycles 50":
+            "7f24e585aa215e9c52407a554467ad2e83ea7d1f908bd4ca65e304cb21a4d842",
     }
     got = {}
     for cmd in pinned:

@@ -61,6 +61,21 @@ def test_fk_without_out_loads_no_bom_plot_hash_or_json() -> None:
     assert _fresh(code).splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv, plots", [
+    (["reach", "--mode", "quasi", "--samples", "64"], False),
+    (["workspace", "--per-joint-steps", "3,3,3,2,2,2", "--format", "csv",
+      "--out", "o"], False),
+    (["workspace", "--per-joint-steps", "3,3,3,2,2,2", "--format", "svg",
+      "--out", "o"], True),
+], ids=["reach", "workspace-csv", "workspace-svg"])
+def test_only_svg_output_loads_the_plotter(tmp_path: Path, argv: list,
+                                           plots: bool) -> None:
+    code = (f"from armkit.cli import run\nassert run({argv!r}) == 0\n"
+            + _loaded(("armkit.svgplot",)))
+    loaded = "['armkit.svgplot']" if plots else "[]"
+    assert _fresh(code, cwd=tmp_path).splitlines()[-1] == loaded
+
+
 def test_fk_with_out_writes_the_same_manifest(tmp_path: Path) -> None:
     code = ("import sys\nfrom armkit.cli import run\n"
             "sys.exit(run(['fk', '--q', '0,0,0,0,0,0', '--out', 'o']))")

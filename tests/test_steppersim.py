@@ -220,6 +220,95 @@ def test_experiment_settles_each_speed_once(arm: model.ArmDescription,
         assert len(calls) == 2 * len(speeds)
 
 
+def _per_cycle_reference(arm, speeds, cycles, seed, payload=0.0,
+                         noise=None, probe=steppersim.DEFAULT_PROBE):
+    """Each speed's deviations from :func:`simulate_cycle`, one child seed
+    per cycle."""
+    noise = steppersim.default_noise() if noise is None else noise
+    return [[steppersim.simulate_cycle(
+                 arm, steppersim.default_cycle(speed), payload=payload,
+                 noise=noise, probe=probe,
+                 seed=np.random.SeedSequence(entropy=seed, spawn_key=(si, ci))
+             ).deviation for ci in range(cycles)]
+            for si, speed in enumerate(speeds)]
+
+
+def test_experiments_at_one_seed_share_their_draws(
+        arm: model.ArmDescription) -> None:
+    steppersim._jitter_normals.cache_clear()
+    seed, speeds, cycles = 21, (500.0, 1500.0, 2500.0), 4
+    stall = NoiseModel(sigma0=1e-4, k=3e-7, margin_rule="full_stall")
+    runs = [dict(payload=0.0), dict(payload=0.6),
+            dict(payload=0.6, noise=stall),
+            dict(payload=0.6, probe=None),
+            dict(payload=0.6, speeds=speeds[:2])]
+    for kw in runs:
+        kw = {"speeds": speeds, **kw}
+        res = steppersim.repeatability_experiment(
+            arm, cycles_per_speed=cycles, seed=seed, **kw)
+        ref = _per_cycle_reference(arm, cycles=cycles, seed=seed, **kw)
+        assert [d.tolist() for d in res.deviations] == ref, kw
+    # the second payload and the other noise model drew nothing
+    info = steppersim._jitter_normals.cache_info()
+    assert (info.hits, info.misses) == (2, 3)
+    z = steppersim._jitter_normals(seed, len(speeds), cycles, 1)
+    assert z.shape == (3, 4, 1) and not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0, 0] = 0.0
+
+
+def test_a_large_experiment_draws_without_caching(
+        arm: model.ArmDescription, monkeypatch) -> None:
+    monkeypatch.setattr(steppersim, "CACHED_NORMALS", 8)
+    steppersim._jitter_normals.cache_clear()
+    speeds = (500.0, 2500.0)
+    for probe in (steppersim.DEFAULT_PROBE, None):
+        res = steppersim.repeatability_experiment(
+            arm, speeds=speeds, cycles_per_speed=5, seed=4, probe=probe)
+        assert [d.tolist() for d in res.deviations] == _per_cycle_reference(
+            arm, speeds, 5, 4, probe=probe)
+    assert steppersim._jitter_normals.cache_info().currsize == 0
+
+
+def test_writing_into_deviations_leaves_the_next_experiment(
+        arm: model.ArmDescription) -> None:
+    first = steppersim.repeatability_experiment(arm, cycles_per_speed=3,
+                                                seed=8)
+    for probe in (steppersim.DEFAULT_PROBE, None):
+        res = steppersim.repeatability_experiment(arm, cycles_per_speed=3,
+                                                  seed=8, probe=probe)
+        for d in res.deviations:
+            d[:] = 1.0
+    again = steppersim.repeatability_experiment(arm, cycles_per_speed=3,
+                                                seed=8)
+    assert np.array_equal(again.deviations, first.deviations)
+    assert again.deviations[0].tolist() != [1.0] * 3
+
+
+def test_seeds_numpy_refuses_still_raise(arm: model.ArmDescription,
+                                         capsys: pytest.CaptureFixture) -> None:
+    for _ in range(2):  # a failed draw is not cached
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            steppersim.repeatability_experiment(arm, cycles_per_speed=2,
+                                                seed=-1)
+    # the first speed settles before the draw, the second after it
+    with pytest.raises(ValueError, match="commanded step rate"):
+        steppersim.repeatability_experiment(arm, speeds=(math.inf, 500.0),
+                                            cycles_per_speed=2, seed=-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        steppersim.repeatability_experiment(arm, speeds=(500.0, math.inf),
+                                            cycles_per_speed=2, seed=-1)
+    # a float seed equal to a cached int seed is still refused
+    steppersim.repeatability_experiment(arm, cycles_per_speed=2, seed=1)
+    with pytest.raises(TypeError):
+        steppersim.repeatability_experiment(arm, cycles_per_speed=2,
+                                            seed=1.0)
+    assert cli.run(["repeat-sim", "--seed", "-1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("computation error: expected non-negative integer\n")
+
+
 def test_experiment_keeps_the_missed_step_totals(arm: model.ArmDescription) -> None:
     res = steppersim.repeatability_experiment(arm, cycles_per_speed=3,
                                               payload=0.6)
