@@ -51,11 +51,6 @@ DEFAULT_PROBE = (1.0, 0.0, 0.0)
 
 MARGIN_RULES = ("proportional", "full_stall")
 
-#: Most normals in one cached jitter table: with :func:`_jitter_normals`'
-#: four entries the cache holds at most 4 x 65,536 float64 = 2 MiB. A larger
-#: experiment draws its table without keeping it.
-CACHED_NORMALS = 1 << 16
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -214,7 +209,7 @@ def _deviation(delta: np.ndarray, sigma: float,
     return float(np.linalg.norm(delta + jitter))
 
 
-@functools.lru_cache(maxsize=4, typed=True)
+@functools.lru_cache(maxsize=1)
 def _jitter_normals(seed: int, n_speeds: int, cycles: int,
                     width: int) -> np.ndarray:
     """The standard normals of one experiment, (n_speeds, cycles, width).
@@ -224,7 +219,8 @@ def _jitter_normals(seed: int, n_speeds: int, cycles: int,
     for width 1 (a probe axis) or ``standard_normal(3)`` for width 3 (the 3D
     norm), the draw :func:`_deviation` makes at that child seed. The rows
     depend on nothing else, so experiments at one seed with another arm,
-    payload or noise model share one table. Read-only.
+    payload or noise model share one table. Read-only; the cache keeps the
+    last table only.
     """
     z = np.empty((n_speeds, cycles, width))
     for si in range(n_speeds):
@@ -269,9 +265,11 @@ def repeatability_experiment(arm: ArmDescription,
     and its cycles differ only by their jitter draw. Every (speed, cycle)
     pair draws from its own child seed spawned from ``seed`` by index, so
     each deviation equals :func:`simulate_cycle`'s with that child seed, bit
-    for bit, whatever the execution order. The draws are held per (seed,
-    ladder length, cycles, probe kind) in :func:`_jitter_normals`, so a
-    second experiment at one seed, at any payload, draws nothing.
+    for bit, whatever the execution order. :func:`_jitter_normals` keeps the
+    draws of the last experiment at an int seed, per (seed, ladder length,
+    cycles, probe kind), so the next experiment with the same four, at any
+    payload, draws nothing. Any other seed numpy takes (None, a sequence) is
+    drawn afresh each time.
 
     Args:
         speeds: motor step rates (steps/s); must be non-empty.
@@ -288,8 +286,7 @@ def repeatability_experiment(arm: ArmDescription,
 
     width = 3 if probe is None else 1
     axis = None if probe is None else _unit(probe)
-    draw = (_jitter_normals
-            if len(speeds) * cycles_per_speed * width <= CACHED_NORMALS
+    draw = (_jitter_normals if type(seed) is int
             else _jitter_normals.__wrapped__)
     z = None
     all_devs, missed = [], []

@@ -257,16 +257,20 @@ def test_experiments_at_one_seed_share_their_draws(
         z[0, 0, 0] = 0.0
 
 
-def test_a_large_experiment_draws_without_caching(
-        arm: model.ArmDescription, monkeypatch) -> None:
-    monkeypatch.setattr(steppersim, "CACHED_NORMALS", 8)
+def test_seeds_other_than_int_are_drawn_afresh(
+        arm: model.ArmDescription) -> None:
     steppersim._jitter_normals.cache_clear()
     speeds = (500.0, 2500.0)
     for probe in (steppersim.DEFAULT_PROBE, None):
         res = steppersim.repeatability_experiment(
-            arm, speeds=speeds, cycles_per_speed=5, seed=4, probe=probe)
+            arm, speeds=speeds, cycles_per_speed=3, seed=[3, 4], probe=probe)
         assert [d.tolist() for d in res.deviations] == _per_cycle_reference(
-            arm, speeds, 5, 4, probe=probe)
+            arm, speeds, 3, [3, 4], probe=probe)
+    # seed=None takes fresh OS entropy for every experiment
+    a, b = (steppersim.repeatability_experiment(arm, speeds=speeds,
+                                                cycles_per_speed=3, seed=None)
+            for _ in range(2))
+    assert not np.array_equal(a.deviations, b.deviations)
     assert steppersim._jitter_normals.cache_info().currsize == 0
 
 
@@ -298,7 +302,7 @@ def test_seeds_numpy_refuses_still_raise(arm: model.ArmDescription,
     with pytest.raises(ValueError, match="expected non-negative integer"):
         steppersim.repeatability_experiment(arm, speeds=(500.0, math.inf),
                                             cycles_per_speed=2, seed=-1)
-    # a float seed equal to a cached int seed is still refused
+    # a float seed equal to the cached int seed is still refused
     steppersim.repeatability_experiment(arm, cycles_per_speed=2, seed=1)
     with pytest.raises(TypeError):
         steppersim.repeatability_experiment(arm, cycles_per_speed=2,
