@@ -238,13 +238,11 @@ def cable_budget(per_arm_lengths_mm: Sequence[float],
     return CableBudget(total_mm=total, total_ft=total / MM_PER_FOOT)
 
 
-def format_usd(amount: Fraction, places: Optional[int] = None) -> str:
+def format_usd(amount: Fraction) -> str:
     """Exact decimal rendering of a dollar fraction.
 
     All amounts built from decimal inputs have power-of-ten denominators, so
-    the division below terminates. ``places`` pads/rounds for display.
+    the division below terminates.
     """
-    dec = Decimal(amount.numerator) / Decimal(amount.denominator)
-    if places is not None:
-        dec = dec.quantize(Decimal(1).scaleb(-places))
-    return format(dec, "f")
+    return format(Decimal(amount.numerator) / Decimal(amount.denominator),
+                  "f")

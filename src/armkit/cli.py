@@ -6,8 +6,8 @@ immediately; lengths are meters except where a flag says otherwise
 is specified). Output files are only written when ``--out DIR`` is given:
 ``<subcommand>.txt`` (the stdout text) always, plus the ``--format csv|svg``
 file where the subcommand has one. A ``manifest.json`` recording the
-subcommand, arm source, seed, full argv, and the SHA-256 of every written
-file lands next to them, and :func:`replay` re-executes a manifest's argv.
+subcommand, arm source, seed (or null), argv and the SHA-256 of every
+written file lands next to them, and :func:`replay` re-executes its argv.
 
 Exit codes (also in the README): 0 success, 2 usage, 3 arm-config,
 4 computation, 5 resource limit, 6 BOM data, 7 output I/O.
@@ -218,8 +218,8 @@ class _Outputs:
                 content.close()
         self.records.append({"path": name, "sha256": digest.hexdigest()})
 
-    def write_manifest(self, subcommand: str, arm_source: str, seed: int,
-                       argv: List[str]) -> None:
+    def write_manifest(self, subcommand: str, arm_source: str,
+                       seed: Optional[int], argv: List[str]) -> None:
         import json
 
         text_name = _stem(subcommand) + ".txt"
@@ -355,7 +355,7 @@ def _reach_lines(args, sweep, stats) -> List[str]:
 
 def _handle_workspace(args, arm):
     sweep, stats = _sweep(args, arm)
-    picks: Optional[list] = [] if args.out and args.format == "svg" else None
+    picks: Optional[list] = [] if args.format == "svg" else None
     chunks = _walk(sweep, stats, picks)
 
     def lines():
@@ -450,8 +450,6 @@ def _handle_payload(args, arm):
     sweep_joints = _ints(args.sweep_joints, None, "--sweep-joints")
     limit_joints = _ints(args.limit_joints, None, "--limit-joints")
     if args.policy == "fixed":
-        if not args.q:
-            raise CliUsageError("--policy fixed requires --q")
         q = np.radians(_floats(args.q, 6, "--q"))
         report = statics.static_report(arm, q, payload=args.payload_kg)
         if not np.all(np.isfinite(report.required)):
@@ -581,24 +579,26 @@ def _handle_bom(args, arm):
         subtotals + [("batch_total", total), ("per_arm", per_arm)])}
 
 
-#: A subcommand's handler, whether it loads an arm, whether it has a
-#: --format svg file, and the stem of its --format file where that is not
-#: the stem of its text.
-_Command = collections.namedtuple("_Command", "handler loads_arm can_plot "
-                                  "artifact", defaults=(True, False, ""))
+#: A subcommand's handler, whether it loads an arm (and so takes --arm),
+#: whether it reads --seed, its --format choices, and the stem of its
+#: --format file where that is not the stem of its text.
+_Command = collections.namedtuple(
+    "_Command", "handler loads_arm seeded formats artifact",
+    defaults=(True, False, ("text", "csv"), ""))
 
+_PLOTS = ("text", "csv", "svg")
 
 _COMMANDS = {
     "fk": _Command(_handle_fk),
     "ik": _Command(_handle_ik),
     "jacobian": _Command(_handle_jacobian),
-    "workspace": _Command(_handle_workspace, can_plot=True),
-    "reach": _Command(_handle_reach),
+    "workspace": _Command(_handle_workspace, seeded=True, formats=_PLOTS),
+    "reach": _Command(_handle_reach, seeded=True),
     "capstan": _Command(_handle_capstan, loads_arm=False),
     "torque-table": _Command(_handle_torque_table),
     "resolution": _Command(_handle_resolution),
     "payload": _Command(_handle_payload, artifact="payload_sweep"),
-    "repeat-sim": _Command(_handle_repeat_sim, can_plot=True),
+    "repeat-sim": _Command(_handle_repeat_sim, seeded=True, formats=_PLOTS),
     "bom": _Command(_handle_bom, loads_arm=False),
 }
 
@@ -655,18 +655,20 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="{" + ",".join(SUBCOMMANDS) + "}")
 
     def add(name: str, help_: str) -> argparse.ArgumentParser:
+        command = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_, description=help_)
-        sp.add_argument("--arm", metavar="PATH", default=None,
-                        help="arm description YAML (default: "
-                             f"${ENV_ARM_CONFIG} or the built-in arm)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for stochastic steps (default 0)")
+        if command.loads_arm:
+            sp.add_argument("--arm", metavar="PATH", default=None,
+                            help="arm description YAML (default: "
+                                 f"${ENV_ARM_CONFIG} or the built-in arm)")
+        if command.seeded:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed for stochastic steps (default 0)")
         sp.add_argument("--out", metavar="DIR", default=None,
                         help="write output files and manifest.json here "
                              "(default: stdout only)")
-        sp.add_argument("--format", choices=("text", "csv", "svg"),
-                        default="text",
-                        help="artifact format when --out is given")
+        sp.add_argument("--format", choices=command.formats, default="text",
+                        help="file format written with --out (default text)")
         return sp
 
     sp = add("fk", "forward kinematics of one joint vector")
@@ -771,6 +773,22 @@ def build_parser() -> argparse.ArgumentParser:
 # entry points
 # --------------------------------------------------------------------------
 
+def _refuse(args) -> None:
+    """Refuse a negative seed, --policy fixed without --q, a file --format
+    without --out and a flag that only another mode reads, before any work."""
+    if getattr(args, "policy", None) == "fixed" and not args.q:
+        raise CliUsageError("--policy fixed requires --q")
+    if getattr(args, "seed", 0) < 0:
+        raise CliUsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.format != "text" and not args.out:
+        raise CliUsageError(f"--format {args.format} writes a file, "
+                            f"so it needs --out")
+    if getattr(args, "samples", None) is not None and args.mode == "grid":
+        raise CliUsageError("--samples is read only with --mode quasi")
+    if getattr(args, "policy", "fixed") != "fixed" and args.q is not None:
+        raise CliUsageError("--q is read only with --policy fixed")
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     """Execute one CLI invocation; returns the exit code (never raises)."""
     if argv is None:
@@ -784,10 +802,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     try:
         command = _COMMANDS[args.subcommand]
-        if args.format == "svg" and not command.can_plot:
-            raise CliUsageError(
-                "--format svg is only available for " + ", ".join(
-                    name for name, c in _COMMANDS.items() if c.can_plot))
+        _refuse(args)
         arm = None
         arm_source = "n/a"
         if command.loads_arm:
@@ -806,7 +821,8 @@ def run(argv: Optional[List[str]] = None) -> int:
             out.write(stem + ".txt", text)
         sys.stdout.write(text)
         if out is not None:
-            out.write_manifest(args.subcommand, arm_source, args.seed, argv)
+            out.write_manifest(args.subcommand, arm_source,
+                               getattr(args, "seed", None), argv)
         return EXIT_CODES["ok"]
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class Pose:
 
 @dataclass(frozen=True)
 class IKOptions:
-    """Inverse-kinematics tolerances and iteration budget.
+    """Inverse-kinematics iteration budget, and the fixed tolerances.
 
     They apply to every damped-least-squares batch of
     :func:`inverse_kinematics`: the exact branches of the wrist scan and
@@ -68,19 +68,17 @@ class IKOptions:
     :data:`DAMPING`, :data:`STEP_LIMIT` and :data:`RESTARTS`.
 
     Raises:
-        ValueError: a negative ``max_iters``, or a ``pos_tol``/``ori_tol``
-            that is NaN, infinite or not > 0.
+        ValueError: a negative ``max_iters``.
     """
 
-    pos_tol: float = 1e-6
-    ori_tol: float = 1e-6
+    #: Position (m) and orientation (rad) error every answer is within.
+    pos_tol: ClassVar[float] = 1e-6
+    ori_tol: ClassVar[float] = 1e-6
     max_iters: int = 200
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        for name in ("pos_tol", "ori_tol"):
-            require_finite(getattr(self, name), name, "> 0")
 
 
 @dataclass(frozen=True)

@@ -49,28 +49,21 @@ DEFAULT_TARGET_Q = tuple(math.radians(v) for v in (25, 60, -60, 15, -60, 10))
 #: Dial-indicator probe direction (base-frame +x).
 DEFAULT_PROBE = (1.0, 0.0, 0.0)
 
-MARGIN_RULES = ("proportional", "full_stall")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Affine step-rate noise plus the missed-step margin rule.
+    """Affine step-rate noise.
 
     ``sigma(v) = sigma0 + k * v`` is the std (meters) of the per-cycle
-    positional jitter at motor step rate ``v``. ``margin_rule`` selects how
-    torque overload converts to missed steps: ``"proportional"`` drops the
-    deficit fraction of the leg's steps, ``"full_stall"`` drops the whole leg.
+    positional jitter at motor step rate ``v``.
     """
 
     sigma0: float
     k: float
-    margin_rule: str = "proportional"
 
     def __post_init__(self):
         require_finite(self.sigma0, "sigma0", ">= 0")
         require_finite(self.k, "k", ">= 0")
-        if self.margin_rule not in MARGIN_RULES:
-            raise ValueError(f"margin_rule must be one of {MARGIN_RULES}")
 
     def sigma(self, rate: float) -> float:
         sigma = self.sigma0 + self.k * rate
@@ -92,20 +85,18 @@ class MotionCycle:
     """Out-and-back joint trajectory.
 
     ``waypoints`` is a sequence of (joint target in radians, commanded motor
-    step rate in steps/s) legs executed from ``reference``; when
-    ``return_to_reference`` is set a final leg back to ``reference`` at the
-    last commanded rate is appended.
+    step rate in steps/s) legs executed from ``reference``, followed by a
+    final leg back to ``reference`` at the last commanded rate.
     """
 
     reference: Tuple[float, ...]
     waypoints: Tuple[Tuple[Tuple[float, ...], float], ...]
-    return_to_reference: bool = True
 
     def legs(self):
         """Expanded (target q, rate) legs including the return move."""
         out = [(np.asarray(q, dtype=float), float(rate))
                for q, rate in self.waypoints]
-        if self.return_to_reference and out:
+        if out:
             out.append((np.asarray(self.reference, dtype=float), out[-1][1]))
         return out
 
@@ -113,8 +104,7 @@ class MotionCycle:
 def default_cycle(rate: float) -> MotionCycle:
     """Single-excursion cycle between the default reference/target poses."""
     return MotionCycle(reference=DEFAULT_REFERENCE_Q,
-                       waypoints=((DEFAULT_TARGET_Q, float(rate)),),
-                       return_to_reference=True)
+                       waypoints=((DEFAULT_TARGET_Q, float(rate)),))
 
 
 @dataclass(frozen=True)
@@ -142,11 +132,12 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
     running per-joint step tally, so rounding residue carries between legs
     and the commanded total never drifts more than half a microstep from the
     exact trajectory. At each leg the gravity torque required at the leg
-    target is compared to the torque available at the commanded rate;
-    overloads drop whole microsteps per the margin rule, always against the
-    direction of motion. A leg rate that is not finite and > 0, a target
-    that is not six in-limit angles, or a payload whose required torque
-    overflows a float raises ValueError.
+    target is compared to the torque available at the commanded rate; an
+    overload drops the deficit fraction of the leg's steps, rounded up to
+    whole microsteps (all of them where no torque is available), always
+    against the direction of motion. A leg rate that is not finite and > 0,
+    a target that is not six in-limit angles, or a payload whose required
+    torque overflows a float raises ValueError.
 
     Returns (delta, missed, achieved, sigma): the tool-point displacement
     from the reference (m), the missed microsteps, the achieved joint angles
@@ -178,11 +169,8 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
             steps = int(abs(n_leg[j]))
             if steps == 0 or required[j] <= avail[j]:
                 continue
-            if noise.margin_rule == "full_stall" or avail[j] <= 0:
-                miss = steps
-            else:
-                deficit = 1.0 - avail[j] / required[j]
-                miss = min(steps, int(math.ceil(steps * deficit)))
+            miss = steps if avail[j] <= 0 else min(
+                steps, math.ceil(steps * (1.0 - avail[j] / required[j])))
             missed_total += miss
             lost[j] += miss * (1 if n_leg[j] > 0 else -1)
 

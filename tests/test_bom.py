@@ -144,5 +144,7 @@ def test_cable_budget_conversion_is_exact() -> None:
 
 def test_format_usd_renders_exact_decimals() -> None:
     assert bom.format_usd(BATCH_TOTAL) == "5310.01375"
-    assert bom.format_usd(PER_ARM, places=2) == "212.40"
-    assert bom.format_usd(Fraction(3, 4), places=2) == "0.75"
+    assert bom.format_usd(PER_ARM) == "212.40055"
+    assert bom.format_usd(Fraction(3, 4)) == "0.75"
+    with pytest.raises(TypeError, match="places"):
+        bom.format_usd(PER_ARM, places=2)

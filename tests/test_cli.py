@@ -90,15 +90,22 @@ def test_computation_error_exits_4(capsys: pytest.CaptureFixture) -> None:
     assert rc == 4
 
 
-def test_negative_quasi_seed_exits_4(capsys: pytest.CaptureFixture) -> None:
+def test_negative_seeds_exit_2_naming_the_flag(capsys: pytest.CaptureFixture,
+                                               tmp_path: Path) -> None:
     quasi = ["reach", "--mode", "quasi", "--samples", "8"]
-    assert cli.run(quasi + ["--seed", "-1"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "quasi mode requires seed >= 0, got -1" in captured.err
-    # grid mode never reads the seed; seeds past 2**64 still draw
-    assert _run(capsys, ["reach", "--per-joint-steps", "2,2,2,2,2,2",
-                         "--seed", "-1"])[0] == 0
+    # a quasi sweep, a grid sweep (which reads no seed) and the Monte-Carlo
+    for argv in (quasi, ["reach", "--per-joint-steps", "2,2,2,2,2,2"],
+                 ["repeat-sim", "--cycles", "2"]):
+        for seed, message in (
+                (["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+                (["--seed=-1"], "error: --seed must be >= 0, got -1\n"),
+                (["--seed", "1.5"], "argument --seed: invalid int value")):
+            rc = cli.run(argv + seed + ["--out", str(tmp_path / "o")])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, ""), argv + seed
+            assert message in err and "Traceback" not in err
+            assert not (tmp_path / "o").exists()
+    # seeds past 2**64 still draw
     assert _run(capsys, quasi + ["--seed", str(2**64 + 1)])[0] == 0
 
 
@@ -203,8 +210,8 @@ def test_output_error_exits_7(capsys: pytest.CaptureFixture,
 def test_failed_run_leaves_no_output_dir(capsys: pytest.CaptureFixture,
                                          tmp_path: Path) -> None:
     out = tmp_path / "D"
-    rc, _ = _run(capsys, ["reach", "--mode", "quasi", "--samples", "8",
-                          "--seed", "-1", "--out", str(out)])
+    rc, _ = _run(capsys, ["reach", "--mode", "quasi", "--samples", "0",
+                          "--out", str(out)])
     assert rc == 4
     assert not out.exists()
 
@@ -418,8 +425,9 @@ def test_replay_reproduces_identical_outputs(capsys: pytest.CaptureFixture,
                                              tmp_path: Path, name: str,
                                              fmt: str) -> None:
     first = tmp_path / "first"
-    rc, out = _run(capsys, _SMALL_RUNS[name] + [
-        "--format", fmt, "--seed", "11", "--out", str(first)])
+    seed = ["--seed", "11"] if cli._COMMANDS[name].seeded else []
+    rc, out = _run(capsys, _SMALL_RUNS[name] + seed + [
+        "--format", fmt, "--out", str(first)])
     assert rc == 0
     stem = name.replace("-", "_")
     assert (first / f"{stem}.txt").read_text(encoding="utf-8") == out
@@ -565,6 +573,74 @@ def test_svg_format_is_limited_to_plots(capsys: pytest.CaptureFixture,
                   "--out", str(tmp_path / "x")])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_only_arm_loaders_take_arm_and_only_samplers_take_seed() -> None:
+    rows = cli._COMMANDS.items()
+    assert [n for n, c in rows if not c.loads_arm] == ["capstan", "bom"]
+    assert [n for n, c in rows if c.seeded] == ["workspace", "reach",
+                                                "repeat-sim"]
+    assert [n for n, c in rows if "svg" in c.formats] == ["workspace",
+                                                          "repeat-sim"]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_each_subcommand_takes_only_the_flags_it_reads(
+        capsys: pytest.CaptureFixture, tmp_path: Path,
+        arm: model.ArmDescription, name: str) -> None:
+    row = cli._COMMANDS[name]
+    cfg = tmp_path / "arm.yaml"
+    model.dump_arm(arm, str(cfg))
+    rc, _ = _run(capsys, _SMALL_RUNS[name] + ["--out", str(tmp_path / "o")])
+    assert rc == 0
+    # the manifest records a seed only where the subcommand reads one
+    assert _manifest(tmp_path / "o")["seed"] == (0 if row.seeded else None)
+    for flags, taken in ((["--arm", str(cfg)], row.loads_arm),
+                         (["--seed", "1"], row.seeded),
+                         (["--format", "svg"], "svg" in row.formats)):
+        out_dir = tmp_path / flags[0].lstrip("-")
+        rc = cli.run(_SMALL_RUNS[name] + flags + ["--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        if taken:
+            assert rc == 0, (flags, err)
+        else:
+            assert (rc, out) == (2, ""), flags
+            assert flags[0] in err and "Traceback" not in err
+            assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["payload", "--policy", "fixed"], "--policy fixed requires --q"),
+    (["payload", "--q", "0,0,90,0,-90,0"],
+     "--q is read only with --policy fixed"),
+    (["payload", "--policy", "worst", "--grid-deg", "30", "--q", ""],
+     "--q is read only with --policy fixed"),
+    (["workspace", "--per-joint-steps", "2,2,2,2,2,2", "--samples", "64"],
+     "--samples is read only with --mode quasi"),
+    (["reach", "--mode", "grid", "--samples", "64"],
+     "--samples is read only with --mode quasi"),
+    (["fk", "--q", "0,0,0,0,0,0", "--format", "csv"],
+     "--format csv writes a file, so it needs --out"),
+    (["capstan", "--small-diameter", "19.4", "--large-diameter", "155.2",
+      "--format", "csv"], "--format csv writes a file, so it needs --out"),
+    (["workspace", "--per-joint-steps", "2,2,2,2,2,2", "--format", "svg"],
+     "--format svg writes a file, so it needs --out"),
+    (["repeat-sim", "--format", "svg"],
+     "--format svg writes a file, so it needs --out"),
+], ids=["payload-fixed-no-q", "payload-q", "payload-worst-empty-q",
+        "workspace-grid-samples", "reach-grid-samples", "fk-csv",
+        "capstan-csv", "workspace-svg", "repeat-sim-svg"])
+def test_flags_this_call_never_reads_exit_2(capsys: pytest.CaptureFixture,
+                                            tmp_path: Path, argv: list,
+                                            message: str) -> None:
+    rc = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    if "--format" not in argv:
+        rc = cli.run(argv + ["--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
 
 def test_workspace_svg_output(capsys: pytest.CaptureFixture,

@@ -69,7 +69,8 @@ _OPTIONS = {
     "workspace": {"--per-joint-steps": _vector(6, st.sampled_from("123")),
                   "--mode": st.sampled_from(("grid", "quasi")),
                   "--samples": _value(st.integers(1, 64).map(str)),
-                  "--shell-fraction": _value(_floats(0, 1))},
+                  "--shell-fraction": _value(_floats(0, 1)),
+                  "--seed": _value(st.integers(0, 3).map(str))},
     "capstan": {"--small-diameter": _value(_floats(1, 50)),
                 "--large-diameter": _value(_floats(1, 200)),
                 "--mode": st.sampled_from(("rotating", "stationary")),
@@ -89,21 +90,37 @@ _OPTIONS = {
                    "--sigma0-mm": _value(_floats(0, 0.1)),
                    "--k-mm-s-per-step": _value(_floats(0, 1e-4)),
                    "--payload-kg": _value(_floats(0, 1)),
-                   "--probe": st.sampled_from(("x", "y", "z", "norm"))},
+                   "--probe": st.sampled_from(("x", "y", "z", "norm")),
+                   "--seed": _value(st.integers(0, 3).map(str))},
     "bom": {"--batch": _value(st.integers(1, 50).map(str))},
 }
 _OPTIONS["reach"] = _OPTIONS["workspace"]
-_COMMON = {"--seed": _value(st.integers(0, 3).map(str)),
-           "--format": st.sampled_from(("text", "csv", "svg"))}
+
+#: Required options, drawn in every run of their subcommand.
+_REQUIRED = {"fk": ("--q",), "jacobian": ("--q",), "ik": ("--target", "--rpy")}
+#: Options that one mode alone reads, and that mode; elsewhere they exit 2,
+#: so they are drawn only in it.
+_ONLY_WITH = {("workspace", "--samples"): "--mode=quasi",
+              ("reach", "--samples"): "--mode=quasi",
+              ("payload", "--q"): "--policy=fixed"}
 
 
 @st.composite
-def _argvs(draw) -> list:
+def _runs(draw) -> tuple:
+    """(argv, whether the run writes files). A file ``--format`` is drawn
+    only for a run that writes, since without ``--out`` it exits 2."""
     name = draw(st.sampled_from(cli.SUBCOMMANDS))
+    write = draw(st.booleans())
     argv = [name]
-    for option, values in {**_OPTIONS[name], **_COMMON}.items():
-        if draw(st.booleans()):
+    for option, values in _OPTIONS[name].items():
+        mode = _ONLY_WITH.get((name, option))
+        if mode is not None and mode not in argv:
+            continue
+        if option in _REQUIRED.get(name, ()) or draw(st.booleans()):
             argv.append(f"{option}={draw(values)}")
+    if write and draw(st.booleans()):
+        formats = cli._COMMANDS[name].formats
+        argv.append(f"--format={draw(st.sampled_from(formats))}")
     # values in 1..3 give at most 729 grid samples; a quasi run needs its
     # sample count
     if name in ("workspace", "reach") and not any(
@@ -116,7 +133,7 @@ def _argvs(draw) -> list:
         argv += ["--small-diameter=19.4", "--large-diameter=155.2"]
     if name == "payload" and not any(a.startswith("--grid-deg") for a in argv):
         argv.append("--grid-deg=45")
-    return argv
+    return argv, write
 
 
 def _check(argv: list, out_dir) -> tuple:
@@ -144,9 +161,9 @@ def _check(argv: list, out_dir) -> tuple:
 
 
 @_SETTINGS
-@given(argv=_argvs(), write=st.booleans())
-def test_fuzzed_argvs_exit_with_a_documented_code(argv: list,
-                                                  write: bool) -> None:
+@given(run=_runs())
+def test_fuzzed_argvs_exit_with_a_documented_code(run: tuple) -> None:
+    argv, write = run
     with tempfile.TemporaryDirectory() as tmp:
         _check(argv, Path(tmp) / "out" if write else None)
 

@@ -87,7 +87,7 @@ def test_fk_with_out_writes_the_same_manifest(tmp_path: Path) -> None:
                                                  "350cadd8a59dc8834ab09c547c7"
                                                  "cb46b555ae"}],
         "schema": "armkit.run/1",
-        "seed": 0,
+        "seed": None,
         "subcommand": "fk",
         "toolkit_version": armkit.__version__,
     }
