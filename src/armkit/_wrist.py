@@ -22,14 +22,9 @@ from .kinematics import Pose, _row_norms
 from .model import ArmDescription, dh_params
 
 
-#: Intervals of the scan of the wrist circle (see :func:`branches`).
+#: Intervals of the scan per turn of the elbow's reach loop (see
+#: :func:`branches`).
 SCAN_POINTS = 512
-SCAN_STEP = 2.0 * math.pi / SCAN_POINTS
-
-#: Scan steps from a fold of the elbow that its fan replaces, and the
-#: fan's angles (see :func:`_elbow_reach`).
-FOLD_SPAN = 6
-FOLD_FAN = 16
 
 #: Most refinement steps of a root.
 REFINE_STEPS = 16
@@ -37,23 +32,13 @@ REFINE_STEPS = 16
 #: The residual within which a root counts as exact.
 ROOT_TOL = 1e-14
 
-
-def _circle(phi: np.ndarray) -> np.ndarray:
-    """Rows cos(phi), sin(phi) (2, n): the points of the wrist circle at
-    angles ``phi`` (n,), as :func:`_residual` takes them."""
-    return np.stack([np.cos(phi), np.sin(phi)])
-
-
-#: The scan's angles: one step before 0 to 2 pi, so that each interval and
-#: each sample's two neighbours lie in one slice.
-_PHI = (np.arange(SCAN_POINTS + 2) - 1.0) * SCAN_STEP
-_SCAN_CIRCLE = _circle(_PHI)
-#: Shoulder and elbow signs that broadcast to the scan's (2, 2, n) residual,
-#: and the signs of each row of its (4, n) view.
-_SHOULDER = np.array([1.0, -1.0])[:, None, None]
-_ELBOW = np.array([1.0, -1.0])[:, None]
-_BRANCH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-for _a in (_PHI, _SCAN_CIRCLE, _SHOULDER, _ELBOW, _BRANCH_SIGNS):
+#: The scan's half-angles tau / 2 (see :func:`_loop`): one step before 0 to
+#: two turns of tau, so that each interval and each sample's two neighbours
+#: lie in one slice.
+_HALF = (np.arange(2 * SCAN_POINTS + 2) - 1.0) * (math.pi / SCAN_POINTS)
+#: Shoulder signs that broadcast to the scan's (2, loops n) residual.
+_SHOULDER = np.array([1.0, -1.0])[:, None]
+for _a in (_HALF, _SHOULDER):
     _a.setflags(write=False)
 
 
@@ -106,19 +91,19 @@ def structure(arm: ArmDescription) -> Optional[Wrist]:
                  ca[4], sa[4], d[5])
 
 
-def _residual(g: Wrist, M: np.ndarray, circle: np.ndarray, xs: np.ndarray,
-              es: np.ndarray, angles: bool = False):
-    """The scan's residual at the wrist circle's points ``circle`` (see
-    :func:`_circle`), on the branches of shoulder signs ``xs`` and elbow
-    signs ``es``; the three broadcast.
+def _residual(g: Wrist, M: np.ndarray, circle: tuple, cg: np.ndarray,
+              sg: np.ndarray, xs: np.ndarray, angles: bool = False):
+    """The scan's residual at the wrist circle's points ``circle``, the pair
+    (cos(phi), sin(phi)), where the elbow angle gamma has cosine ``cg`` and
+    sine ``sg`` (see :func:`_loop`), on the branches of shoulder signs
+    ``xs``; all broadcast.
 
     ``M`` (6, 3) maps (1, cos(phi), sin(phi)) to O4 - d1 z0 and to the
     axis z4 that joint 5 needs there. Joints 1-3 reach O4 in closed form, and
     the residual z3 . z4 - cos(alpha4) is zero where joint 4 can turn z3's
-    frame onto z4. Where O4 lies beyond the stretched elbow or inside the
-    shoulder offset, the closed form takes the nearest pose it has. With
-    ``angles``, returns the first three joint angles (offsets included)
-    instead.
+    frame onto z4. Where O4 lies inside the shoulder offset, the closed form
+    takes the nearest pose it has. With ``angles``, returns the first three
+    joint angles (offsets included) instead.
     """
     # elementwise, not a matmul, whose rounding would follow the BLAS
     wx, wy, wz, zx, zy, zz = M[:, :1] + M[:, 1:2] * circle[0] \
@@ -129,15 +114,12 @@ def _residual(g: Wrist, M: np.ndarray, circle: np.ndarray, xs: np.ndarray,
     r2 = wx * wx + wy * wy
     XX = np.maximum(r2 - k * k, 0.0)
     X = xs * np.sqrt(XX)
-    # the elbow angle gamma = t3 - beta, by its cosine and sine
-    D2 = XX + Y * Y
-    ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
-    cg = np.minimum(np.maximum((D2 - ll) / l2, -1.0), 1.0)
-    sg = es * np.sqrt(1.0 - cg * cg)
     if angles:
         return (np.arctan2(wy, wx) - np.arctan2(k, X),
                 np.arctan2(Y, X) - np.arctan2(g.L * sg, g.a2 + g.L * cg),
                 np.arctan2(sg, cg) + g.beta)
+    D2 = XX + Y * Y
+    ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
     # t2 + t3 is the angle of (X + iY) (L + a2 e^(i gamma)) e^(i beta) = c + is
     cb, sb = math.cos(g.beta), math.sin(g.beta)
     A = (g.L * cb + (g.a2 * cb) * cg) - (g.a2 * sb) * sg
@@ -153,86 +135,81 @@ def _residual(g: Wrist, M: np.ndarray, circle: np.ndarray, xs: np.ndarray,
         + (g.ca3 * (g.ca1 * zz - g.sa1 * V) - g.ca4)
 
 
-def _elbow_reach(g: Wrist, M: np.ndarray):
-    """Where the scan's sign changes hold, and a fan of angles into each
-    fold of the elbow.
+def _loop(g: Wrist, M: np.ndarray):
+    """The points of the wrist circle that the elbow reaches, as loops of
+    one smooth parameter tau.
 
     O4 - d1 z0 = W0 + Wc cos(phi) + Ws sin(phi), with Wc and Ws orthogonal
     and of length a5, so the squared distance D2 = |O4 - d1 z0|^2 - h^2 of
-    :func:`_residual` and cos(gamma) are sinusoids in phi. The elbow
-    reaches O4 where |cos(gamma)| <= 1. Its two branches meet at the folds,
-    where cos(gamma) = +-1, and near a fold gamma grows as the square root
-    of the distance in phi, faster than the scan resolves. So the scan
-    intervals from each fold to :data:`FOLD_SPAN` samples into the reached
-    side give way to a fan of :data:`FOLD_FAN` angles, even in the elbow's
-    turn from the fold.
+    :func:`_residual` and cos(gamma) = m + rho cos(phi - psi) are sinusoids
+    in phi. The elbow reaches O4 where |cos(gamma)| <= 1, so cos(gamma)
+    runs over [lo, hi] = [max(-1, m - rho), min(1, m + rho)]. Let
+    cos(gamma) = hi - a^2 = lo + b^2, with a = c sin(tau / 2),
+    b = c cos(tau / 2) and c^2 = hi - lo. Then 1 - cos(gamma) =
+    (1 - hi) + a^2 and rho - (cos(gamma) - m) = (m + rho - hi) + a^2, and
+    one of the two constant terms is zero; likewise 1 + lo and rho - m + lo
+    at the other end, with b. So sin(gamma) and rho sin(phi - psi) are each
+    a product of two square roots, one per end, and taking a or b with its
+    sign where its term is zero makes both smooth in tau, even at a fold of
+    the elbow (cos(gamma) = +-1), where gamma grows as the square root of
+    the distance in phi.
+
+    With one fold (m + rho > 1 or m - rho < -1), tau in [0, 4 pi) runs
+    round one loop that holds both elbow branches. Otherwise tau in
+    [0, 2 pi) runs round each of two loops, which a sign tells apart: the
+    two elbow branches (no fold) or the two sides of psi (two folds).
 
     Returns:
-        ``(open_, fans)``: which scan intervals [_PHI[k], _PHI[k + 1]]
-        (k < n) the elbow reaches at both ends outside any fan, and a list
-        of ``(s, angles)``: the sample at a fan's far end and the fan's
-        angles, the fold first, in the turn of ``_PHI[s]``.
+        ``(loops, at)``: the number of loops, 0 if the elbow reaches no
+        point of the circle, and ``at(half, sign)``: the circle's points
+        (cos(phi), sin(phi)), cos(gamma) and sin(gamma) at tau = 2 ``half``
+        on the loop of sign ``sign`` (1 on a lone loop); the two broadcast.
     """
     w, wc, ws = M[:3].T.tolist()
     ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
     m = (math.fsum(v * v for v in w) + g.a5 * g.a5 - g.h * g.h - ll) / l2
     p = 2.0 * math.fsum(u * v for u, v in zip(w, wc)) / l2
     q = 2.0 * math.fsum(u * v for u, v in zip(w, ws)) / l2
-    cg = m + p * _SCAN_CIRCLE[0] + q * _SCAN_CIRCLE[1]
-    reached = np.abs(cg) <= 1.0
-    n = SCAN_POINTS
-    open_ = reached[:n] & reached[1:n + 1]
-    rho, psi = math.hypot(p, q), math.atan2(q, p)
-    fans = []
-    for b in (1.0, -1.0):
-        if not abs(b - m) < rho:
-            continue
-        for side in (1.0, -1.0):
-            fold = psi + side * math.acos((b - m) / rho)
-            # the interval [_PHI[k], _PHI[k + 1]) that holds the fold, and
-            # its reached end s, moved away from the fold while reached
-            k = min(int((fold + SCAN_STEP) % (2.0 * math.pi)
-                        / SCAN_STEP), n - 1)
-            if reached[k] == reached[k + 1]:
-                continue
-            away = 1 if reached[k + 1] else -1
-            s = k + (away > 0)
-            for _ in range(FOLD_SPAN - 1):
-                if not reached[(s + away - 1) % n + 1]:
-                    break
-                s += away
-            open_[np.arange(min(k, s), max(k + 1, s)) % n] = False
-            s = (s - 1) % n + 1
-            turn = math.acos(min(1.0, b * float(cg[s])))
-            fan = psi + side * np.arccos(np.clip(
-                (b * np.cos(turn / FOLD_FAN * np.arange(FOLD_FAN)) - m)
-                / rho, -1.0, 1.0))
-            fans.append((s, _PHI[s] + np.remainder(
-                fan - _PHI[s] + math.pi, 2.0 * math.pi) - math.pi))
-    return open_, fans
+    rho = math.hypot(p, q)
+    top, bottom = m + rho > 1.0, m - rho < -1.0
+    # hi - m and lo - m
+    hm, lm = (1.0 - m if top else rho), (-1.0 - m if bottom else -rho)
+    if not hm > lm:
+        return 0, None
+    hi, c = 1.0 if top else m + rho, math.sqrt(hm - lm)
+    # the constant term that does not vanish at each end
+    th, tl = abs(m + rho - 1.0), abs(m - rho + 1.0)
+    cp, sp = p / rho, q / rho
+
+    def at(half, sign):
+        a, b = c * np.sin(half), c * np.cos(half)
+        aa = a * a
+        # on two loops, the sign falls on the product of two positive roots
+        ra, rb = np.sqrt(th + aa), sign * np.sqrt(tl + b * b)
+        sg = (a if top else ra) * (b if bottom else rb)
+        sd = (ra if top else a) * (rb if bottom else b) / rho
+        cd = (hm - aa) / rho
+        return (cd * cp - sd * sp, sd * cp + cd * sp), hi - aa, sg
+
+    return 1 if top != bottom else 2, at
 
 
-def _dips(f: np.ndarray, x: np.ndarray, ok: np.ndarray) -> tuple:
-    """The dips of sample runs ``f`` (4, p, l) at angles ``x`` (p, l), one
-    run per branch of each row of ``x``.
+def _dips(f: np.ndarray, x: np.ndarray) -> tuple:
+    """The dips of sample runs ``f`` (r, l), one per row, at increasing
+    ``x`` (l,).
 
     A dip is a sample nearer zero than its two neighbours, all three of one
     sign, whose parabola through them comes within 1% of the sample's value
     of zero or crosses it: the sign of a double root, or of two roots
-    closer than the samples. ``ok`` (p, l - 2) masks the middle samples
-    that may be one.
+    closer than the samples.
 
     Returns:
-        ``(branch, x0, x1, x2, f0, f1, f2)``, one entry per dip, x0 < x2.
+        ``(row, x0, x1, x2, f0, f1, f2)``, one entry per dip.
     """
     a = np.abs(f)
-    br, r, i = np.nonzero((a[..., 1:-1] < a[..., :-2])
-                          & (a[..., 1:-1] <= a[..., 2:]) & ok)
-    f0, f1, f2 = f[br, r, i], f[br, r, i + 1], f[br, r, i + 2]
-    x0, x1, x2 = x[r, i], x[r, i + 1], x[r, i + 2]
-    down = x0 > x2
-    x0, x2 = np.where(down, x2, x0), np.where(down, x0, x2)
-    f0, f2 = np.where(down, f2, f0), np.where(down, f0, f2)
+    br, i = np.nonzero((a[:, 1:-1] < a[:, :-2]) & (a[:, 1:-1] <= a[:, 2:]))
+    f0, f1, f2 = f[br, i], f[br, i + 1], f[br, i + 2]
+    x0, x1, x2 = x[i], x[i + 1], x[i + 2]
     # the parabola's slope at x1 and its curvature
     d0, d1 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1)
     curv = (d1 - d0) / (x2 - x0)
@@ -242,11 +219,12 @@ def _dips(f: np.ndarray, x: np.ndarray, ok: np.ndarray) -> tuple:
     return tuple(v[dip] for v in (br, x0, x1, x2, f0, f1, f2))
 
 
-def _refine_dips(g: Wrist, M: np.ndarray, br: np.ndarray, x0: np.ndarray,
-                 x1: np.ndarray, x2: np.ndarray, f0: np.ndarray,
-                 f1: np.ndarray, f2: np.ndarray) -> tuple:
+def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+                 x2: np.ndarray, f0: np.ndarray, f1: np.ndarray,
+                 f2: np.ndarray) -> tuple:
     """Brackets of the roots at the dips ``br``, ``x0``-``x2``,
-    ``f0``-``f2`` of :func:`_dips`.
+    ``f0``-``f2`` of :func:`_dips`, where ``residual(x, br)`` samples row
+    ``br`` at ``x``.
 
     Each dip is refined by successive parabolic interpolation, all at once,
     until its new point crosses zero (a bracket on each side) or lies
@@ -254,15 +232,14 @@ def _refine_dips(g: Wrist, M: np.ndarray, br: np.ndarray, x0: np.ndarray,
     zero width). A dip that does neither has no root.
 
     Returns:
-        ``(branch, lo, f_lo, hi, f_hi)`` arrays of the brackets.
+        ``(row, lo, f_lo, hi, f_hi)`` arrays of the brackets.
     """
-    xs, es = _BRANCH_SIGNS[br].T
     done = np.zeros(len(br), dtype=bool)
     for _ in range(REFINE_STEPS):
         a, b = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
         v = np.where(done, x1,
                      x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / (a - b))
-        fv = _residual(g, M, _circle(v), xs, es)
+        fv = residual(v, br)
         stop = ~done & (((fv > 0.0) != (f1 > 0.0))
                         | (np.abs(fv) <= ROOT_TOL))
         # otherwise v replaces the middle point if it is nearer zero, else
@@ -295,12 +272,13 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
 
     O4 lies on the circle of radius a5 about O5 = p - d6 z_tool, normal to
     z_tool: O4 = O5 - a5 x5 with x5 = cos(phi) x_tool + sin(phi) y_tool.
-    :func:`_residual` is sampled at :data:`SCAN_POINTS` angles on the four
-    shoulder/elbow branches at once, with a fan into each fold of the elbow
-    (:func:`_elbow_reach`). Its sign changes and its dips (:func:`_dips`,
-    :func:`_refine_dips`) bracket the roots, which Illinois regula falsi
-    refines, all in one batch. Joints 4 and 5 then follow by ``atan2``, and
-    joint 6 is -phi.
+    :func:`_residual` is sampled on both shoulder branches at
+    :data:`SCAN_POINTS` points per turn of the parameter tau of the
+    elbow's reach loops (:func:`_loop`), 2 :data:`SCAN_POINTS` in all. Its
+    sign changes and its dips (:func:`_dips`, :func:`_refine_dips`), each
+    across a loop's seam too, bracket the roots, which Illinois regula falsi
+    refines in tau, all in one batch. Joints 4 and 5 then follow by
+    ``atan2``, and joint 6 is -phi.
 
     Returns:
         The joint vectors (m, 6), in no set turn. A root that the steps
@@ -314,50 +292,49 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     M = np.stack([np.concatenate([o, g.ca5 * z]),
                   np.concatenate([-g.a5 * x, g.sa5 * y]),
                   np.concatenate([-g.a5 * y, -g.sa5 * x])], axis=1)
-    n = SCAN_POINTS
+    loops, at = _loop(g, M)
+    if not loops:
+        return np.zeros((0, 6))
+    # row r of the scan is shoulder sign xs[r // loops] on loop r % loops
+    n = 2 * SCAN_POINTS // loops
+    half = _HALF[:n + 2]
+
+    def residual(h, r):
+        return _residual(g, M, *at(h, 1.0 - 2.0 * (r % loops)),
+                         1.0 - 2.0 * (r // loops))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = _residual(g, M, _SCAN_CIRCLE, _SHOULDER, _ELBOW)
-        f = f.reshape(4, n + 2)
-        open_, fans = _elbow_reach(g, M)
+        f = _residual(g, M, *at(np.tile(half[1:-1], loops),
+                                np.repeat([1.0, -1.0][:loops], n)),
+                      _SHOULDER).reshape(2 * loops, n)
+        # each loop closes: its last sample comes before its first
+        f = np.concatenate([f[:, -1:], f, f[:, :1]], axis=1)
         up = f > 0.0
-        br, i = np.nonzero((up[:, :n] != up[:, 1:n + 1]) & open_)
-        brackets = [(br, _PHI[i], f[br, i], _PHI[i + 1], f[br, i + 1])]
-        dips = [_dips(f[:, None], _PHI[None],
-                      (open_ & np.roll(open_, -1))[None])]
-        if fans:
-            # each fan runs on into the sample at its far end
-            ends = np.array([e for e, _ in fans])
-            at = np.stack([a for _, a in fans])
-            f_at = _residual(g, M, _circle(at.ravel()), _SHOULDER,
-                             _ELBOW).reshape(4, *at.shape)
-            seq = np.concatenate([f_at, f[:, ends, None]], axis=2)
-            at = np.concatenate([at, _PHI[ends, None]], axis=1)
-            up = seq > 0.0
-            br, i, j = np.nonzero(up[:, :, :-1] != up[:, :, 1:])
-            brackets.append((br, at[i, j], seq[br, i, j], at[i, j + 1],
-                             seq[br, i, j + 1]))
-            dips.append(_dips(seq, at, np.ones((len(ends), FOLD_FAN - 1),
-                                               dtype=bool)))
-        dips = [np.concatenate(p) for p in zip(*dips)]
+        br, i = np.nonzero(up[:, 1:-1] != up[:, 2:])
+        brackets = [(br, half[i + 1], f[br, i + 1], half[i + 2],
+                     f[br, i + 2])]
+        dips = _dips(f, half)
         if dips[0].size:
-            brackets.append(_refine_dips(g, M, *dips))
+            brackets.append(_refine_dips(residual, *dips))
         br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
-        xs, es = _BRANCH_SIGNS[br].T
         for _ in range(REFINE_STEPS):
             todo = np.abs(fhi) > ROOT_TOL
             if not todo.any():
                 break
             c = np.where(todo, hi - fhi * (hi - lo) / (fhi - flo), hi)
-            fc = _residual(g, M, _circle(c), xs, es)
+            fc = residual(c, br)
             flip = (fc > 0.0) != (fhi > 0.0)
             lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
             hi, fhi = c, fc
-        t1, t2, t3 = _residual(g, M, _circle(hi), xs, es, angles=True)
-    T = np.zeros((len(hi), 6))
+        circle, cg, sg = at(hi, 1.0 - 2.0 * (br % loops))
+        t1, t2, t3 = _residual(g, M, circle, cg, sg, 1.0 - 2.0 * (br // loops),
+                               angles=True)
+    phi = np.arctan2(circle[1], circle[0])
+    T = np.zeros((len(phi), 6))
     T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3
     R3 = _kernels.fk_frames_batch(rows, T - rows[:, 0])[:, 3, :3, :3]
     x3, y3, z3 = R3[:, :, 0], R3[:, :, 1], R3[:, :, 2]
-    c, s = np.cos(hi)[:, None], np.sin(hi)[:, None]
+    c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
     x5 = c * x + s * y
     z4 = g.ca5 * z + g.sa5 * (c * y - s * x)
     # z4 = R3 Rz(t4) (0, -sa4, ca4) and x5 = R4 (cos t5, sin t5, 0)
@@ -368,7 +345,7 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     y4 = g.ca4 * (c4 * y3 - s4 * x3) + g.sa4 * z3
     T[:, 3] = t4
     T[:, 4] = np.arctan2((y4 * x5).sum(axis=1), (x4 * x5).sum(axis=1))
-    T[:, 5] = -hi
+    T[:, 5] = -phi
     return T - rows[:, 0]
 
 

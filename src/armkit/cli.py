@@ -139,19 +139,16 @@ def _csv_part(rows: np.ndarray, repeat: int) -> bytes:
     """The lines of a 2-D float array, ``repr`` of each value, each line
     ``repeat`` times.
 
-    Each distinct value (bit pattern, so -0.0 is not 0.0) is formatted once
-    by :func:`_kernels.repr_bytes`. A line is its cells' NUL-padded bytes
-    with a separator after each, and dropping the NULs packs the lines, so
-    the text does not depend on how the rows are sliced.
+    Each value is formatted by :func:`_kernels.repr_bytes`. A line is its
+    cells' NUL-padded bytes with a separator after each, and dropping the
+    NULs packs the lines, so the text does not depend on how the rows are
+    sliced.
     """
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits.reshape(-1), return_inverse=True)
-    text = _kernels.repr_bytes(distinct.view(np.float64))
-    n, cols = bits.shape
+    n, cols = rows.shape
+    text = _kernels.repr_bytes(rows)
     width = text.dtype.itemsize
     lines = np.empty((n, cols, width + 1), np.uint8)
-    lines[:, :, :width] = text.take(inverse).view(np.uint8).reshape(
-        n, cols, width)
+    lines[:, :, :width] = text.view(np.uint8).reshape(n, cols, width)
     lines[:, :, width] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
     part = np.repeat(lines.reshape(n, cols * (width + 1)), repeat, axis=0)
     return part[part != 0].tobytes()
@@ -775,9 +772,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _refuse(args) -> None:
     """Refuse a negative seed, --policy fixed without --q, a file --format
-    without --out and a flag that only another mode reads, before any work."""
-    if getattr(args, "policy", None) == "fixed" and not args.q:
-        raise CliUsageError("--policy fixed requires --q")
+    without --out or that the call does not write, and a flag that only
+    another mode reads, before any work."""
+    if getattr(args, "policy", None) == "fixed":
+        if not args.q:
+            raise CliUsageError("--policy fixed requires --q")
+        if args.format == "csv":
+            raise CliUsageError("--format csv is read only with --policy worst")
     if getattr(args, "seed", 0) < 0:
         raise CliUsageError(f"--seed must be >= 0, got {args.seed}")
     if args.format != "text" and not args.out:

@@ -270,6 +270,23 @@ def test_ik_first_attempt_solves_after_running_into_a_limit(
     assert float(out.split("position_error_m: ")[1]) < 1e-6
 
 
+def test_ik_answers_a_stretched_elbow_seed_with_itself(
+        capsys: pytest.CaptureFixture) -> None:
+    # joint 3 is 0.14 deg off the stretched elbow, and --q0 is an exact
+    # solution; the scan of the wrist circle with fans into the folds
+    # missed it and answered a branch 3.66 rad away
+    q0 = [49.74203166163443, -59.76870174509921, 78.73657479745776,
+          15.822941632638518, 67.06897919770492, 138.15556566696313]
+    rc, out = _run(capsys, [
+        "ik", "--target=0.1799503417242619,0.18236991491374532,"
+              "-0.21354039864729119",
+        "--rpy=-97.68451710938733,53.00865699572401,-61.0011544788492",
+        "--q0=" + ",".join(map(repr, q0))])
+    assert rc == 0
+    q = [float(v) for v in out.split("q_deg: ")[1].split("\n")[0].split()]
+    assert np.abs(np.subtract(q, q0)).max() < 1e-6
+
+
 def test_jacobian_prints_a_six_by_six(capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["jacobian", "--q", "10,-20,30,0,15,5"])
     assert rc == 0
@@ -452,8 +469,8 @@ _SMALL_RUN_SHA256 = {
         "0693816ee0ae7538fc9218e5e3d76d998f8506a7035fc4a26ebcaab5120f782a",
         "8dbb4626f4e58003eb12c28295f9cc7c7cc34fb2513afac3e44afa8c28caca85"),
     ("ik", "csv"): (
-        "0cb052993cd1334b2e03f70f2b4a5e2911a19df071a750afa84bdc5506de6c6e",
-        "83549f8eab09538a5aa85acf1ab13edd6959ac6af726d222ec9aaca68b9a4acd"),
+        "6c3f75b1d6172f2bf76dd675f93b7149c0f336ba3055cf18ae9c6ab43a9e1604",
+        "071d44ec6c11c7e9fa58c49ebd02cb6f1e44b6e3f829e3c73d5c95edcf6d6f97"),
     ("jacobian", "csv"): (
         "da162d775eb48047ee5b47c73743af5270d26d01d85cd7c7cd2ecfb4a71a54b0",
         "86f391bdd2742e1ce64b391cded9c28a84312c1817b2df0cf1cf71c25cf4778a"),
@@ -516,8 +533,9 @@ def test_small_runs_keep_their_bytes(capsys: pytest.CaptureFixture,
 ])
 def test_outputs_print_plain_floats(capsys: pytest.CaptureFixture,
                                     tmp_path: Path, argv: list) -> None:
-    # numpy 2 scalars repr as ``np.float64(x)``; every number leaves as x
-    for fmt in ("text", "csv"):
+    # numpy 2 scalars repr as ``np.float64(x)``; every number leaves as x.
+    # A fixed-pose payload has no CSV, and refuses --format csv
+    for fmt in ("text",) if "fixed" in argv else ("text", "csv"):
         out_dir = tmp_path / fmt
         rc, out = _run(capsys, argv + ["--format", fmt, "--out", str(out_dir)])
         assert rc == 0
@@ -641,6 +659,22 @@ def test_flags_this_call_never_reads_exit_2(capsys: pytest.CaptureFixture,
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+
+def test_payload_at_a_fixed_pose_refuses_a_csv(capsys: pytest.CaptureFixture,
+                                               tmp_path: Path) -> None:
+    # a fixed pose has no sweep to write, so --format csv would do nothing
+    argv = ["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+            "--format", "csv"]
+    for extra in ([], ["--out", str(tmp_path / "o")]):
+        rc = cli.run(argv + extra)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (
+            2, "", "error: --format csv is read only with --policy worst\n")
+    assert not (tmp_path / "o").exists()
+    assert cli.run(argv[:-2] + ["--out", str(tmp_path / "o")]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "manifest.json", "payload.txt"]
 
 
 def test_workspace_svg_output(capsys: pytest.CaptureFixture,
