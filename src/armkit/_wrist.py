@@ -174,21 +174,28 @@ def _loop(g: Wrist, M: np.ndarray):
     top, bottom = m + rho > 1.0, m - rho < -1.0
     # hi - m and lo - m
     hm, lm = (1.0 - m if top else rho), (-1.0 - m if bottom else -rho)
-    if not hm > lm:
+    if not hm >= lm:
         return 0, None
     hi, c = 1.0 if top else m + rho, math.sqrt(hm - lm)
     # the constant term that does not vanish at each end
     th, tl = abs(m + rho - 1.0), abs(m - rho + 1.0)
-    cp, sp = p / rho, q / rho
+    psi = math.atan2(q, p)
+    cp, sp = math.cos(psi), math.sin(psi)
 
     def at(half, sign):
-        a, b = c * np.sin(half), c * np.cos(half)
+        s, t = np.sin(half), np.cos(half)
+        a, b = c * s, c * t
         aa = a * a
         # on two loops, the sign falls on the product of two positive roots
         ra, rb = np.sqrt(th + aa), sign * np.sqrt(tl + b * b)
         sg = (a if top else ra) * (b if bottom else rb)
-        sd = (ra if top else a) * (rb if bottom else b) / rho
-        cd = (hm - aa) / rho
+        if top or bottom:
+            # cos(phi - psi) and sin(phi - psi)
+            cd = (hm - aa) / rho
+            sd = (ra if top else a) * (rb if bottom else b) / rho
+        else:
+            # phi - psi = tau, even where rho = 0 and gamma is constant
+            cd, sd = t * t - s * s, 2.0 * s * t
         return (cd * cp - sd * sp, sd * cp + cd * sp), hi - aa, sg
 
     return 1 if top != bottom else 2, at
@@ -223,8 +230,8 @@ def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x1: np.ndarray,
                  x2: np.ndarray, f0: np.ndarray, f1: np.ndarray,
                  f2: np.ndarray) -> tuple:
     """Brackets of the roots at the dips ``br``, ``x0``-``x2``,
-    ``f0``-``f2`` of :func:`_dips`, where ``residual(x, br)`` samples row
-    ``br`` at ``x``.
+    ``f0``-``f2`` of :func:`_dips`, where ``residual(x)`` samples each
+    dip's row at ``x``.
 
     Each dip is refined by successive parabolic interpolation, all at once,
     until its new point crosses zero (a bracket on each side) or lies
@@ -239,7 +246,7 @@ def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x1: np.ndarray,
         a, b = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
         v = np.where(done, x1,
                      x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / (a - b))
-        fv = residual(v, br)
+        fv = residual(v)
         stop = ~done & (((fv > 0.0) != (f1 > 0.0))
                         | (np.abs(fv) <= ROOT_TOL))
         # otherwise v replaces the middle point if it is nearer zero, else
@@ -295,13 +302,13 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     loops, at = _loop(g, M)
     if not loops:
         return np.zeros((0, 6))
-    # row r of the scan is shoulder sign xs[r // loops] on loop r % loops
     n = 2 * SCAN_POINTS // loops
     half = _HALF[:n + 2]
 
-    def residual(h, r):
-        return _residual(g, M, *at(h, 1.0 - 2.0 * (r % loops)),
-                         1.0 - 2.0 * (r // loops))
+    def signs(r):
+        # row r of the scan is on loop r % loops, with shoulder sign
+        # _SHOULDER[r // loops]
+        return 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         f = _residual(g, M, *at(np.tile(half[1:-1], loops),
@@ -315,20 +322,22 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
                      f[br, i + 2])]
         dips = _dips(f, half)
         if dips[0].size:
-            brackets.append(_refine_dips(residual, *dips))
+            ls, xs = signs(dips[0])
+            brackets.append(_refine_dips(
+                lambda h: _residual(g, M, *at(h, ls), xs), *dips))
         br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
+        ls, xs = signs(br)
         for _ in range(REFINE_STEPS):
             todo = np.abs(fhi) > ROOT_TOL
             if not todo.any():
                 break
             c = np.where(todo, hi - fhi * (hi - lo) / (fhi - flo), hi)
-            fc = residual(c, br)
+            fc = _residual(g, M, *at(c, ls), xs)
             flip = (fc > 0.0) != (fhi > 0.0)
             lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
             hi, fhi = c, fc
-        circle, cg, sg = at(hi, 1.0 - 2.0 * (br % loops))
-        t1, t2, t3 = _residual(g, M, circle, cg, sg, 1.0 - 2.0 * (br // loops),
-                               angles=True)
+        circle, cg, sg = at(hi, ls)
+        t1, t2, t3 = _residual(g, M, circle, cg, sg, xs, angles=True)
     phi = np.arctan2(circle[1], circle[0])
     T = np.zeros((len(phi), 6))
     T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3

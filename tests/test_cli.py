@@ -469,8 +469,8 @@ _SMALL_RUN_SHA256 = {
         "0693816ee0ae7538fc9218e5e3d76d998f8506a7035fc4a26ebcaab5120f782a",
         "8dbb4626f4e58003eb12c28295f9cc7c7cc34fb2513afac3e44afa8c28caca85"),
     ("ik", "csv"): (
-        "6c3f75b1d6172f2bf76dd675f93b7149c0f336ba3055cf18ae9c6ab43a9e1604",
-        "071d44ec6c11c7e9fa58c49ebd02cb6f1e44b6e3f829e3c73d5c95edcf6d6f97"),
+        "d997e3c1004a904ce6fa49256e78ece1e0b929f0007b62e5f3ae2e3eea91b4b1",
+        "33a267ff41fcc35d7e1d13cbd59fcba54bfb350fe88157b6651be51e72562df6"),
     ("jacobian", "csv"): (
         "da162d775eb48047ee5b47c73743af5270d26d01d85cd7c7cd2ecfb4a71a54b0",
         "86f391bdd2742e1ce64b391cded9c28a84312c1817b2df0cf1cf71c25cf4778a"),

@@ -656,10 +656,10 @@ _DLS_POOL_SHA256 = \
 
 #: SHA-256 of all 60 answers of ``inverse_kinematics``, concatenated in pool
 #: order: each the in-limit branch of the wrist scan nearest the zero start.
-#: The scan along the elbow's reach loop moved 59 of them, by at most
+#: The scan along the elbow's reach loop moved 58 of them, by at most
 #: 1.3e-13 rad, from those of the scan with fans into the elbow's folds.
 _POOL_SHA256 = \
-    "2d02f52bba5dfe61f83f225d544a256b89c3945f2a6685ee784dfa434feb78b8"
+    "faf33c6ed775a9b2139023611893b3d11f04fceac931273857746b31e9dfe108"
 
 
 def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
@@ -740,6 +740,23 @@ def test_wrist_branches_hold_draws_at_the_stretched_elbow(
               if not _holds(_wrist.branches(wrist, rows, Pose(
                   tool[:3, 3], tool[:3, :3])), q_true)]
     assert missed == []
+
+
+def test_wrist_branches_where_the_elbow_angle_is_constant_on_the_circle(
+        arm: model.ArmDescription) -> None:
+    # O5 - d1 z0 lies along the tool's z axis, so every point of the wrist
+    # circle is as far from the shoulder as the others: the elbow's reach
+    # loop shrinks to one value of the elbow angle
+    rows = model.dh_params(arm)
+    wrist = _wrist.structure(arm)
+    R = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    p = np.array([0.2 + wrist.d6, 0.0, wrist.d1])
+    Q = _wrist.branches(wrist, rows, Pose(p, R))
+    assert len(Q) > 0
+    tool = np.eye(4)
+    tool[:3, :3], tool[:3, 3] = R, p
+    reached = _kernels.fk_frames_batch(rows, Q)[:, 6]
+    assert np.abs(reached - tool).max() <= 1e-9
 
 
 def test_an_arm_without_the_wrist_structure_keeps_the_dls_answers(
