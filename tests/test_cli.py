@@ -273,8 +273,7 @@ def test_ik_first_attempt_solves_after_running_into_a_limit(
 def test_ik_answers_a_stretched_elbow_seed_with_itself(
         capsys: pytest.CaptureFixture) -> None:
     # joint 3 is 0.14 deg off the stretched elbow, and --q0 is an exact
-    # solution; the scan of the wrist circle with fans into the folds
-    # missed it and answered a branch 3.66 rad away
+    # solution, so it is the nearest one
     q0 = [49.74203166163443, -59.76870174509921, 78.73657479745776,
           15.822941632638518, 67.06897919770492, 138.15556566696313]
     rc, out = _run(capsys, [

@@ -656,8 +656,6 @@ _DLS_POOL_SHA256 = \
 
 #: SHA-256 of all 60 answers of ``inverse_kinematics``, concatenated in pool
 #: order: each the in-limit branch of the wrist scan nearest the zero start.
-#: The scan along the elbow's reach loop moved 58 of them, by at most
-#: 1.3e-13 rad, from those of the scan with fans into the elbow's folds.
 _POOL_SHA256 = \
     "faf33c6ed775a9b2139023611893b3d11f04fceac931273857746b31e9dfe108"
 
@@ -727,8 +725,7 @@ def test_wrist_branches_are_exact_and_hold_the_drawn_joints(
 def test_wrist_branches_hold_draws_at_the_stretched_elbow(
         arm: model.ArmDescription) -> None:
     # joint 3 within 1.43 deg of its stretched-elbow angle, where the elbow
-    # branches meet and pairs of roots close in on a double root; the scan
-    # of the wrist circle with fans into the folds missed 7 of these 300
+    # branches meet and pairs of roots close in on a double root
     rows, lim = model.dh_params(arm), model.limits_array(arm)
     wrist = _wrist.structure(arm)
     rng = np.random.default_rng(1)
