@@ -103,7 +103,7 @@ def _residual(g: Wrist, M: np.ndarray, circle: tuple, cg: np.ndarray,
     the residual z3 . z4 - cos(alpha4) is zero where joint 4 can turn z3's
     frame onto z4. Where O4 lies inside the shoulder offset, the closed form
     takes the nearest pose it has. With ``angles``, returns the first three
-    joint angles (offsets included) instead.
+    joint angles (offsets included) and phi instead.
     """
     # elementwise, not a matmul, whose rounding would follow the BLAS
     wx, wy, wz, zx, zy, zz = M[:, :1] + M[:, 1:2] * circle[0] \
@@ -117,7 +117,7 @@ def _residual(g: Wrist, M: np.ndarray, circle: tuple, cg: np.ndarray,
     if angles:
         return (np.arctan2(wy, wx) - np.arctan2(k, X),
                 np.arctan2(Y, X) - np.arctan2(g.L * sg, g.a2 + g.L * cg),
-                np.arctan2(sg, cg) + g.beta)
+                np.arctan2(sg, cg) + g.beta, np.arctan2(circle[1], circle[0]))
     D2 = XX + Y * Y
     ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
     # t2 + t3 is the angle of (X + iY) (L + a2 e^(i gamma)) e^(i beta) = c + is
@@ -206,12 +206,12 @@ def _dips(f: np.ndarray, x: np.ndarray) -> tuple:
     ``x`` (l,).
 
     A dip is a sample nearer zero than its two neighbours, all three of one
-    sign, whose parabola through them comes within 1% of the sample's value
-    of zero or crosses it: the sign of a double root, or of two roots
-    closer than the samples.
+    sign, whose parabola through them turns nearer zero than 95% of the
+    sample's value, or across it: the sign of a double root, or of two
+    roots closer than the samples.
 
     Returns:
-        ``(row, x0, x1, x2, f0, f1, f2)``, one entry per dip.
+        ``(row, x0, x2, f0, f2)``, one entry per dip: its two outer samples.
     """
     a = np.abs(f)
     br, i = np.nonzero((a[:, 1:-1] < a[:, :-2]) & (a[:, 1:-1] <= a[:, 2:]))
@@ -222,55 +222,62 @@ def _dips(f: np.ndarray, x: np.ndarray) -> tuple:
     curv = (d1 - d0) / (x2 - x0)
     slope = d0 + curv * (x1 - x0)
     peak = f1 - slope * slope / (4.0 * curv)
-    dip = (f1 * f0 > 0.0) & (f1 * f2 > 0.0) & (peak * f1 < 0.01 * f1 * f1)
-    return tuple(v[dip] for v in (br, x0, x1, x2, f0, f1, f2))
+    dip = (f1 * f0 > 0.0) & (f1 * f2 > 0.0) & (peak * f1 < 0.95 * f1 * f1)
+    return tuple(v[dip] for v in (br, x0, x2, f0, f2))
 
 
-def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x1: np.ndarray,
-                 x2: np.ndarray, f0: np.ndarray, f1: np.ndarray,
-                 f2: np.ndarray) -> tuple:
-    """Brackets of the roots at the dips ``br``, ``x0``-``x2``,
-    ``f0``-``f2`` of :func:`_dips`, where ``residual(x)`` samples each
-    dip's row at ``x``.
+def _illinois(residual, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
+              fhi: np.ndarray) -> np.ndarray:
+    """The roots of ``residual`` in the brackets [``lo``, ``hi``], where it
+    takes the values ``flo`` and ``fhi``, by Illinois regula falsi, all at
+    once: each bracket's newest point once ``residual`` there is within
+    :data:`ROOT_TOL` of zero, or after :data:`REFINE_STEPS` steps."""
+    for _ in range(REFINE_STEPS):
+        todo = np.abs(fhi) > ROOT_TOL
+        if not todo.any():
+            break
+        c = np.where(todo, hi - fhi * (hi - lo) / (fhi - flo), hi)
+        fc = residual(c)
+        flip = (fc > 0.0) != (fhi > 0.0)
+        lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
+        hi, fhi = c, fc
+    return hi
 
-    Each dip is refined by successive parabolic interpolation, all at once,
-    until its new point crosses zero (a bracket on each side) or lies
-    within :data:`ROOT_TOL` of it (a double root, as a bracket of
-    zero width). A dip that does neither has no root.
+
+def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x2: np.ndarray,
+                 f0: np.ndarray, f2: np.ndarray) -> tuple:
+    """Brackets of the roots at the dips ``br``, ``x0``, ``x2``, ``f0``,
+    ``f2`` of :func:`_dips`, where ``residual(r)`` is the residual on scan
+    rows ``r`` as a function of the half-angle.
+
+    A dip's turning point is a root of the residual's slope, here the
+    central difference f(x + e) - f(x - e) with e = 1e-6 (x2 - x0), which
+    :func:`_illinois` finds in [x0, x2] for each dip whose slope changes
+    sign there. At its turning point a dip crosses zero (a bracket on each
+    side), lies within :data:`ROOT_TOL` of it (a double root, as a bracket
+    of zero width), or has no root.
 
     Returns:
         ``(row, lo, f_lo, hi, f_hi)`` arrays of the brackets.
     """
-    done = np.zeros(len(br), dtype=bool)
-    for _ in range(REFINE_STEPS):
-        a, b = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
-        v = np.where(done, x1,
-                     x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / (a - b))
-        fv = residual(v)
-        stop = ~done & (((fv > 0.0) != (f1 > 0.0))
-                        | (np.abs(fv) <= ROOT_TOL))
-        # otherwise v replaces the middle point if it is nearer zero, else
-        # the end point on its side
-        mid = ~done & ~stop & (np.abs(fv) < np.abs(f1))
-        end = ~done & ~stop & ~mid
-        left = v < x1
-        x0, f0 = (np.where(mid & ~left, x1, np.where(end & left, v, x0)),
-                  np.where(mid & ~left, f1, np.where(end & left, fv, f0)))
-        x2, f2 = (np.where(mid & left, x1, np.where(end & ~left, v, x2)),
-                  np.where(mid & left, f1, np.where(end & ~left, fv, f2)))
-        x1, f1 = np.where(mid | stop, v, x1), np.where(mid | stop, fv, f1)
-        done |= stop
-        if done.all():
-            break
-    # a middle point across zero brackets a root on each side; a double
+    e = 1e-6 * (x2 - x0)
+    f = residual(br)
+    s0, s2 = f(x0 + e) - f(x0 - e), f(x2 + e) - f(x2 - e)
+    turns = (s0 > 0.0) != (s2 > 0.0)
+    br, x0, x2, f0, f2, s0, s2, e = (
+        v[turns] for v in (br, x0, x2, f0, f2, s0, s2, e))
+    f = residual(br)
+    x = _illinois(lambda x: f(x + e) - f(x - e), x0, s0, x2, s2)
+    fx = f(x)
+    # a turning point across zero brackets a root on each side; a double
     # root is its own bracket
-    two = (f1 > 0.0) != (f0 > 0.0)
-    one = done & ~two
+    two = (fx > 0.0) != (f0 > 0.0)
+    one = ~two & (np.abs(fx) <= ROOT_TOL)
     return (np.concatenate([br[two], br[two], br[one]]),
-            np.concatenate([x0[two], x1[two], x1[one]]),
-            np.concatenate([f0[two], f1[two], f1[one]]),
-            np.concatenate([x1[two], x2[two], x1[one]]),
-            np.concatenate([f1[two], f2[two], f1[one]]))
+            np.concatenate([x0[two], x[two], x[one]]),
+            np.concatenate([f0[two], fx[two], fx[one]]),
+            np.concatenate([x[two], x2[two], x[one]]),
+            np.concatenate([fx[two], f2[two], fx[one]]))
 
 
 def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
@@ -283,7 +290,7 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     :data:`SCAN_POINTS` points per turn of the parameter tau of the
     elbow's reach loops (:func:`_loop`), 2 :data:`SCAN_POINTS` in all. Its
     sign changes and its dips (:func:`_dips`, :func:`_refine_dips`), each
-    across a loop's seam too, bracket the roots, which Illinois regula falsi
+    across a loop's seam too, bracket the roots, which :func:`_illinois`
     refines in tau, all in one batch. Joints 4 and 5 then follow by
     ``atan2``, and joint 6 is -phi.
 
@@ -305,10 +312,11 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     n = 2 * SCAN_POINTS // loops
     half = _HALF[:n + 2]
 
-    def signs(r):
+    def residual(r, angles=False):
         # row r of the scan is on loop r % loops, with shoulder sign
         # _SHOULDER[r // loops]
-        return 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
+        ls, xs = 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
+        return lambda h: _residual(g, M, *at(h, ls), xs, angles)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         f = _residual(g, M, *at(np.tile(half[1:-1], loops),
@@ -322,23 +330,10 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
                      f[br, i + 2])]
         dips = _dips(f, half)
         if dips[0].size:
-            ls, xs = signs(dips[0])
-            brackets.append(_refine_dips(
-                lambda h: _residual(g, M, *at(h, ls), xs), *dips))
+            brackets.append(_refine_dips(residual, *dips))
         br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
-        ls, xs = signs(br)
-        for _ in range(REFINE_STEPS):
-            todo = np.abs(fhi) > ROOT_TOL
-            if not todo.any():
-                break
-            c = np.where(todo, hi - fhi * (hi - lo) / (fhi - flo), hi)
-            fc = _residual(g, M, *at(c, ls), xs)
-            flip = (fc > 0.0) != (fhi > 0.0)
-            lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
-            hi, fhi = c, fc
-        circle, cg, sg = at(hi, ls)
-        t1, t2, t3 = _residual(g, M, circle, cg, sg, xs, angles=True)
-    phi = np.arctan2(circle[1], circle[0])
+        hi = _illinois(residual(br), lo, flo, hi, fhi)
+        t1, t2, t3, phi = residual(br, angles=True)(hi)
     T = np.zeros((len(phi), 6))
     T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3
     R3 = _kernels.fk_frames_batch(rows, T - rows[:, 0])[:, 3, :3, :3]

@@ -257,32 +257,32 @@ _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
 
-def _dls_step(J: np.ndarray, JJT: np.ndarray, E: np.ndarray, lam: np.ndarray,
+def _dls_step(J: np.ndarray, E: np.ndarray, lam: np.ndarray,
               on_lo: np.ndarray, on_hi: np.ndarray) -> np.ndarray:
     """Damped-least-squares joint steps (n, 6) with an active set of limits.
 
-    Each row's step is ``J.T (J J.T + lam**2 I)^-1 E``. A joint sitting on a
-    limit (``on_lo``/``on_hi``, (n, 6) masks) that this step pushes further
-    out loses its Jacobian column, and the row's step is solved again
-    without it, until no such joint is left: the dropped joints get a zero
-    step and the rest take the damped-least-squares step of the reduced
-    problem (Raunhardt & Boulic 2007). Rows with no such joint keep the
-    first solve, and no row depends on the others.
+    Each row's step solves ``(Jf.T Jf + lam**2 I) dq = Jf.T E``, where
+    ``Jf`` is ``J`` with the columns of the held joints zeroed, so that a
+    held joint's step is exactly zero; no joint is held at first. A joint
+    sitting on a limit (``on_lo``/``on_hi``, (n, 6) masks) that its row's
+    step pushes further out is held, and the row is solved again, until no
+    such joint is left: the rest take the damped-least-squares step of the
+    problem without the held joints (Raunhardt & Boulic 2007). No row
+    depends on the others.
     """
-    lam2 = (lam * lam)[:, None, None]
-    dq = (J.transpose(0, 2, 1) @ np.linalg.solve(
-        JJT + lam2 * _EYE6, E[:, :, None]))[:, :, 0]
-    free = np.ones(dq.shape, dtype=bool)
-    while True:
-        out = (on_lo & (dq < 0)) | (on_hi & (dq > 0))
-        r = out.any(axis=1).nonzero()[0]
-        if not r.size:
-            return dq
-        free[r] &= ~out[r]
-        Jm = J[r] * free[r][:, None, :]
-        dq[r] = (Jm.transpose(0, 2, 1) @ np.linalg.solve(
-            Jm @ Jm.transpose(0, 2, 1) + lam2[r] * _EYE6,
-            E[r][:, :, None]))[:, :, 0]
+    damp = (lam * lam)[:, None, None] * _EYE6
+    free = np.ones(E.shape, dtype=bool)
+    dq = np.empty(E.shape)
+    r = np.arange(len(E))
+    while r.size:
+        Jf = J[r] * free[r][:, None, :]
+        Jt = Jf.transpose(0, 2, 1)
+        dq[r] = np.linalg.solve(Jt @ Jf + damp[r],
+                                Jt @ E[r][:, :, None])[:, :, 0]
+        out = (on_lo[r] & (dq[r] < 0)) | (on_hi[r] & (dq[r] > 0))
+        free[r] &= ~out
+        r = r[out.any(axis=1)]
+    return dq
 
 
 def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
@@ -300,9 +300,9 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     :data:`STEP_LIMIT`, and clipped to the limits.
 
     The state arrays hold the live starts only, in their order in
-    ``starts``: a start that stops loses its row. Each trial computes
-    ``J J.T``, the step, FK and the new Jacobian for all rows at once, then
-    keeps each row's new state or its old one by whether its error fell.
+    ``starts``: a start that stops loses its row. Each trial computes the
+    step, FK and the new Jacobian for all rows at once, then keeps each
+    row's new state or its old one by whether its error fell.
     No start's numbers depend on the others in its batch.
 
     Returns:
@@ -345,7 +345,7 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
                 x[live] for x in (Q, E, pe, re_, err, J, lam, stall, steps,
                                   rejects))
         # one trial step per live start
-        dq = _dls_step(J, J @ J.transpose(0, 2, 1), E, lam, Q == lo, Q == hi)
+        dq = _dls_step(J, E, lam, Q == lo, Q == hi)
         peak = np.abs(dq).max(axis=1)
         big = peak > STEP_LIMIT
         dq[big] *= (STEP_LIMIT / peak[big])[:, None]

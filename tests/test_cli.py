@@ -88,6 +88,11 @@ def test_config_error_exits_3(capsys: pytest.CaptureFixture, tmp_path: Path) -> 
 def test_computation_error_exits_4(capsys: pytest.CaptureFixture) -> None:
     rc, _ = _run(capsys, ["ik", "--target", "0.9,0,0", "--rpy", "0,0,0"])
     assert rc == 4
+    # inside the reach bound, one step per start runs out of budget
+    assert cli.run(["ik", "--target", "0.58,0,0", "--rpy", "0,0,0",
+                    "--max-iters", "1"]) == 4
+    assert "computation error: IK iteration budget exhausted (" \
+        in capsys.readouterr().err
 
 
 def test_negative_seeds_exit_2_naming_the_flag(capsys: pytest.CaptureFixture,
@@ -270,20 +275,31 @@ def test_ik_first_attempt_solves_after_running_into_a_limit(
     assert float(out.split("position_error_m: ")[1]) < 1e-6
 
 
+#: IK queries whose --q0 is an exact solution with joint 3 near the
+#: stretched elbow: the nearest solution is --q0 itself.
+_STRETCHED_ELBOW_QUERIES = [
+    # 0.14 deg off it
+    ("0.1799503417242619,0.18236991491374532,-0.21354039864729119",
+     "-97.68451710938733,53.00865699572401,-61.0011544788492",
+     [49.74203166163443, -59.76870174509921, 78.73657479745776,
+      15.822941632638518, 67.06897919770492, 138.15556566696313]),
+    # 0.24 deg off it, at a pair of roots closer than the scan's samples
+    ("-0.15930156904326156,0.27678369410586734,-0.13501122814229333",
+     "171.63142197208114,-14.079084348437636,74.96327006752871",
+     [124.21244199650879, -25.755761978005, 78.64382148693015,
+      159.37917363722966, 51.947956474668, -117.05289025112846]),
+]
+
+
 def test_ik_answers_a_stretched_elbow_seed_with_itself(
         capsys: pytest.CaptureFixture) -> None:
-    # joint 3 is 0.14 deg off the stretched elbow, and --q0 is an exact
-    # solution, so it is the nearest one
-    q0 = [49.74203166163443, -59.76870174509921, 78.73657479745776,
-          15.822941632638518, 67.06897919770492, 138.15556566696313]
-    rc, out = _run(capsys, [
-        "ik", "--target=0.1799503417242619,0.18236991491374532,"
-              "-0.21354039864729119",
-        "--rpy=-97.68451710938733,53.00865699572401,-61.0011544788492",
-        "--q0=" + ",".join(map(repr, q0))])
-    assert rc == 0
-    q = [float(v) for v in out.split("q_deg: ")[1].split("\n")[0].split()]
-    assert np.abs(np.subtract(q, q0)).max() < 1e-6
+    for target, rpy, q0 in _STRETCHED_ELBOW_QUERIES:
+        rc, out = _run(capsys, ["ik", "--target=" + target, "--rpy=" + rpy,
+                                "--q0=" + ",".join(map(repr, q0))])
+        assert rc == 0
+        q = [float(v)
+             for v in out.split("q_deg: ")[1].split("\n")[0].split()]
+        assert np.abs(np.subtract(q, q0)).max() < 1e-6, target
 
 
 def test_jacobian_prints_a_six_by_six(capsys: pytest.CaptureFixture) -> None:

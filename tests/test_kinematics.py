@@ -201,6 +201,19 @@ def test_ik_reports_failure_inside_reach_bound(arm: model.ArmDescription) -> Non
     assert pos_res > 1e-6  # genuinely short of the target, not a near miss
 
 
+def test_ik_reports_an_exhausted_iteration_budget(
+        arm: model.ArmDescription) -> None:
+    # one step per start: every start is still improving when it runs out
+    target = Pose(position=[0.58, 0.0, 0.0], orientation=np.eye(3))
+    with pytest.raises(NoConvergenceError) as exc:
+        kinematics.inverse_kinematics(arm, target, seed=np.zeros(6),
+                                      opts=IKOptions(max_iters=1))
+    assert type(exc.value) is NoConvergenceError
+    assert str(exc.value).startswith("IK iteration budget exhausted (")
+    pos_res, rot_res = exc.value.best_residual
+    assert pos_res > 1e-6 and math.isfinite(rot_res)
+
+
 def test_ik_restarts_are_deterministic(arm: model.ArmDescription) -> None:
     q_true = np.radians([60.0, -70.0, 80.0, 40.0, -50.0, 90.0])
     target = kinematics.forward_kinematics(arm, q_true)
@@ -367,7 +380,6 @@ def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
     E, pe, re_ = kinematics._pose_error(target, frames)
     err = kinematics._row_norms(E)
     J = kinematics._jacobian_from_frames(frames)
-    JJT = J @ J.transpose(0, 2, 1)
     lam = np.full(k, max(kinematics.DAMPING, lam_floor))
     stall = np.zeros(k, dtype=int)
     steps = np.zeros(k, dtype=int)
@@ -392,8 +404,8 @@ def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
         if not idx.size:
             return None, best, exhausted
         # one trial step per live start
-        dq = kinematics._dls_step(J[idx], JJT[idx], E[idx], lam[idx],
-                                  Q[idx] == lo, Q[idx] == hi)
+        dq = kinematics._dls_step(J[idx], E[idx], lam[idx], Q[idx] == lo,
+                                  Q[idx] == hi)
         peak = np.max(np.abs(dq), axis=1)
         big = peak > kinematics.STEP_LIMIT
         dq[big] *= (kinematics.STEP_LIMIT / peak[big])[:, None]
@@ -414,7 +426,6 @@ def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
         Q[a], E[a], pe[a], re_[a], err[a] = (
             q_new[ok], e_new[ok], pe_new[ok], re_new[ok], err_new[ok])
         J[a] = kinematics._jacobian_from_frames(frames[ok])
-        JJT[a] = J[a] @ J[a].transpose(0, 2, 1)
         lam[a] = np.maximum(lam[a] / 3.0, lam_floor)
         steps[a] += 1
         rejects[a] = 0
@@ -533,39 +544,33 @@ def test_active_set_step_holds_joints_on_their_limits(
     rng = np.random.default_rng(seed)
     Q = _pinned_starts(lim, rng, n)
     J = kinematics._jacobian_from_frames(_kernels.fk_frames_batch(rows, Q))
-    JJT = J @ J.transpose(0, 2, 1)
+    JT = J.transpose(0, 2, 1)
     E = rng.normal(scale=0.05, size=(n, 6))
     lam = np.full(n, 10.0 ** log_lam)
     on_lo, on_hi = Q == lim[:, 0], Q == lim[:, 1]
-    dq = kinematics._dls_step(J, JJT, E, lam, on_lo, on_hi)
+    dq = kinematics._dls_step(J, E, lam, on_lo, on_hi)
     # the plain damped least-squares step, as solved before the active set
-    plain = (J.transpose(0, 2, 1) @ np.linalg.solve(
-        JJT + (lam * lam)[:, None, None] * np.eye(6), E[:, :, None]))[:, :, 0]
+    plain = np.linalg.solve(JT @ J + (lam * lam)[:, None, None] * np.eye(6),
+                            JT @ E[:, :, None])[:, :, 0]
     # a joint that starts the step on a limit never moves further out
     assert not np.any(on_lo & (dq < 0)) and not np.any(on_hi & (dq > 0))
     for i in range(n):
-        alone = kinematics._dls_step(J[i:i + 1], JJT[i:i + 1], E[i:i + 1],
-                                     lam[i:i + 1], on_lo[i:i + 1],
-                                     on_hi[i:i + 1])
+        alone = kinematics._dls_step(J[i:i + 1], E[i:i + 1], lam[i:i + 1],
+                                     on_lo[i:i + 1], on_hi[i:i + 1])
         assert alone.tobytes() == dq[i:i + 1].tobytes()
         pushes = (on_lo[i] & (plain[i] < 0)) | (on_hi[i] & (plain[i] > 0))
         if not pushes.any():
             assert dq[i].tobytes() == plain[i].tobytes()
             continue
         # the held joints stay put; the rest take the damped least-squares
-        # step of the problem without them, here in the primal form
-        # (Jf.T Jf + lam^2 I)^-1 Jf.T E
+        # step of the problem without them, (Jf.T Jf + lam^2 I)^-1 Jf.T E
         held = (on_lo[i] | on_hi[i]) & (dq[i] == 0.0)
         assert held[pushes].all()
         Jf = J[i][:, ~held]
         ref = np.linalg.solve(Jf.T @ Jf + lam[i] ** 2 * np.eye(len(Jf.T)),
                               Jf.T @ E[i])
-        # the step solves the 6x6 system with the held columns zeroed, whose
-        # condition number (up to |J|^2 / lam^2) bounds its relative error
-        cond = np.linalg.cond(Jf @ Jf.T + lam[i] ** 2 * np.eye(6))
-        np.testing.assert_allclose(
-            dq[i][~held], ref, rtol=0,
-            atol=100 * np.finfo(float).eps * cond * np.abs(ref).max(initial=0))
+        np.testing.assert_allclose(dq[i][~held], ref, rtol=0,
+                                   atol=1e-10 * np.abs(ref).max(initial=0))
 
 
 def test_lockstep_ties_go_to_the_lowest_row(arm: model.ArmDescription) -> None:
@@ -640,19 +645,10 @@ def _dls_path(arm: model.ArmDescription, target: Pose, seed,
     return q
 
 
-#: Pool targets whose damped-least-squares answers changed when the
-#: active-set step replaced plain clamping.
-_ACTIVE_SET_CHANGED = {6, 9, 11, 12, 13, 17, 18, 43, 45, 48, 50}
-
-#: SHA-256 of the damped-least-squares path's other 49 answers,
-#: concatenated: plain clamping gave these same bytes.
-_UNCHANGED_POOL_SHA256 = \
-    "69d67a12815fbbd454ac170b3d906c95c9c187e879bfe1990dff4007b50f5fda"
-
 #: SHA-256 of the damped-least-squares path's 60 answers, concatenated in
-#: pool order, as the active-set step first gave them.
+#: pool order, as the active-set step in the primal form gives them.
 _DLS_POOL_SHA256 = \
-    "5c67ad49c62580c21621d2cb873937bf72684a028484ea13f21c6a30eed94d02"
+    "153ee3499fa6a33ed5a1c8e38f28a36144ca092ca5f70557d74b9c3e9abca9c7"
 
 #: SHA-256 of all 60 answers of ``inverse_kinematics``, concatenated in pool
 #: order: each the in-limit branch of the wrist scan nearest the zero start.
@@ -690,14 +686,10 @@ def test_dls_path_keeps_its_pool_answers(arm: model.ArmDescription) -> None:
     # every target in zero steps
     table, _, _ = kinematics._start_table(arm)
     assert not {r.tobytes() for r in table} & {r.tobytes() for r in pool}
-    unchanged, answers = hashlib.sha256(), hashlib.sha256()
-    for n, q_true in enumerate(pool):
+    answers = hashlib.sha256()
+    for q_true in pool:
         target = kinematics.forward_kinematics(arm, q_true)
-        q = _dls_path(arm, target, np.zeros(6), opts)
-        answers.update(q.tobytes())
-        if n not in _ACTIVE_SET_CHANGED:
-            unchanged.update(q.tobytes())
-    assert unchanged.hexdigest() == _UNCHANGED_POOL_SHA256
+        answers.update(_dls_path(arm, target, np.zeros(6), opts).tobytes())
     assert answers.hexdigest() == _DLS_POOL_SHA256
 
 
@@ -725,17 +717,20 @@ def test_wrist_branches_are_exact_and_hold_the_drawn_joints(
 def test_wrist_branches_hold_draws_at_the_stretched_elbow(
         arm: model.ArmDescription) -> None:
     # joint 3 within 1.43 deg of its stretched-elbow angle, where the elbow
-    # branches meet and pairs of roots close in on a double root
+    # branches meet and pairs of roots close in on a double root; seed 17
+    # draws two pairs closer than the scan's samples (draws 51 and 288)
     rows, lim = model.dh_params(arm), model.limits_array(arm)
     wrist = _wrist.structure(arm)
-    rng = np.random.default_rng(1)
-    q = rng.uniform(lim[:, 0], lim[:, 1], size=(300, 6))
-    q[:, 2] = wrist.beta - rows[2, 0] + rng.uniform(
-        -math.radians(1.43), math.radians(1.43), size=300)
-    tools = _kernels.fk_frames_batch(rows, q)[:, 6]
-    missed = [n for n, (q_true, tool) in enumerate(zip(q, tools))
-              if not _holds(_wrist.branches(wrist, rows, Pose(
-                  tool[:3, 3], tool[:3, :3])), q_true)]
+    missed = []
+    for seed in (1, 17):
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(lim[:, 0], lim[:, 1], size=(300, 6))
+        q[:, 2] = wrist.beta - rows[2, 0] + rng.uniform(
+            -math.radians(1.43), math.radians(1.43), size=300)
+        tools = _kernels.fk_frames_batch(rows, q)[:, 6]
+        missed += [(seed, n) for n, (q_true, tool) in enumerate(zip(q, tools))
+                   if not _holds(_wrist.branches(wrist, rows, Pose(
+                       tool[:3, 3], tool[:3, :3])), q_true)]
     assert missed == []
 
 
