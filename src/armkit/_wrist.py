@@ -312,11 +312,12 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     n = 2 * SCAN_POINTS // loops
     half = _HALF[:n + 2]
 
-    def residual(r, angles=False):
+    def residual(r):
         # row r of the scan is on loop r % loops, with shoulder sign
         # _SHOULDER[r // loops]
         ls, xs = 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
-        return lambda h: _residual(g, M, *at(h, ls), xs, angles)
+        return lambda h, angles=False: _residual(g, M, *at(h, ls), xs,
+                                                 angles)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         f = _residual(g, M, *at(np.tile(half[1:-1], loops),
@@ -332,8 +333,8 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
         if dips[0].size:
             brackets.append(_refine_dips(residual, *dips))
         br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
-        hi = _illinois(residual(br), lo, flo, hi, fhi)
-        t1, t2, t3, phi = residual(br, angles=True)(hi)
+        f = residual(br)
+        t1, t2, t3, phi = f(_illinois(f, lo, flo, hi, fhi), True)
     T = np.zeros((len(phi), 6))
     T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3
     R3 = _kernels.fk_frames_batch(rows, T - rows[:, 0])[:, 3, :3, :3]
