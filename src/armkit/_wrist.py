@@ -333,8 +333,8 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
         if dips[0].size:
             brackets.append(_refine_dips(residual, *dips))
         br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
-        f = residual(br)
-        t1, t2, t3, phi = f(_illinois(f, lo, flo, hi, fhi), True)
+        res = residual(br)
+        t1, t2, t3, phi = res(_illinois(res, lo, flo, hi, fhi), True)
     T = np.zeros((len(phi), 6))
     T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3
     R3 = _kernels.fk_frames_batch(rows, T - rows[:, 0])[:, 3, :3, :3]
