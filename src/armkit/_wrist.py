@@ -11,7 +11,6 @@ this module on its first call.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -62,7 +61,6 @@ class Wrist(NamedTuple):
     d6: float
 
 
-@functools.lru_cache(maxsize=8)
 def structure(arm: ArmDescription) -> Optional[Wrist]:
     """The branch scan's constants, or None if ``arm`` lacks its structure.
 

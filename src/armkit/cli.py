@@ -83,6 +83,12 @@ def _ints(text: str, n: Optional[int], what: str) -> Tuple[int, ...]:
     return tuple(int(v) for v in vals)
 
 
+def _notify(label: str, notices) -> None:
+    """Print each notice as one stderr line, ``<arm label>: <notice>``."""
+    for notice in notices:
+        print(f"{label}: {notice}", file=sys.stderr)
+
+
 def _rpy_matrix(rpy_deg: np.ndarray) -> np.ndarray:
     """ZYX convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     r, p, y = (math.radians(v) for v in rpy_deg)
@@ -297,10 +303,11 @@ def _handle_jacobian(args, arm):
 
 
 def _sweep(args, arm):
-    """The requested workspace sweep and its still empty statistics."""
+    """The requested sweep, its notices printed, and its empty statistics."""
     steps = _ints(args.per_joint_steps, 6, "--per-joint-steps")
     sweep = kinematics.WorkspaceSweep(arm, steps, mode=args.mode,
                                       samples=args.samples, seed=args.seed)
+    _notify(args.arm, sweep.notices)
     return sweep, kinematics.CloudStats(args.shell_fraction)
 
 
@@ -805,9 +812,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         command = _COMMANDS[args.subcommand]
         _refuse(args)
         arm = None
-        arm_source = "n/a"
-        if command.loads_arm:
-            arm, arm_source = resolve_arm(args.arm)
+        if command.loads_arm:  # --arm's value becomes the arm's label
+            arm, args.arm = resolve_arm(args.arm)
+            _notify(args.arm, arm.notices)
         out = _Outputs(args.out) if args.out else None
         stem = _stem(args.subcommand)
         # an overflow or NaN is refused where it matters, by a finite check
@@ -822,7 +829,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             out.write(stem + ".txt", text)
         sys.stdout.write(text)
         if out is not None:
-            out.write_manifest(args.subcommand, arm_source,
+            out.write_manifest(args.subcommand, getattr(args, "arm", "n/a"),
                                getattr(args, "seed", None), argv)
         return EXIT_CODES["ok"]
     except CliUsageError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, Sequence
 
@@ -490,7 +489,7 @@ class WorkspaceSweep:
     scrambled-Sobol sequence (quasi mode). Grid joints that cannot move the
     tool point (:func:`_fixed_tail`) are the lattice's fastest axes, so each
     tool point fills ``repeat`` consecutive rows; :meth:`chunks` computes
-    each of them once.
+    each of them once. ``notices`` holds the recipe's caveats, one line each.
 
     Raises:
         ResourceLimitError: requested samples exceed
@@ -507,6 +506,7 @@ class WorkspaceSweep:
         self.seed = seed
         self.per_joint_steps: Optional[tuple[int, ...]] = None
         self.repeat = 1
+        self.notices: tuple[str, ...] = ()
         if mode == "grid":
             steps = tuple(int(s) for s in per_joint_steps)
             if len(steps) != 6 or any(s < 2 for s in steps):
@@ -530,6 +530,9 @@ class WorkspaceSweep:
                 raise ComputationError(
                     f"quasi mode requires seed >= 0, got {seed}")
             self.samples = samples
+            if samples & (samples - 1):
+                self.notices = (f"{samples} quasi samples: Sobol' points keep "
+                                "their balance only at a power-of-two count",)
         else:
             raise ComputationError(f"unknown sampling mode {mode!r}")
 
@@ -539,8 +542,6 @@ class WorkspaceSweep:
         A chunk holds at most :data:`SWEEP_CHUNK_ROWS` points. A grid chunk
         is one slice of the lattice of distinct points (see
         :func:`_lattice_slices`), computed by :func:`_kernels.fk_lattice`.
-        The Sobol' balance properties need a power-of-two count; a quasi
-        sweep of any other count warns at the caller's line.
         """
         if self.mode == "grid":
             lim = self.lim
@@ -552,9 +553,6 @@ class WorkspaceSweep:
         n = self.samples
         lim = self.lim
         sob = _kernels.ScrambledSobol(self.seed)
-        if n & (n - 1):
-            warnings.warn("The balance properties of Sobol' points "
-                          "require n to be a power of 2.", stacklevel=2)
         for start in range(0, n, SWEEP_CHUNK_ROWS):
             m = min(SWEEP_CHUNK_ROWS, n - start)
             qb = lim[:, 0] + sob.random(m) * (lim[:, 1] - lim[:, 0])

@@ -22,7 +22,6 @@ links; see the README for the full rationale.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,14 +36,13 @@ from .errors import ConfigError, ValidationError, fixed
 if TYPE_CHECKING:
     import numpy as np
 
-log = logging.getLogger("armkit")
-
 SCHEMA_VERSION = 1
 DEFAULT_STEPS_PER_REV = 200
 #: Plausibility reference for the total structural + motor mass (kg).
 REFERENCE_TOTAL_MASS = 3.5
 
 ENV_ARM_CONFIG = "ARMKIT_ARM_CONFIG"
+BUILTIN_ARM = "builtin:default"
 
 #: Parses arm YAML: PyYAML's libyaml parser, about 5x faster than the
 #: pure-Python ``SafeLoader`` on the shipped arm, where PyYAML was built
@@ -107,7 +105,7 @@ class MotorSpec:
     to available torque (N.m); it must start at (0, holding_torque) and be
     non-increasing. Rates beyond the last knot hold the last value.
     ``mass_source`` is ``"placeholder"`` until the value is replaced from the
-    vendor datasheet; the loader warns while it is a placeholder.
+    vendor datasheet; the loader adds a notice while it is a placeholder.
     """
 
     name: str
@@ -125,7 +123,7 @@ class JointDrive:
 
     ``listed_max_torque`` is the output-torque figure recorded in the config
     (vendor-style spec sheet value). When it disagrees with
-    ``holding_torque x total reduction`` the loader emits a notice and the
+    ``holding_torque x total reduction`` the loader records a notice and the
     torque table annotates the row instead of silently using either number.
     """
 
@@ -433,8 +431,6 @@ def load_arm_data(data: dict, source: str = "<dict>") -> ArmDescription:
     violations = validate_arm(arm)
     if violations:
         raise ValidationError(violations)
-    for n in notices:
-        log.warning("%s: %s", source, n)
     return arm
 
 
@@ -447,7 +443,7 @@ def load_arm(config_path: str) -> ArmDescription:
     Returns:
         Validated, immutable :class:`ArmDescription`. Loader notices
         (placeholder masses, defaulted fields, torque-listing conflicts) are
-        attached as ``arm.notices`` and logged at WARNING level.
+        attached as ``arm.notices``; the loader prints nothing.
     """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -463,7 +459,7 @@ def default_arm() -> ArmDescription:
     """The shipped desk-arm description (packaged data file)."""
     ref = resources.files("armkit").joinpath("data/default_arm.yaml")
     data = yaml.load(ref.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-    return load_arm_data(data, source="builtin:default_arm.yaml")
+    return load_arm_data(data, source=BUILTIN_ARM)
 
 
 def resolve_arm(selector: Optional[str]) -> tuple[ArmDescription, str]:
@@ -474,7 +470,7 @@ def resolve_arm(selector: Optional[str]) -> tuple[ArmDescription, str]:
     env = os.environ.get(ENV_ARM_CONFIG)
     if env:
         return load_arm(env), env
-    return default_arm(), "builtin:default"
+    return default_arm(), BUILTIN_ARM
 
 
 class _Dumper(yaml.SafeDumper):

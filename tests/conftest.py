@@ -1,15 +1,9 @@
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pytest
 
 from armkit import model
-
-# The built-in description logs loader notices (placeholder motor masses,
-# defaulted steps/rev) at WARNING on every load; silence them for test runs.
-logging.getLogger("armkit").setLevel(logging.ERROR)
 
 
 @pytest.fixture(scope="session")

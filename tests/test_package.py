@@ -20,19 +20,27 @@ from armkit.errors import ComputationError, require_finite
 _SRC = str(Path(armkit.__file__).resolve().parents[1])
 
 #: Modules that loading an arm must not import.
-_NOT_FOR_THE_LOADER = ("numpy", "armkit.kinematics", "armkit.statics",
-                       "armkit.steppersim", "armkit._kernels", "armkit._wrist",
-                       "armkit.bom", "armkit.svgplot", "armkit.cli")
+_NOT_FOR_THE_LOADER = ("numpy", "logging", "armkit.kinematics",
+                       "armkit.statics", "armkit.steppersim",
+                       "armkit._kernels", "armkit._wrist", "armkit.bom",
+                       "armkit.svgplot", "armkit.cli")
 
 
-def _fresh(code: str, *args: str, cwd: Path | None = None) -> str:
-    """What ``code`` prints on stdout in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run(code: str, *args: str, cwd: Path | None = None,
+         **env: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter with ``env`` added to its
+    environment; it must exit 0."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           cwd=cwd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc
+
+
+def _fresh(code: str, *args: str, cwd: Path | None = None) -> str:
+    """What ``code`` prints on stdout in a fresh interpreter."""
+    return _run(code, *args, cwd=cwd).stdout.strip()
 
 
 def _loaded(names) -> str:
@@ -115,6 +123,38 @@ def test_each_submodule_imports_first(name: str) -> None:
     # a numeric submodule that reaches cli while cli's own imports are half
     # loaded would fail here with a circular ImportError
     assert _fresh(f"import armkit.{name}\nprint('ok')") == "ok"
+
+
+# ---------------------------------------------------------------------------
+# notices: the library returns them, the CLI prints them
+# ---------------------------------------------------------------------------
+
+def _cli_stderr(*argv: str, **env: str) -> list:
+    """The stderr lines of one ``armkit`` call in a fresh interpreter."""
+    code = "from armkit.cli import main\nmain()"
+    return _run(code, *argv, **env).stderr.splitlines()
+
+
+def test_the_library_prints_no_notice_and_the_cli_prints_each_once(
+        arm: model.ArmDescription, tmp_path: Path) -> None:
+    assert _run("import armkit\narmkit.default_arm()").stderr == ""
+    builtin = [f"builtin:default: {n}" for n in arm.notices]
+    assert len(builtin) == 13
+    assert _cli_stderr("torque-table") == builtin
+
+    quasi = _cli_stderr("reach", "--mode", "quasi", "--samples", "1000")
+    assert quasi[:13] == builtin and len(quasi) == 14
+    assert quasi[13].startswith("builtin:default: 1000 ")
+    assert not [line for line in quasi
+                if "UserWarning" in line or ".py:" in line]
+
+    # an arm named by path or by the environment is labelled by that name
+    path = str(tmp_path / "arm.yaml")
+    model.dump_arm(arm, path)
+    by_path = [f"{path}: {n}" for n in arm.notices]
+    assert _cli_stderr("torque-table", "--arm", path) == by_path
+    assert _cli_stderr("torque-table",
+                       **{model.ENV_ARM_CONFIG: path}) == by_path
 
 
 # ---------------------------------------------------------------------------

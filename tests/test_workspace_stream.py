@@ -108,6 +108,7 @@ def _cli(argv: list) -> str:
 _steps = st.lists(st.integers(2, 4), min_size=6, max_size=6)
 
 
+# scipy's reference draw warns for a count that is not a power of 2
 @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 @settings(max_examples=20, deadline=None)
 @given(variant=st.sampled_from(["default", "offset", "wrist"]),
@@ -224,6 +225,7 @@ def test_repeat_count_comes_from_the_dh_table(arm: model.ArmDescription) -> None
     assert quasi.repeat == 1
 
 
+# scipy's reference draw warns for a count that is not a power of 2
 @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 @settings(max_examples=25, deadline=None)
 @given(seed=st.one_of(st.sampled_from([0, 2**63 - 1, 2**64 + 1]),
@@ -263,22 +265,27 @@ def test_sobol_stops_at_two_to_the_thirty() -> None:
 
 
 @pytest.mark.parametrize("samples", [1000, 200_001])
-def test_odd_quasi_counts_warn_once_at_the_caller(
+def test_odd_quasi_counts_carry_one_notice_naming_the_count(
         arm: model.ArmDescription, samples: int) -> None:
     sweep = kinematics.WorkspaceSweep(arm, (2,) * 6, mode="quasi",
                                       samples=samples)
-    with pytest.warns(UserWarning, match="require n to be a power of 2") \
-            as caught:
-        for _ in sweep.chunks():
-            pass
-    assert [w.filename for w in caught] == [__file__]
+    [notice] = sweep.notices
+    assert notice.startswith(f"{samples} quasi samples")
+    assert "power-of-two" in notice
+    _walk_without_warnings(sweep)
 
 
 @pytest.mark.parametrize("samples", [65_536, 262_144])
-def test_power_of_two_quasi_counts_do_not_warn(
+def test_power_of_two_quasi_counts_carry_no_notice(
         arm: model.ArmDescription, samples: int) -> None:
     sweep = kinematics.WorkspaceSweep(arm, (2,) * 6, mode="quasi",
                                       samples=samples)
+    assert sweep.notices == ()
+    _walk_without_warnings(sweep)
+    assert kinematics.WorkspaceSweep(arm, (2,) * 6).notices == ()
+
+
+def _walk_without_warnings(sweep: kinematics.WorkspaceSweep) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in sweep.chunks():
@@ -446,8 +453,9 @@ def _fail_on_call(fn, call: int, exc: Exception):
 @pytest.mark.parametrize("stage, code", [
     ("writer", 7), ("formatter", 7), ("producer", 4)])
 def test_a_failing_stream_stage_exits_cleanly(
-        capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch,
-        tmp_path: Path, stage: str, code: int) -> None:
+        arm: model.ArmDescription, capsys: pytest.CaptureFixture,
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path, stage: str,
+        code: int) -> None:
     # 100 chunks of 160 distinct points, each five rows long
     monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", 200)
     made = []  # one entry per chunk the sweep computes
@@ -470,7 +478,9 @@ def test_a_failing_stream_stage_exits_cleanly(
     out, err = capsys.readouterr()
     assert (rc, out) == (code, "")
     assert "Traceback" not in err
-    assert err.startswith({7: "output error", 4: "computation error"}[code])
+    *notices, error = err.splitlines()
+    assert notices == [f"builtin:default: {n}" for n in arm.notices]
+    assert error.startswith({7: "output error", 4: "computation error"}[code])
     assert not (tmp_path / cli.MANIFEST_NAME).exists()
     # the sweep stops at the failure, not at its end
     assert len(made) < 20
