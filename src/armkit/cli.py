@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import itertools
 import math
 import os
 import re
@@ -132,32 +133,39 @@ def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[bytes]:
 
 #: Lines per part of CSV text, once repeated; bounds the formatting's
 #: working memory, of which a streamed CSV has a few parts' worth at once.
-#: On the 2-core host, the default-grid run peaked at about 60 MB with
-#: 32,768 lines per part and at 75-78 MB with 65,536, at the same speed.
-_CSV_CHUNK_LINES = 32_768
+#: On the 2-core host the default-grid run peaked at 49-51 MB with 16,384
+#: lines per part, at 55-58 MB with 32,768 at about the same speed, and at
+#: 45-47 MB with 8,192, about 0.15 s slower.
+_CSV_CHUNK_LINES = 16_384
 
 #: Threads that format a streamed CSV, and so the most parts in formatting
 #: at once.
 _CSV_WORKERS = 2
 
 
-def _csv_part(rows: np.ndarray, repeat: int) -> bytes:
+def _csv_part(rows: np.ndarray, last: np.ndarray, repeat: int) -> bytes:
     """The lines of a 2-D float array, ``repr`` of each value, each line
-    ``repeat`` times.
+    ``repeat`` times; ``last`` is the text of the rows' last column, as
+    :func:`_kernels.repr_bytes` gives it.
 
-    Each value is formatted by :func:`_kernels.repr_bytes`. A line is its
-    cells' NUL-padded bytes with a separator after each, and dropping the
-    NULs packs the lines, so the text does not depend on how the rows are
-    sliced.
+    The other columns are formatted by :func:`_kernels.repr_bytes`. A line
+    is its cells' NUL-padded bytes with a separator after each, and dropping
+    the NULs packs the distinct lines, so the text does not depend on how
+    the rows are sliced. Each packed line is then written ``repeat`` times.
     """
     n, cols = rows.shape
-    text = _kernels.repr_bytes(rows)
-    width = text.dtype.itemsize
+    width = last.dtype.itemsize
     lines = np.empty((n, cols, width + 1), np.uint8)
-    lines[:, :, :width] = text.view(np.uint8).reshape(n, cols, width)
+    lines[:, :-1, :width] = _kernels.repr_bytes(rows[:, :-1]).view(
+        np.uint8).reshape(n, cols - 1, width)
+    lines[:, -1, :width] = last.view(np.uint8).reshape(n, width)
     lines[:, :, width] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
-    part = np.repeat(lines.reshape(n, cols * (width + 1)), repeat, axis=0)
-    return part[part != 0].tobytes()
+    packed = lines[lines != 0].tobytes()
+    if repeat == 1:
+        return packed
+    # a formatted float holds no line break but the separator's
+    each = packed.splitlines(keepends=True)
+    return b"".join(itertools.chain.from_iterable(zip(*[each] * repeat)))
 
 
 def _csv_stream(blocks, repeat: int) -> Iterator[bytes]:
@@ -165,22 +173,36 @@ def _csv_stream(blocks, repeat: int) -> Iterator[bytes]:
     rows whose lines, each written ``repeat`` times, make at most
     :data:`_CSV_CHUNK_LINES` lines (one row if its line alone makes more).
 
-    The parts are formatted on :data:`_CSV_WORKERS` threads, at most that
-    many at once, while the caller writes the part before them and this
-    generator makes the next one; the formatting is numpy work that
-    releases the GIL. Closing the generator waits for the parts in
-    formatting.
+    A block's last column is formatted once, for all its parts, and a block
+    whose last column has the same bits as the block before it reuses that
+    text: the 25 lattice slices of the default grid share their z column.
+    The formatting runs on :data:`_CSV_WORKERS` threads, at most that many
+    parts at once, while the caller writes the part before them and this
+    generator makes the next one; it is mostly numpy work that releases
+    the GIL.
+    Closing the generator waits for the parts in formatting.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    def part(rows, last, start):
+        # the threads take tasks in order, so ``last``, submitted before
+        # this part, is in formatting or done: the wait cannot deadlock
+        return _csv_part(rows, last.result()[start:start + len(rows)], repeat)
+
     step = max(1, _CSV_CHUNK_LINES // repeat)
     window: collections.deque = collections.deque()
+    prior = text = None
     with ThreadPoolExecutor(_CSV_WORKERS,
                             thread_name_prefix="armkit-csv") as pool:
         for block in blocks:
+            column = block[:, -1]
+            # bits, not values: 0.0 and -0.0 print apart, and NaN != NaN
+            if prior is None or not np.array_equal(column.view(np.uint64),
+                                                   prior.view(np.uint64)):
+                prior, text = column, pool.submit(_kernels.repr_bytes, column)
             for start in range(0, len(block), step):
-                window.append(pool.submit(_csv_part, block[start:start + step],
-                                          repeat))
+                window.append(pool.submit(part, block[start:start + step],
+                                          text, start))
                 if len(window) > _CSV_WORKERS:
                     yield window.popleft().result()
         while window:

@@ -3,8 +3,9 @@
 The formatter must give the bytes of ``repr(float(v))`` for every double:
 raw 64-bit patterns reach every exponent, sign, subnormal and NaN payload,
 and ``st.floats()`` favours the boundary values. The CSV's float blocks must
-equal the plain ``",".join(map(repr, row))`` rendering, and the default grid's
-files keep their pinned SHA-256.
+equal the plain ``",".join(map(repr, row))`` rendering, also where a block
+reuses the text of the last column it shares with the block before it, and
+the default grid's files keep their pinned SHA-256.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from armkit import _kernels, cli
@@ -87,6 +89,62 @@ def test_csv_blocks_equal_the_repr_join(rows: list, repeat: int,
                             repeat))
     assert got == "".join((",".join(map(repr, row)) + "\n") * repeat
                           for row in block.tolist()).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3),
+                     min_size=1, max_size=12),
+       others=st.lists(st.floats(), min_size=48, max_size=48),
+       change=st.sampled_from(["none", "zero sign", "ulp", "nan"]),
+       at=st.integers(0, 11), repeat=st.integers(1, 4),
+       lines=st.integers(1, 9))
+@example(rows=[[1.0, 2.0, 0.0]], others=[3.0] * 48, change="zero sign",
+         at=0, repeat=2, lines=9)
+def test_csv_blocks_sharing_their_last_column_equal_the_repr_join(
+        rows: list, others: list, change: str, at: int, repeat: int,
+        lines: int) -> None:
+    # three blocks: the second and third share their last column, which
+    # equals the first's bit for bit, or differs from it in one value's
+    # zero sign or last bit; "nan" puts the same NaN in both columns
+    first = np.array(rows, dtype=np.float64)
+    n, i = len(first), at % len(first)
+    if change in ("zero sign", "nan"):
+        first[i, -1] = 0.0 if change == "zero sign" else math.nan
+    second, third = first.copy(), first.copy()
+    second[:, :-1] = np.reshape(others[:2 * n], (n, 2))
+    third[:, :-1] = np.reshape(others[-2 * n:], (n, 2))
+    flip = {"zero sign": 1 << 63, "ulp": 1}.get(change, 0)
+    for block in (second, third):
+        block.view(np.uint64)[i, -1] ^= np.uint64(flip)
+    with pytest.MonkeyPatch.context() as mp:
+        # parts of a few lines each, so a part starts inside its block
+        mp.setattr(cli, "_CSV_CHUNK_LINES", lines)
+        got = b"".join(cli._csv(None, iter([first, second, third]), repeat))
+    assert got == "".join(
+        (",".join(map(repr, row)) + "\n") * repeat
+        for row in np.concatenate([first, second, third]).tolist()).encode()
+
+
+def test_a_grid_formats_each_distinct_z_column_once(tmp_path: Path) -> None:
+    # four lattice slices of 25 x 25 x 5 x 5 points, one per q1 value,
+    # each its own chunk; joint 1 turns about the base z axis, so the four
+    # share their z column bit for bit
+    steps = (4, 25, 25, 5, 5, 3)
+    formatted = []
+    repr_bytes = _kernels.repr_bytes
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(_kernels, "repr_bytes", lambda values: formatted.append(
+            np.shape(values)) or repr_bytes(values))
+        assert cli.run(["workspace", "--per-joint-steps",
+                        ",".join(map(str, steps)), "--format", "csv",
+                        "--out", str(tmp_path)]) == 0
+    distinct = math.prod(steps[:5])
+    assert [s for s in formatted if len(s) == 1] == [(distinct // 4,)]
+    assert sum(math.prod(s) for s in formatted) == 2 * distinct + distinct // 4
+    # the header and every row
+    assert (tmp_path / "workspace.csv").read_bytes().count(b"\n") == \
+        1 + math.prod(steps)
 
 
 def test_default_grid_outputs_keep_their_bytes(tmp_path: Path) -> None:

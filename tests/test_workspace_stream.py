@@ -10,7 +10,9 @@ The grid's lattice kernel is pinned to FK of the expanded lattice, the
 quasi sweep's own scrambled-Sobol generator to scipy's bytes, and a quasi
 run must not import scipy. The CSV's formatter pool must give the same
 bytes at any pool size and leave no thread behind when a stage fails, and
-the CSV text in memory must not grow with the rows.
+the CSV text in memory must not grow with the rows. The default-grid CSV
+and the 262,144-sample quasi runs each peak within a bound over what an
+arm-loading run peaks at.
 """
 
 from __future__ import annotations
@@ -325,31 +327,35 @@ def test_quasi_runs_do_not_import_scipy(tmp_path: Path) -> None:
 
 # The peak RSS of this process image alone: ru_maxrss also counts the
 # parent's RSS at the fork, so under a large test runner it reads the same
-# for any run smaller than the runner.
+# for any run smaller than the runner. The first argument is the sweep's
+# chunk size, or "-" for the default.
 _PEAK_HWM = """
 import re, sys
 from pathlib import Path
 from armkit import cli, kinematics
-kinematics.SWEEP_CHUNK_ROWS = 4096
-code = cli.run(sys.argv[1:])
+if sys.argv[1] != "-":
+    kinematics.SWEEP_CHUNK_ROWS = int(sys.argv[1])
+code = cli.run(sys.argv[2:])
 status = Path("/proc/self/status").read_text()
 print(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1), file=sys.stderr)
 sys.exit(code)
 """
 
 
+def _peak_kib(argv: list, chunk: str = "-") -> int:
+    """The peak RSS (KiB) of a child process running ``cli.run(argv)``."""
+    child = subprocess.run([sys.executable, "-c", _PEAK_HWM, chunk, *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return int(child.stderr.strip().splitlines()[-1])
+
+
 def _csv_peaks_kib(tmp_path: Path, grids: tuple) -> list:
     """The peak RSS (KiB) of a child process writing the workspace CSV of
     each grid, in chunks of 4,096 distinct points."""
-    peaks = []
-    for steps in grids:
-        child = subprocess.run(
-            [sys.executable, "-c", _PEAK_HWM, "workspace", "--per-joint-steps",
-             steps, "--format", "csv", "--out", str(tmp_path / steps)],
-            capture_output=True, text=True, timeout=120)
-        assert child.returncode == 0, child.stderr
-        peaks.append(int(child.stderr.strip().splitlines()[-1]))
-    return peaks
+    return [_peak_kib(["workspace", "--per-joint-steps", steps, "--format",
+                       "csv", "--out", str(tmp_path / steps)], "4096")
+            for steps in grids]
 
 
 _NEEDS_PROC_STATUS = pytest.mark.skipif(
@@ -375,6 +381,29 @@ def test_workspace_csv_peak_rss_does_not_grow_with_the_repeat(
     small, large = _csv_peaks_kib(tmp_path, ("4,4,4,16,16,5",
                                              "4,4,4,16,16,60"))
     assert large <= small + 16 * 1024, f"peak RSS {small} -> {large} KiB"
+
+
+@_NEEDS_PROC_STATUS
+# Each bound is the most measured over the floor on the 2-core host, plus at
+# least 25%; in brackets, what 32,768-line CSV parts and 65,536-point sweep
+# chunks gave there
+@pytest.mark.parametrize("argv, bound_mib", [
+    # the default grid, 1,953,125 rows: 18.3-20.4 MiB (29-31)
+    (["workspace", "--format", "csv"], 26),
+    # 262,144 quasi rows, each line once: 35.7-36.8 MiB (85)
+    (["workspace", "--mode", "quasi", "--samples", "262144", "--format",
+      "csv"], 46),
+    # 10.6-10.7 MiB (25.7)
+    (["reach", "--mode", "quasi", "--samples", "262144"], 14),
+])
+def test_workspace_peak_rss_over_the_arm_loading_floor(
+        tmp_path: Path, argv: list, bound_mib: int) -> None:
+    # a torque table loads the arm and numpy and computes next to nothing
+    floor = _peak_kib(["torque-table"])
+    if "--format" in argv:
+        argv = [*argv, "--out", str(tmp_path)]
+    over = _peak_kib(argv) - floor
+    assert over <= bound_mib * 1024, f"{over} KiB over the floor of {floor}"
 
 
 def _run_within(seconds: float, argv: list) -> int:
