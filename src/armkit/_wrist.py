@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .kinematics import Pose, _row_norms
-from .model import ArmDescription, dh_params
+from .model import ArmDescription, _tables
 
 
 #: Intervals of the scan per turn of the elbow's reach loop (see
@@ -74,8 +74,16 @@ def structure(arm: ArmDescription) -> Optional[Wrist]:
       d5 = 0), so O5 = O4 + a5 x5;
     * the tool origin lies on joint 6's axis (a6 = 0, alpha6 = 0), so
       O5 = p - d6 z_tool is known and x5 is normal to z_tool.
+
+    Worked out once per arm and kept in its record (``model._Tables``).
     """
-    rows = dh_params(arm)
+    tables = _tables(arm)
+    if not hasattr(tables, "wrist"):
+        tables.wrist = _structure(tables.rows)
+    return tables.wrist
+
+
+def _structure(rows: np.ndarray) -> Optional[Wrist]:
     _, d, a, alpha = rows.T.tolist()
     ca, sa = _kernels._twists(rows).tolist()
     b = d[3] * sa[2]

@@ -99,8 +99,10 @@ def require_finite(value, what: str, sign: str = "",
     import numpy as np
 
     arr = np.asarray(value, dtype=float)
-    signed = {"": True, "> 0": arr > 0, ">= 0": arr >= 0}[sign]
-    if not np.all(np.isfinite(arr) & signed):
+    ok = np.isfinite(arr)
+    if sign:
+        ok &= {"> 0": np.greater, ">= 0": np.greater_equal}[sign](arr, 0)
+    if not ok.all():
         rule = f" and {sign}" if sign else ""
         raise error(f"{what} must be finite{rule}, got {arr.tolist()!r}")
     return arr

@@ -10,7 +10,6 @@ left to right from the base, so joint ``i`` rotates about the z-axis of frame
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, Sequence
@@ -27,7 +26,7 @@ from .errors import (
     fixed,
     require_finite,
 )
-from .model import ArmDescription, dh_params, limits_array
+from .model import ArmDescription, _tables, dh_params, limits_array
 
 #: Hard cap on workspace sample counts.
 DEFAULT_SAMPLE_CAP = 20_000_000
@@ -94,10 +93,36 @@ class WorkspaceCloud:
 # forward kinematics
 # --------------------------------------------------------------------------
 
-def fk_frames(arm: ArmDescription, q) -> np.ndarray:
-    """All frame transforms: (7, 4, 4) array, frames[0] = base identity."""
+def _keep_pose(arm: ArmDescription, key: bytes, frames: np.ndarray,
+               split: Optional[tuple] = None) -> tuple:
+    """Make ``(key, frames, split)`` the arm's last-pose record
+    (``model._Tables.pose``) in one assignment, so that no reader pairs one
+    pose's key with another pose's values; ``frames`` becomes read-only."""
+    frames.setflags(write=False)
+    entry = _tables(arm).pose = (key, frames, split)
+    return entry
+
+
+def _pose_entry(arm: ArmDescription, q) -> tuple:
+    """The arm's last-pose record at one pose ``q``: taken as it is when it
+    holds ``q``'s bytes, else replaced by one with ``q``'s frame stack and
+    no gravity split yet."""
+    tables = _tables(arm)
     q = np.asarray(q, dtype=float).reshape(1, 6)
-    return _kernels.fk_frames_batch(dh_params(arm), q)[0]
+    key = q.tobytes()
+    entry = tables.pose
+    if entry[0] != key:
+        entry = _keep_pose(arm, key,
+                           _kernels.fk_frames_batch(tables.rows, q)[0])
+    return entry
+
+
+def fk_frames(arm: ArmDescription, q) -> np.ndarray:
+    """All frame transforms: (7, 4, 4) array, frames[0] = base identity.
+
+    A fresh copy of the frames in the arm's last-pose record (see
+    :func:`jacobian`)."""
+    return _pose_entry(arm, q)[1].copy()
 
 
 def forward_kinematics(arm: ArmDescription, q) -> Pose:
@@ -136,8 +161,15 @@ def jacobian(arm: ArmDescription, q) -> np.ndarray:
     Column ``i`` is ``(z_{i-1} x (p - p_{i-1}); z_{i-1})`` in the base frame,
     where ``z_{i-1}``/``p_{i-1}`` are joint ``i``'s axis and origin.
     Raises ValueError if an angle in ``q`` is NaN or infinite.
+
+    The frames come from the arm's per-arm record (``model._Tables``, kept
+    in the instance's ``__dict__``). It holds the last single pose that
+    :func:`fk_frames`, this function, :func:`inverse_kinematics` (its
+    answer) or ``statics``' one-pose calls worked at, keyed by the pose's
+    bytes, with its frame stack and gravity split; a query at that pose
+    reuses them, any other pose replaces them.
     """
-    frames = fk_frames(arm, require_finite(q, "joint angles q"))
+    frames = _pose_entry(arm, require_finite(q, "joint angles q"))[1]
     return _jacobian_from_frames(frames[None])[0]
 
 
@@ -205,8 +237,12 @@ def _rotation_vector(R: np.ndarray) -> np.ndarray:
 
 
 def _chain_reach_bound(arm: ArmDescription) -> float:
-    rows = dh_params(arm)
-    return float(np.sum(np.hypot(rows[:, 1], rows[:, 2])))
+    """The sum of the links' lengths, kept in the arm's record."""
+    tables = _tables(arm)
+    if not hasattr(tables, "reach"):
+        rows = tables.rows
+        tables.reach = float(np.sum(np.hypot(rows[:, 1], rows[:, 2])))
+    return tables.reach
 
 
 def _pose_error(target: Pose, frames: np.ndarray
@@ -222,22 +258,24 @@ def _pose_error(target: Pose, frames: np.ndarray
             _row_norms(e_rot))
 
 
-@functools.lru_cache(maxsize=8)
 def _start_table(arm: ArmDescription
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The restart table: :data:`START_TABLE_SIZE` in-limit joint vectors
     drawn from the first child stream of seed 0 (not the stream of
     ``default_rng(0)``), with their tool positions (n, 3) and rotations
-    (n, 3, 3). Built on first use."""
-    lim = limits_array(arm)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=0, spawn_key=(0,)))
-    Q = rng.uniform(lim[:, 0], lim[:, 1], size=(START_TABLE_SIZE, 6))
-    tool = _kernels.fk_frames_batch(dh_params(arm), Q)[:, 6]
-    P, R = tool[:, :3, 3].copy(), tool[:, :3, :3].copy()
-    for a in (Q, P, R):
-        a.setflags(write=False)
-    return Q, P, R
+    (n, 3, 3). Built on first use and kept in the arm's record."""
+    tables = _tables(arm)
+    if not hasattr(tables, "starts"):
+        lim = tables.lim
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+        Q = rng.uniform(lim[:, 0], lim[:, 1], size=(START_TABLE_SIZE, 6))
+        tool = _kernels.fk_frames_batch(tables.rows, Q)[:, 6]
+        P, R = tool[:, :3, 3].copy(), tool[:, :3, :3].copy()
+        for a in (Q, P, R):
+            a.setflags(write=False)
+        tables.starts = Q, P, R
+    return tables.starts
 
 
 def _nearest_starts(arm: ArmDescription, target: Pose) -> np.ndarray:
@@ -305,10 +343,11 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     No start's numbers depend on the others in its batch.
 
     Returns:
-        ``(q, best, exhausted)``: the joint vector of the first start to
-        converge (ties to the lowest row) or None; the smallest position
-        residual seen with its rotation residual; and whether a start used
-        up its iterations.
+        ``(q, best, exhausted, frames)``: the joint vector of the first
+        start to converge (ties to the lowest row) or None; the smallest
+        position residual seen with its rotation residual; whether a start
+        used up its iterations; and ``q``'s frame stack (7, 4, 4), which
+        the last trial computed, or None.
     """
     lo, hi = lim[:, 0], lim[:, 1]
     lam_floor = 1e-6
@@ -333,13 +372,13 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
                 best = (float(pe[i]), float(re_[i]))
             done = f[(pe[f] < opts.pos_tol) & (re_[f] < opts.ori_tol)]
             if done.size:
-                return Q[done[0]].copy(), best, exhausted
+                return Q[done[0]].copy(), best, exhausted, frames[done[0]]
         spent = fresh & (steps == opts.max_iters)
         exhausted = exhausted or bool(spent.any())
         live = (rejects < 10) & (stall < 12) & ~spent
         if not live.all():
             if not live.any():
-                return None, best, exhausted
+                return None, best, exhausted, None
             Q, E, pe, re_, err, J, lam, stall, steps, rejects = (
                 x[live] for x in (Q, E, pe, re_, err, J, lam, stall, steps,
                                   rejects))
@@ -394,6 +433,12 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
     the other joints take the step solved without it. The returned vector
     is always within limits and satisfies the pose tolerances in ``opts``.
 
+    The arm's tables come from its per-arm record (``model._Tables``, kept
+    in the instance's ``__dict__``): the DH rows and limits, the chain
+    reach bound, the wrist constants and the restart table. The answer's
+    frame stack, which the last step computed, replaces the record's last
+    pose, so :func:`jacobian` and ``statics`` at the answer reuse it.
+
     Args:
         arm: arm description.
         target: desired tool pose.
@@ -412,7 +457,8 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
     require_finite(target.position, "IK target position")
     require_finite(target.orientation, "IK target orientation")
     seed = require_finite(seed, "IK start pose")
-    lim = limits_array(arm)
+    tables = _tables(arm)
+    rows, lim = tables.rows, tables.lim
     distance, bound = (float(np.linalg.norm(target.position)),
                        _chain_reach_bound(arm))
     if distance > bound:
@@ -420,24 +466,27 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
             f"target at {fixed(distance, 4)} m exceeds the chain's "
             f"{fixed(bound, 4)} m reach bound", best_residual=None)
 
-    rows = dh_params(arm)
+    def answer(q, frames):
+        _keep_pose(arm, q.tobytes(), frames.copy())
+        return q
+
     q0 = np.clip(seed.reshape(1, 6), lim[:, 0], lim[:, 1])
     from . import _wrist  # loaded by the first IK call, not by the import
     structure = _wrist.structure(arm)
     if structure is not None:
         starts = _wrist.starts(structure, rows, lim, target, q0)
         if len(starts):
-            q = _lockstep_dls(rows, lim, target, starts, opts)[0]
+            q, _, _, frames = _lockstep_dls(rows, lim, target, starts, opts)
             if q is not None:
-                return q
-    q, best, exhausted = _lockstep_dls(rows, lim, target, q0, opts)
+                return answer(q, frames)
+    q, best, exhausted, frames = _lockstep_dls(rows, lim, target, q0, opts)
     if q is None:
-        q, best_r, exhausted_r = _lockstep_dls(
+        q, best_r, exhausted_r, frames = _lockstep_dls(
             rows, lim, target, _nearest_starts(arm, target), opts)
         best = min(best, best_r, key=lambda b: b[0])
         exhausted = exhausted or exhausted_r
     if q is not None:
-        return q
+        return answer(q, frames)
 
     best_pos, best_rot = best
     detail = (f"best residual {best_pos:.3e} m / {best_rot:.3e} rad after "

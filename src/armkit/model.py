@@ -5,7 +5,8 @@ The arm description is a YAML file with four sections (``dh``, ``limits``,
 the file may be plain numbers (radians) or strings with an explicit unit
 suffix, e.g. ``"90 deg"`` or ``"1.5707 rad"``; everything is stored in
 radians/meters/kilograms internally. All other modules treat the loaded
-:class:`ArmDescription` as read-only.
+:class:`ArmDescription` as read-only; the numeric ones keep what they derive
+from it in a private per-arm record on the instance (:class:`_Tables`).
 
 Kinematic convention
 --------------------
@@ -666,18 +667,64 @@ def total_modeled_mass(arm: ArmDescription) -> float:
 # array views used by the numeric modules
 # --------------------------------------------------------------------------
 
-def dh_params(arm: ArmDescription) -> np.ndarray:
-    """(6, 4) float64 array of [theta_offset, d, a_prev, alpha_prev] rows."""
-    import numpy as np
+class _Tables:
+    """The per-arm record: an arm's numeric tables, built on its first
+    numeric use and kept on the instance (see :func:`_tables`).
 
-    return np.array(
-        [[r.theta_offset, r.d, r.a_prev, r.alpha_prev] for r in arm.dh],
-        dtype=np.float64,
-    )
+    ``rows`` (the :func:`dh_params` table) and ``lim``
+    (:func:`limits_array`) come with the record; they are read-only. The
+    other slots stay unset until the module that owns them fills them on
+    its first use: ``reach`` and ``starts`` (``kinematics``' chain reach
+    bound and restart table), ``wrist`` (``_wrist.structure``), ``mass``
+    and ``budget`` (``statics``' mass table and zero-rate torque budget).
+
+    ``pose`` holds the last single pose a numeric call worked at, as
+    ``(q.tobytes(), frames, split)``: its read-only (7, 4, 4) frame stack
+    and its gravity split (or None until ``statics`` computes it). It is
+    replaced by one assignment, so a reader that takes the tuple once never
+    pairs one pose's key with another pose's values.
+    """
+
+    __slots__ = ("rows", "lim", "reach", "starts", "wrist", "mass",
+                 "budget", "pose")
+
+    def __init__(self, arm: ArmDescription):
+        import numpy as np
+
+        self.rows = np.array(
+            [[r.theta_offset, r.d, r.a_prev, r.alpha_prev] for r in arm.dh],
+            dtype=np.float64)
+        self.lim = np.array([[l.min, l.max] for l in arm.limits],
+                            dtype=np.float64)
+        for a in (self.rows, self.lim):
+            a.setflags(write=False)
+        self.pose = (b"", None, None)
+
+
+def _tables(arm: ArmDescription) -> _Tables:
+    """``arm``'s record, built on the first call. It lives in the
+    instance's ``__dict__``, outside the dataclass fields, so the frozen
+    arm is never hashed to find it and a copy made by
+    ``dataclasses.replace`` starts without one."""
+    tables = arm.__dict__.get("_tables")
+    if tables is None:
+        tables = arm.__dict__.setdefault("_tables", _Tables(arm))
+    return tables
+
+
+def dh_params(arm: ArmDescription) -> np.ndarray:
+    """(6, 4) float64 array of [theta_offset, d, a_prev, alpha_prev] rows.
+
+    A fresh, writable copy of the table in the arm's record
+    (:class:`_Tables`), which lives on the instance and is built on the
+    arm's first numeric use; it also holds the limits, the chain reach
+    bound, the restart table, the wrist constants, the mass table, the
+    holding budget and the last single pose's frames and gravity split.
+    """
+    return _tables(arm).rows.copy()
 
 
 def limits_array(arm: ArmDescription) -> np.ndarray:
-    """(6, 2) [min, max] in radians."""
-    import numpy as np
-
-    return np.array([[l.min, l.max] for l in arm.limits], dtype=np.float64)
+    """(6, 2) [min, max] in radians: a fresh, writable copy of the
+    record's table (see :func:`dh_params`)."""
+    return _tables(arm).lim.copy()

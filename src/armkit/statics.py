@@ -18,8 +18,8 @@ from . import drivetrain
 from .errors import (ComputationError, NoConvergenceError,
                      ResourceLimitError, require_finite)
 from ._kernels import fk_frames_batch
-from .kinematics import DEFAULT_SAMPLE_CAP
-from .model import ArmDescription, dh_params, limits_array
+from .kinematics import DEFAULT_SAMPLE_CAP, _keep_pose, _pose_entry
+from .model import ArmDescription, _tables, limits_array
 
 #: Default worst-case sweep: 15-degree grid on the gravity-loaded joints
 #: (shoulder pitch, elbow pitch, wrist pitch); yaw/roll joints stay at zero.
@@ -58,13 +58,25 @@ class PayloadResult:
     policy: str              # "worst_case_sweep" or "fixed"
 
 
-def _mass_entries(arm: ArmDescription):
-    """(frame, mass, offset) arrays over every structural and motor mass."""
-    entries = [(p.frame, p.mass, p.offset) for p in arm.mass_model.links]
-    for pl in arm.mass_model.motors:
-        entries.append((pl.frame, arm.drive(pl.drive).motor.mass, pl.offset))
-    table = np.array(entries, dtype=float).reshape(-1, 3)
-    return table[:, 0].astype(int), table[:, 1], table[:, 2]
+def _statics_tables(arm: ArmDescription):
+    """The arm's record with the entries of this module filled: ``mass``,
+    the read-only (frame, mass, offset) arrays over every structural and
+    motor mass, and ``budget``, the read-only zero-rate
+    :func:`available_torques`."""
+    tables = _tables(arm)
+    if not hasattr(tables, "budget"):
+        entries = [(p.frame, p.mass, p.offset) for p in arm.mass_model.links]
+        for pl in arm.mass_model.motors:
+            entries.append((pl.frame, arm.drive(pl.drive).motor.mass,
+                            pl.offset))
+        table = np.array(entries, dtype=float).reshape(-1, 3)
+        mass = table[:, 0].astype(int), table[:, 1], table[:, 2]
+        budget = _budget(arm, 0.0)
+        for a in (*mass, budget):
+            a.setflags(write=False)
+        tables.mass = mass
+        tables.budget = budget  # set last: its presence marks both
+    return tables
 
 
 def _gravity_split(arm: ArmDescription, frames: np.ndarray):
@@ -81,7 +93,7 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
     """
     origin = frames[:, :, :3, 3]
     axis = frames[:, :, :3, 2]
-    frame, mass, offset = _mass_entries(arm)
+    frame, mass, offset = _statics_tables(arm).mass
     o_prev = origin[:, np.maximum(frame - 1, 0)]
     span = origin[:, frame] - o_prev
     # the same dot product as np.linalg.norm of one vector, so one pose's
@@ -101,8 +113,20 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
 def _torque_split(arm: ArmDescription, q: np.ndarray):
     """:func:`_gravity_split` of (n, 6) poses, whose frames come from
     :func:`fk_frames_batch` in chunks of ``_POSE_CHUNK`` poses, one pose
-    or a whole lattice alike."""
-    rows = dh_params(arm)
+    or a whole lattice alike.
+
+    One pose's split is read-only: it is the one kept in the arm's
+    last-pose record (``model._Tables.pose``), computed there first if the
+    record lacks it."""
+    if len(q) == 1:
+        entry = _pose_entry(arm, q)
+        if entry[2] is None:
+            split = _gravity_split(arm, entry[1][None])
+            for a in split:
+                a.setflags(write=False)
+            entry = _keep_pose(arm, *entry[:2], split)
+        return entry[2]
+    rows = _tables(arm).rows
     parts = [_gravity_split(arm, fk_frames_batch(rows, chunk))
              for chunk in np.split(q, range(_POSE_CHUNK, len(q), _POSE_CHUNK))]
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -132,14 +156,22 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
     tau, lever = _torque_split(arm, q.reshape(-1, 6))
     if payload > 0:
         tau = tau + payload * lever * (-arm.mass_model.gravity)
+    else:
+        tau = tau.copy()
     return tau.reshape(q.shape)
+
+
+def _budget(arm: ArmDescription, rate: float) -> np.ndarray:
+    return np.array([drivetrain.available_joint_torque(arm.drive(j), rate)
+                     for j in range(1, 7)])
 
 
 def available_torques(arm: ArmDescription, rate: float = 0.0) -> np.ndarray:
     """Torque budget per joint (N.m) at a motor step rate; the default zero
-    rate gives the holding budget."""
-    return np.array([drivetrain.available_joint_torque(arm.drive(j), rate)
-                     for j in range(1, 7)])
+    rate gives the holding budget, a copy of the one in the arm's record."""
+    if rate == 0.0:
+        return _statics_tables(arm).budget.copy()
+    return _budget(arm, rate)
 
 
 def _utilization(required: np.ndarray, available: np.ndarray) -> np.ndarray:
@@ -152,7 +184,15 @@ def _utilization(required: np.ndarray, available: np.ndarray) -> np.ndarray:
 
 def static_report(arm: ArmDescription, q, payload: Optional[float] = None
                   ) -> StaticLoadReport:
-    """Required vs. available torques and utilizations at one pose."""
+    """Required vs. available torques and utilizations at one pose.
+
+    The pose's frames and gravity split and the holding budget come from
+    the arm's per-arm record (``model._Tables``, kept in the instance's
+    ``__dict__``): the split is computed once per pose, from the frames
+    that :func:`~armkit.kinematics.inverse_kinematics` or
+    :func:`~armkit.kinematics.jacobian` left there, and the report's
+    arrays are fresh copies.
+    """
     required = np.abs(gravity_torques(arm, q, payload))
     available = available_torques(arm)
     util = _utilization(required, available)
@@ -228,7 +268,7 @@ def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
     tau_s, lever = _torque_split(arm, poses)
     tau_s, lever = tau_s[:, cols], lever[:, cols]
     g = arm.mass_model.gravity
-    avail = available_torques(arm)[cols]
+    avail = _statics_tables(arm).budget[cols]
 
     def torques(m: np.ndarray) -> np.ndarray:
         # the same rounding as gravity_torques(arm, q, payload=m)
@@ -269,7 +309,10 @@ def max_payload(arm: ArmDescription,
         arm: arm description.
         pose_policy: ``"worst_case_sweep"`` (default) checks every pose of
             the :func:`sweep_poses` lattice; a six-vector of joint angles
-            checks that fixed pose only.
+            checks that fixed pose only, whose gravity split comes from
+            the arm's per-arm record (``model._Tables``, on the instance)
+            when it was computed there before, as by
+            :func:`static_report` at the same pose.
         grid_deg / sweep_joints: sweep lattice controls (worst-case policy).
         constraint_joints: joints whose torque budgets bound the answer
             (default all six). Restricting to (2, 3) answers the

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from armkit import _kernels, _wrist, cli, kinematics, model
+from armkit import _kernels, _wrist, cli, kinematics, model, statics
 from armkit.errors import (EmptyCloudError, NoConvergenceError,
                            ResourceLimitError, UnreachableTargetError)
 from armkit.kinematics import IKOptions, Pose, WorkspaceCloud
@@ -438,7 +439,8 @@ def _assert_starts_step_as_alone(arm: model.ArmDescription, target: Pose,
     """Each start of the batch steps exactly as it does alone, and the
     batch's answer is the one of the start that converges first alone."""
     alone = [_traced_lockstep(arm, target, s[None], opts) for s in starts]
-    (q, best, exhausted), trials = _traced_lockstep(arm, target, starts, opts)
+    (q, best, exhausted, _), trials = _traced_lockstep(arm, target, starts,
+                                                       opts)
     converged = [i for i, (res, _) in enumerate(alone) if res[0] is not None]
     if converged:
         first = min(converged, key=lambda i: len(alone[i][1]))
@@ -501,9 +503,9 @@ def test_lockstep_trials_stay_inside_the_limits(
     rng = np.random.default_rng(seed)
     target = kinematics.forward_kinematics(
         arm, rng.uniform(lim[:, 0], lim[:, 1]))
-    (q, _, _), trials = _traced_lockstep(arm, target,
-                                         _pinned_starts(lim, rng, 3),
-                                         IKOptions(max_iters=60))
+    (q, _, _, _), trials = _traced_lockstep(arm, target,
+                                            _pinned_starts(lim, rng, 3),
+                                            IKOptions(max_iters=60))
     # every accepted q was first a trial
     for Q in trials + ([q[None]] if q is not None else []):
         assert np.all(Q >= lim[:, 0]) and np.all(Q <= lim[:, 1])
@@ -526,11 +528,16 @@ def test_lockstep_matches_the_reference_loop(
                 if near else rng.uniform(lim[:, 0], lim[:, 1]))
     target = kinematics.forward_kinematics(arm, q_target)
     opts = IKOptions(max_iters=max_iters)
-    (q, best, exhausted), trials = _traced_lockstep(arm, target, starts, opts)
+    (q, best, exhausted, frames), trials = _traced_lockstep(arm, target,
+                                                            starts, opts)
     (q_ref, best_ref, exhausted_ref), trials_ref = _traced_lockstep(
         arm, target, starts, opts, solve=_ref_lockstep)
     assert (None if q is None else q.tobytes()) == \
         (None if q_ref is None else q_ref.tobytes())
+    if q is not None:
+        # the answer's frames, from its batch, are the ones it has alone
+        alone = _kernels.fk_frames_batch(model.dh_params(arm), q[None])[0]
+        assert frames.tobytes() == alone.tobytes()
     assert (best, exhausted) == (best_ref, exhausted_ref)
     assert [t.tobytes() for t in trials] == [t.tobytes() for t in trials_ref]
 
@@ -579,7 +586,7 @@ def test_lockstep_ties_go_to_the_lowest_row(arm: model.ArmDescription) -> None:
     rows, lim = model.dh_params(arm), model.limits_array(arm)
     # both starts already meet the tolerances, so both converge at once
     for starts in ([q, q + 1e-9], [q + 1e-9, q]):
-        got, _, _ = kinematics._lockstep_dls(rows, lim, target,
+        got, _, _, _ = kinematics._lockstep_dls(rows, lim, target,
                                              np.array(starts), IKOptions())
         assert got.tobytes() == starts[0].tobytes()
 
@@ -601,7 +608,8 @@ def test_lockstep_a_start_stalled_on_a_step_does_not_count_it(
     # for neither the best residual nor convergence
     start, target = _random_case(arm, 5)
     opts = IKOptions()
-    (q, best, exhausted), trials = _traced_lockstep(arm, target, start, opts)
+    (q, best, exhausted, _), trials = _traced_lockstep(arm, target, start,
+                                                       opts)
     assert q is None and not exhausted
     frames = _kernels.fk_frames_batch(model.dh_params(arm), trials[-1])
     _, pe_last, _ = kinematics._pose_error(target, frames)
@@ -618,7 +626,7 @@ def test_lockstep_a_start_stalled_on_its_last_step_is_not_exhausted(
     start, target = _random_case(arm, 0)
     rows, lim = model.dh_params(arm), model.limits_array(arm)
     for max_iters, exhausted in ((35, True), (36, False), (37, False)):
-        q, _, got = kinematics._lockstep_dls(
+        q, _, got, _ = kinematics._lockstep_dls(
             rows, lim, target, start, IKOptions(max_iters=max_iters))
         assert q is None and got is exhausted, max_iters
 
@@ -857,14 +865,111 @@ def _after_import(code: str) -> str:
 
 
 def test_restart_table_is_not_built_at_import() -> None:
+    # nor by an IK call that the wrist scan answers
     assert _after_import(
-        "print(armkit.kinematics._start_table.cache_info().currsize)") == "0"
+        "arm = armkit.default_arm()\n"
+        "q = armkit.kinematics.inverse_kinematics(\n"
+        "    arm, armkit.forward_kinematics(arm, [0.1] * 6), [0.0] * 6)\n"
+        "print(hasattr(armkit.model._tables(arm), 'starts'))") == "False"
 
 
 def test_the_wrist_scan_is_not_imported_with_armkit() -> None:
     # the first IK call imports it; commands that run no IK never do
     assert _after_import("import sys\n"
                          "print('armkit._wrist' in sys.modules)") == "False"
+
+
+# ---------------------------------------------------------------------------
+# the per-arm record
+# ---------------------------------------------------------------------------
+
+def _query_bytes(arm, target: Pose) -> list:
+    """The bytes of a design query: IK from the zero start, then the
+    Jacobian, the static report and the fixed-pose payload cap at the
+    answer, each call on the arm that ``arm()`` returns."""
+    q = kinematics.inverse_kinematics(arm(), target, np.zeros(6))
+    J = kinematics.jacobian(arm(), q)
+    report = statics.static_report(arm(), q)
+    cap = statics.max_payload(arm(), q)
+    return [q.tobytes(), J.tobytes(), report.required.tobytes(),
+            report.available.tobytes(), report.utilization.tobytes(),
+            report.limiting_joint, cap.mass, cap.limiting_joint,
+            cap.utilization, cap.pose.tobytes(), cap.policy]
+
+
+def test_pool_queries_on_one_arm_match_a_fresh_arm_per_call() -> None:
+    warm = model.default_arm()
+    for q_true in _target_pool(warm):
+        target = kinematics.forward_kinematics(warm, q_true)
+        assert _query_bytes(lambda: warm, target) == \
+            _query_bytes(model.default_arm, target)
+
+
+def _cold(fn, q):
+    """``fn`` at ``q`` on an arm that has no record yet."""
+    return fn(model.default_arm(), q)
+
+
+def test_the_record_never_serves_a_stale_pose() -> None:
+    arm = model.default_arm()
+    q1 = np.radians([10.0, -20.0, 30.0, 0.0, 15.0, 5.0])
+    q2 = np.radians([-35.0, 40.0, -10.0, 60.0, -25.0, 90.0])
+    ulp = q1.copy()
+    ulp[2] = np.nextafter(ulp[2], np.inf)
+    negative_zero = np.zeros(6)
+    negative_zero[3] = -0.0
+    dh = list(arm.dh)
+    dh[2] = dataclasses.replace(dh[2], a_prev=0.04)
+    other = dataclasses.replace(arm, dh=tuple(dh))
+    # (arm, pose, frames computed): each arm keeps its own last pose
+    queries = [(arm, q1, 1), (arm, q2, 1), (arm, q1, 1), (other, q1, 1),
+               (arm, q1, 0), (other, q1, 0), (arm, ulp, 1),
+               (arm, np.zeros(6), 1), (arm, negative_zero, 1),
+               (arm, negative_zero, 0)]
+    calls, real = [], _kernels.fk_frames_batch
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "fk_frames_batch",
+                   lambda rows, Q: calls.append(1) or real(rows, Q))
+        for a, q, computed in queries:
+            before = len(calls)
+            got.append((kinematics.jacobian(a, q).tobytes(),
+                        statics.gravity_torques(a, q).tobytes()))
+            assert len(calls) - before == computed
+            assert model._tables(a).pose[0] == q.tobytes()
+    for (a, q, _), answer in zip(queries, got):
+        cold = dataclasses.replace(a)  # the same arm, without a record
+        assert answer == (kinematics.jacobian(cold, q).tobytes(),
+                          statics.gravity_torques(cold, q).tobytes())
+    assert got[2] != got[3]  # the two arms differ at q1
+
+
+def test_two_threads_on_one_arm_get_their_own_poses() -> None:
+    arm = model.default_arm()
+    poses = np.radians([[10.0, -20.0, 30.0, 0.0, 15.0, 5.0],
+                        [-35.0, 40.0, -10.0, 60.0, -25.0, 90.0]])
+    cold = [(_cold(kinematics.jacobian, q).tobytes(),
+             _cold(statics.gravity_torques, q).tobytes()) for q in poses]
+    wrong = []
+
+    def work(i: int) -> None:
+        for _ in range(3000):
+            got = (kinematics.jacobian(arm, poses[i]).tobytes(),
+                   statics.gravity_torques(arm, poses[i]).tobytes())
+            if got != cold[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

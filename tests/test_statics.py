@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from armkit import model, statics
+from armkit import kinematics, model, statics
 from armkit.errors import NoConvergenceError
 
 
@@ -82,6 +82,34 @@ def test_static_report_utilization_is_ratio(arm: model.ArmDescription) -> None:
     assert np.allclose(rep.utilization,
                        np.abs(rep.required) / rep.available,
                        rtol=1e-12, atol=1e-15)
+
+
+def _answers(arm: model.ArmDescription, q: np.ndarray) -> list:
+    """The bytes of every public answer at ``q`` that the arm's record
+    feeds."""
+    report = statics.static_report(arm, q)
+    cap = statics.max_payload(arm, q)
+    return [kinematics.fk_frames(arm, q).tobytes(),
+            kinematics.jacobian(arm, q).tobytes(),
+            statics.gravity_torques(arm, q).tobytes(),
+            model.dh_params(arm).tobytes(), model.limits_array(arm).tobytes(),
+            statics.available_torques(arm).tobytes(),
+            report.required.tobytes(), report.available.tobytes(),
+            report.utilization.tobytes(), cap.mass, cap.utilization]
+
+
+def test_writing_into_returned_arrays_changes_no_later_answer() -> None:
+    arm = model.default_arm()
+    q = np.radians([10.0, -20.0, 30.0, 0.0, 15.0, 5.0])
+    cold = _answers(model.default_arm(), q)
+    for returned in (kinematics.fk_frames, statics.gravity_torques,
+                     lambda a, q: model.dh_params(a),
+                     lambda a, q: model.limits_array(a),
+                     lambda a, q: statics.available_torques(a),
+                     lambda a, q: statics.static_report(a, q).available):
+        out = returned(arm, q)
+        out[...] = 7.0
+        assert _answers(arm, q) == cold
 
 
 # ---------------------------------------------------------------------------
