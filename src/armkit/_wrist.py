@@ -5,8 +5,11 @@ checks, every joint vector that reaches a tool pose comes from one scalar
 scan: the wrist point lies on a circle about a point the pose fixes, and at
 each angle on it the first three joints have a closed form. This is the
 "two intersecting axes, 1-D search" case of IK-Geo (Elias & Wen 2022,
-arXiv 2211.05737). :func:`armkit.kinematics.inverse_kinematics` imports
-this module on its first call.
+arXiv 2211.05737). The scan and the joint angles run on numpy arrays; the
+roots are refined one bracket at a time in float arithmetic, by the same
+formula in the same operation order, so they keep the bits numpy gives.
+:func:`armkit.kinematics.inverse_kinematics` imports this module on its
+first call.
 """
 
 from __future__ import annotations
@@ -37,7 +40,21 @@ ROOT_TOL = 1e-14
 _HALF = (np.arange(2 * SCAN_POINTS + 2) - 1.0) * (math.pi / SCAN_POINTS)
 #: Shoulder signs that broadcast to the scan's (2, loops n) residual.
 _SHOULDER = np.array([1.0, -1.0])[:, None]
-for _a in (_HALF, _SHOULDER):
+
+
+def _grid(loops: int) -> tuple:
+    """The scan's sines and cosines of tau / 2 and its loop signs, the
+    arguments of :func:`_loop`'s ``at`` for ``loops`` loops of n = 2
+    :data:`SCAN_POINTS` / ``loops`` samples each, one loop after the
+    other."""
+    n = 2 * SCAN_POINTS // loops
+    half = np.tile(_HALF[1:n + 1], loops)
+    return np.sin(half), np.cos(half), np.repeat([1.0, -1.0][:loops], n)
+
+
+#: :func:`_grid` for one loop and for two.
+_GRID = {loops: _grid(loops) for loops in (1, 2)}
+for _a in (_HALF, _SHOULDER, *_GRID[1], *_GRID[2]):
     _a.setflags(write=False)
 
 
@@ -97,29 +114,35 @@ def _structure(rows: np.ndarray) -> Optional[Wrist]:
                  ca[4], sa[4], d[5])
 
 
-def _residual(g: Wrist, M: np.ndarray, circle: tuple, cg: np.ndarray,
-              sg: np.ndarray, xs: np.ndarray, angles: bool = False):
+def _residual(g: Wrist, M: list, circle: tuple, cg, sg, xs,
+              angles: bool = False):
     """The scan's residual at the wrist circle's points ``circle``, the pair
     (cos(phi), sin(phi)), where the elbow angle gamma has cosine ``cg`` and
     sine ``sg`` (see :func:`_loop`), on the branches of shoulder signs
-    ``xs``; all broadcast.
+    ``xs``; all broadcast. The arguments are arrays, or floats (the
+    refinement's single points, with ``math`` in place of numpy: the same
+    operations in the same order round to the same bits).
 
-    ``M`` (6, 3) maps (1, cos(phi), sin(phi)) to O4 - d1 z0 and to the
-    axis z4 that joint 5 needs there. Joints 1-3 reach O4 in closed form, and
-    the residual z3 . z4 - cos(alpha4) is zero where joint 4 can turn z3's
-    frame onto z4. Where O4 lies inside the shoulder offset, the closed form
-    takes the nearest pose it has. With ``angles``, returns the first three
-    joint angles (offsets included) and phi instead.
+    ``M``, six rows of three floats, maps (1, cos(phi), sin(phi)) to
+    O4 - d1 z0 and to the axis z4 that joint 5 needs there. Joints 1-3 reach
+    O4 in closed form, and the residual z3 . z4 - cos(alpha4) is zero where
+    joint 4 can turn z3's frame onto z4. Where O4 lies inside the shoulder
+    offset, the closed form takes the nearest pose it has. With ``angles``
+    (arrays only), returns the first three joint angles (offsets included)
+    and phi instead.
     """
+    sqrt, maximum = (math.sqrt, max) if isinstance(cg, float) \
+        else (np.sqrt, np.maximum)
     # elementwise, not a matmul, whose rounding would follow the BLAS
-    wx, wy, wz, zx, zy, zz = M[:, :1] + M[:, 1:2] * circle[0] \
-        + M[:, 2:] * circle[1]
+    c0, c1 = circle
+    wx, wy, wz, zx, zy, zz = [m0 + m1 * c0 + m2 * c1 for m0, m1, m2 in M]
     # O4 in frame 1: +-sqrt(XX) along the arm, Y up it, k off its plane
     Y = (wz - g.ca1 * g.h) / g.sa1
     k = g.ca1 * Y - g.sa1 * g.h
     r2 = wx * wx + wy * wy
-    XX = np.maximum(r2 - k * k, 0.0)
-    X = xs * np.sqrt(XX)
+    # r2 - k k is never -0.0, where max and np.maximum differ
+    XX = maximum(r2 - k * k, 0.0)
+    X = xs * sqrt(XX)
     if angles:
         return (np.arctan2(wy, wx) - np.arctan2(k, X),
                 np.arctan2(Y, X) - np.arctan2(g.L * sg, g.a2 + g.L * cg),
@@ -137,7 +160,7 @@ def _residual(g: Wrist, M: np.ndarray, circle: tuple, cg: np.ndarray,
     P, Q = wx * zx + wy * zy, wx * zy - wy * zx
     U, V = (X * P - k * Q) / r2, (X * Q + k * P) / r2
     return (s * (g.sa3 * U) - c * (g.sa3 * (g.ca1 * V + g.sa1 * zz))) \
-        / np.sqrt(D2 * (ll + l2 * cg)) \
+        / sqrt(D2 * (ll + l2 * cg)) \
         + (g.ca3 * (g.ca1 * zz - g.sa1 * V) - g.ca4)
 
 
@@ -167,9 +190,11 @@ def _loop(g: Wrist, M: np.ndarray):
 
     Returns:
         ``(loops, at)``: the number of loops, 0 if the elbow reaches no
-        point of the circle, and ``at(half, sign)``: the circle's points
-        (cos(phi), sin(phi)), cos(gamma) and sin(gamma) at tau = 2 ``half``
-        on the loop of sign ``sign`` (1 on a lone loop); the two broadcast.
+        point of the circle, and ``at(s, t, sign)``: the circle's points
+        (cos(phi), sin(phi)), cos(gamma) and sin(gamma) at tau / 2 of sine
+        ``s`` and cosine ``t``, on the loop of sign ``sign`` (1 on a lone
+        loop); all broadcast, as arrays or as floats (see
+        :func:`_residual`).
     """
     w, wc, ws = M[:3].T.tolist()
     ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
@@ -188,12 +213,12 @@ def _loop(g: Wrist, M: np.ndarray):
     psi = math.atan2(q, p)
     cp, sp = math.cos(psi), math.sin(psi)
 
-    def at(half, sign):
-        s, t = np.sin(half), np.cos(half)
+    def at(s, t, sign):
+        sqrt = math.sqrt if isinstance(s, float) else np.sqrt
         a, b = c * s, c * t
         aa = a * a
         # on two loops, the sign falls on the product of two positive roots
-        ra, rb = np.sqrt(th + aa), sign * np.sqrt(tl + b * b)
+        ra, rb = sqrt(th + aa), sign * sqrt(tl + b * b)
         sg = (a if top else ra) * (b if bottom else rb)
         if top or bottom:
             # cos(phi - psi) and sin(phi - psi)
@@ -232,29 +257,58 @@ def _dips(f: np.ndarray, x: np.ndarray) -> tuple:
     return tuple(v[dip] for v in (br, x0, x2, f0, f2))
 
 
-def _illinois(residual, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
-              fhi: np.ndarray) -> np.ndarray:
-    """The roots of ``residual`` in the brackets [``lo``, ``hi``], where it
-    takes the values ``flo`` and ``fhi``, by Illinois regula falsi, all at
-    once: each bracket's newest point once ``residual`` there is within
-    :data:`ROOT_TOL` of zero, or after :data:`REFINE_STEPS` steps."""
+def _row_residual(g: Wrist, M: list, at, ls: float, xs: float):
+    """The residual of :func:`_residual` on the scan row of loop sign ``ls``
+    and shoulder sign ``xs`` (see :func:`branches`), as a function of one
+    half-angle tau / 2, in float arithmetic.
+
+    Where a float operation raises (a division by zero, or the sine of an
+    infinite angle), the point is evaluated again as a one-element array,
+    so the function returns the inf or NaN that numpy gives there. The
+    caller holds numpy's error state.
+    """
+    def f(h: float) -> float:
+        try:
+            return _residual(g, M, *at(math.sin(h), math.cos(h), ls), xs)
+        except (ZeroDivisionError, ValueError):
+            h = np.array([h])
+            return float(_residual(g, M, *at(np.sin(h), np.cos(h), ls),
+                                   xs)[0])
+    return f
+
+
+def _illinois(f, lo: float, flo: float, hi: float, fhi: float) -> float:
+    """The root of ``f`` in the bracket [``lo``, ``hi``], where it takes the
+    values ``flo`` and ``fhi``, by Illinois regula falsi in float
+    arithmetic: the newest point once ``f`` there is within
+    :data:`ROOT_TOL` of zero, or after :data:`REFINE_STEPS` steps.
+
+    Each bracket runs alone and stops when it is done. Run in one batch
+    instead, a done bracket's newest point would stay put, so its root is
+    the same; a step on a Python float rounds as on a numpy one."""
     for _ in range(REFINE_STEPS):
-        todo = np.abs(fhi) > ROOT_TOL
-        if not todo.any():
+        if not abs(fhi) > ROOT_TOL:
             break
-        c = np.where(todo, hi - fhi * (hi - lo) / (fhi - flo), hi)
-        fc = residual(c)
-        flip = (fc > 0.0) != (fhi > 0.0)
-        lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
+        c = hi - fhi * (hi - lo) / (fhi - flo)
+        fc = f(c)
+        if (fc > 0.0) != (fhi > 0.0):
+            lo, flo = hi, fhi
+        else:
+            flo = 0.5 * flo
         hi, fhi = c, fc
     return hi
 
 
-def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x2: np.ndarray,
-                 f0: np.ndarray, f2: np.ndarray) -> tuple:
+def _slope(f, e: float):
+    """The central difference f(x + e) - f(x - e), as a function of x."""
+    return lambda x: f(x + e) - f(x - e)
+
+
+def _refine_dips(residual: list, br: np.ndarray, x0: np.ndarray,
+                 x2: np.ndarray, f0: np.ndarray, f2: np.ndarray) -> list:
     """Brackets of the roots at the dips ``br``, ``x0``, ``x2``, ``f0``,
-    ``f2`` of :func:`_dips`, where ``residual(r)`` is the residual on scan
-    rows ``r`` as a function of the half-angle.
+    ``f2`` of :func:`_dips`, where ``residual[r]`` is the residual on scan
+    row ``r`` as a function of the half-angle, in float arithmetic.
 
     A dip's turning point is a root of the residual's slope, here the
     central difference f(x + e) - f(x - e) with e = 1e-6 (x2 - x0), which
@@ -264,26 +318,27 @@ def _refine_dips(residual, br: np.ndarray, x0: np.ndarray, x2: np.ndarray,
     of zero width), or has no root.
 
     Returns:
-        ``(row, lo, f_lo, hi, f_hi)`` arrays of the brackets.
+        The brackets ``(row, lo, f_lo, hi, f_hi)``: the left one of each
+        dip that crosses zero, then their right ones, then the double
+        roots.
     """
-    e = 1e-6 * (x2 - x0)
-    f = residual(br)
-    s0, s2 = f(x0 + e) - f(x0 - e), f(x2 + e) - f(x2 - e)
-    turns = (s0 > 0.0) != (s2 > 0.0)
-    br, x0, x2, f0, f2, s0, s2, e = (
-        v[turns] for v in (br, x0, x2, f0, f2, s0, s2, e))
-    f = residual(br)
-    x = _illinois(lambda x: f(x + e) - f(x - e), x0, s0, x2, s2)
-    fx = f(x)
-    # a turning point across zero brackets a root on each side; a double
-    # root is its own bracket
-    two = (fx > 0.0) != (f0 > 0.0)
-    one = ~two & (np.abs(fx) <= ROOT_TOL)
-    return (np.concatenate([br[two], br[two], br[one]]),
-            np.concatenate([x0[two], x[two], x[one]]),
-            np.concatenate([f0[two], fx[two], fx[one]]),
-            np.concatenate([x[two], x2[two], x[one]]),
-            np.concatenate([fx[two], f2[two], fx[one]]))
+    left, right, double = [], [], []
+    for r, a, b, fa, fb in zip(*(v.tolist() for v in (br, x0, x2, f0, f2))):
+        f = residual[r]
+        slope = _slope(f, 1e-6 * (b - a))
+        da, db = slope(a), slope(b)
+        if (da > 0.0) == (db > 0.0):
+            continue
+        x = _illinois(slope, a, da, b, db)
+        fx = f(x)
+        # a turning point across zero brackets a root on each side; a double
+        # root is its own bracket
+        if (fx > 0.0) != (fa > 0.0):
+            left.append((r, a, fa, x, fx))
+            right.append((r, x, fx, b, fb))
+        elif abs(fx) <= ROOT_TOL:
+            double.append((r, x, fx, x, fx))
+    return left + right + double
 
 
 def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
@@ -297,8 +352,10 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
     elbow's reach loops (:func:`_loop`), 2 :data:`SCAN_POINTS` in all. Its
     sign changes and its dips (:func:`_dips`, :func:`_refine_dips`), each
     across a loop's seam too, bracket the roots, which :func:`_illinois`
-    refines in tau, all in one batch. Joints 4 and 5 then follow by
-    ``atan2``, and joint 6 is -phi.
+    refines in tau, one bracket at a time in float arithmetic with the
+    bits numpy would give. The scan and the joint angles run on arrays:
+    joints 1-3 and phi at the roots, then joints 4 and 5 by ``atan2``, and
+    joint 6 is -phi.
 
     Returns:
         The joint vectors (m, 6), in no set turn. A root that the steps
@@ -317,30 +374,28 @@ def branches(g: Wrist, rows: np.ndarray, target: Pose) -> np.ndarray:
         return np.zeros((0, 6))
     n = 2 * SCAN_POINTS // loops
     half = _HALF[:n + 2]
+    M = M.tolist()
 
-    def residual(r):
+    def signs(r):
         # row r of the scan is on loop r % loops, with shoulder sign
         # _SHOULDER[r // loops]
-        ls, xs = 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
-        return lambda h, angles=False: _residual(g, M, *at(h, ls), xs,
-                                                 angles)
+        return 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = _residual(g, M, *at(np.tile(half[1:-1], loops),
-                                np.repeat([1.0, -1.0][:loops], n)),
+        f = _residual(g, M, *at(*_GRID[loops]),
                       _SHOULDER).reshape(2 * loops, n)
         # each loop closes: its last sample comes before its first
         f = np.concatenate([f[:, -1:], f, f[:, :1]], axis=1)
         up = f > 0.0
         br, i = np.nonzero(up[:, 1:-1] != up[:, 2:])
-        brackets = [(br, half[i + 1], f[br, i + 1], half[i + 2],
-                     f[br, i + 2])]
-        dips = _dips(f, half)
-        if dips[0].size:
-            brackets.append(_refine_dips(residual, *dips))
-        br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
-        res = residual(br)
-        t1, t2, t3, phi = res(_illinois(res, lo, flo, hi, fhi), True)
+        brackets = list(zip(*(v.tolist() for v in (
+            br, half[i + 1], f[br, i + 1], half[i + 2], f[br, i + 2]))))
+        fs = [_row_residual(g, M, at, *signs(r)) for r in range(2 * loops)]
+        brackets += _refine_dips(fs, *_dips(f, half))
+        h = np.array([_illinois(fs[r], *b) for r, *b in brackets])
+        ls, xs = signs(np.array([r for r, *_ in brackets], dtype=int))
+        t1, t2, t3, phi = _residual(g, M, *at(np.sin(h), np.cos(h), ls), xs,
+                                    angles=True)
     T = np.zeros((len(phi), 6))
     T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3
     R3 = _kernels.fk_frames_batch(rows, T - rows[:, 0])[:, 3, :3, :3]

@@ -322,6 +322,18 @@ def _dls_step(J: np.ndarray, E: np.ndarray, lam: np.ndarray,
     return dq
 
 
+def _converged(f: np.ndarray, pe: np.ndarray, re_: np.ndarray,
+               best: tuple, opts: IKOptions) -> tuple:
+    """``best``, the smallest position residual seen with its rotation
+    residual, updated with rows ``f`` of the residuals ``pe`` and ``re_``,
+    and the first of those rows that meets the tolerances, or None."""
+    i = f[np.argmin(pe[f])]
+    if pe[i] < best[0]:
+        best = (float(pe[i]), float(re_[i]))
+    done = f[(pe[f] < opts.pos_tol) & (re_[f] < opts.ori_tol)]
+    return best, (done[0] if done.size else None)
+
+
 def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
                   starts: np.ndarray, opts: IKOptions):
     """Damped least squares from each row of ``starts`` (k, 6), in lockstep.
@@ -336,11 +348,12 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     It is then scaled down so that no joint moves by more than
     :data:`STEP_LIMIT`, and clipped to the limits.
 
-    The state arrays hold the live starts only, in their order in
-    ``starts``: a start that stops loses its row. Each trial computes the
-    step, FK and the new Jacobian for all rows at once, then keeps each
-    row's new state or its old one by whether its error fell.
-    No start's numbers depend on the others in its batch.
+    A start that meets the tolerances as given answers at once, before
+    any Jacobian or state array is built. The state arrays hold the live
+    starts only, in their order in ``starts``: a start that stops loses
+    its row. Each trial computes the step, FK and the new Jacobian for all
+    rows at once, then keeps each row's new state or its old one by whether
+    its error fell. No start's numbers depend on the others in its batch.
 
     Returns:
         ``(q, best, exhausted, frames)``: the joint vector of the first
@@ -355,24 +368,19 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
     k = len(Q)
     frames = _kernels.fk_frames_batch(rows, Q)
     E, pe, re_ = _pose_error(target, frames)
+    # a start that meets the tolerances answers before any state is built
+    best, done = _converged(np.arange(k), pe, re_, (math.inf, math.inf), opts)
+    if done is not None:
+        return Q[done].copy(), best, False, frames[done]
     err = _row_norms(E)
     J = _jacobian_from_frames(frames)
     lam = np.full(k, DAMPING)
     stall = np.zeros(k, dtype=int)
     steps = np.zeros(k, dtype=int)
     rejects = np.zeros(k, dtype=int)
-    best = (math.inf, math.inf)
     exhausted = False
     fresh = np.ones(k, dtype=bool)  # rows at a new accepted step
     while True:
-        f = fresh.nonzero()[0]
-        if f.size:
-            i = f[np.argmin(pe[f])]
-            if pe[i] < best[0]:
-                best = (float(pe[i]), float(re_[i]))
-            done = f[(pe[f] < opts.pos_tol) & (re_[f] < opts.ori_tol)]
-            if done.size:
-                return Q[done[0]].copy(), best, exhausted, frames[done[0]]
         spent = fresh & (steps == opts.max_iters)
         exhausted = exhausted or bool(spent.any())
         live = (rejects < 10) & (stall < 12) & ~spent
@@ -408,6 +416,11 @@ def _lockstep_dls(rows: np.ndarray, lim: np.ndarray, target: Pose,
         steps = steps + ok
         rejects = np.where(ok, 0, rejects + 1)
         fresh = ok & (stall < 12)
+        f = fresh.nonzero()[0]
+        if f.size:
+            best, done = _converged(f, pe, re_, best, opts)
+            if done is not None:
+                return Q[done].copy(), best, exhausted, frames[done]
 
 
 def inverse_kinematics(arm: ArmDescription, target: Pose, seed,

@@ -275,6 +275,18 @@ def test_ik_first_attempt_solves_after_running_into_a_limit(
     assert float(out.split("position_error_m: ")[1]) < 1e-6
 
 
+def test_ik_on_the_base_axis_with_the_tool_up(
+        capsys: pytest.CaptureFixture) -> None:
+    # O5 on joint 1's axis and the tool vertical: joints 1 and 6 turn
+    # together, and the scan's residual is zero up to rounding all round the
+    # wrist circle; the CI smoke step runs both queries
+    rc, out = _run(capsys, ["ik", "--target", "0,0,0.05", "--rpy", "0,0,0"])
+    assert rc == 0
+    assert "position_error_m: 3.1904619099328413e-07\n" in out
+    assert cli.run(["ik", "--target", "0,0,0.2", "--rpy", "0,0,0"]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
 #: IK queries whose --q0 is an exact solution with joint 3 near the
 #: stretched elbow: the nearest solution is --q0 itself.
 _STRETCHED_ELBOW_QUERIES = [

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from armkit import _kernels, _wrist, cli, kinematics, model, statics
@@ -377,7 +377,7 @@ def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
     lam_floor = 1e-6
     Q = np.array(starts, dtype=float)
     k = len(Q)
-    frames = _kernels.fk_frames_batch(rows, Q)
+    frames = F = _kernels.fk_frames_batch(rows, Q)
     E, pe, re_ = kinematics._pose_error(target, frames)
     err = kinematics._row_norms(E)
     J = kinematics._jacobian_from_frames(frames)
@@ -397,13 +397,13 @@ def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
             done = fresh[(pe[fresh] < opts.pos_tol)
                          & (re_[fresh] < opts.ori_tol)]
             if done.size:
-                return Q[done[0]].copy(), best, exhausted
+                return Q[done[0]].copy(), best, exhausted, F[done[0]]
             spent = fresh[steps[fresh] == opts.max_iters]
             live[spent] = False
             exhausted = exhausted or bool(spent.size)
         idx = np.flatnonzero(live)
         if not idx.size:
-            return None, best, exhausted
+            return None, best, exhausted, None
         # one trial step per live start
         dq = kinematics._dls_step(J[idx], E[idx], lam[idx], Q[idx] == lo,
                                   Q[idx] == hi)
@@ -427,6 +427,7 @@ def _ref_lockstep(rows: np.ndarray, lim: np.ndarray, target: Pose,
         Q[a], E[a], pe[a], re_[a], err[a] = (
             q_new[ok], e_new[ok], pe_new[ok], re_new[ok], err_new[ok])
         J[a] = kinematics._jacobian_from_frames(frames[ok])
+        F[a] = frames[ok]
         lam[a] = np.maximum(lam[a] / 3.0, lam_floor)
         steps[a] += 1
         rejects[a] = 0
@@ -514,11 +515,20 @@ def test_lockstep_trials_stay_inside_the_limits(
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 13),
        pinned=st.booleans(), near=st.booleans(),
-       max_iters=st.sampled_from([0, 1, 2, 3, 5, 8, 40]))
+       max_iters=st.sampled_from([0, 1, 2, 3, 5, 8, 40]),
+       exact=st.sampled_from([None, "branches", "last"]))
+# starts that meet the tolerances as given: every branch of the wrist scan,
+# and batches whose last row is the target's own joint vector
+@example(seed=1, k=1, pinned=False, near=False, max_iters=40,
+         exact="branches")
+@example(seed=2, k=6, pinned=True, near=False, max_iters=0,
+         exact="branches")
+@example(seed=3, k=5, pinned=False, near=False, max_iters=40, exact="last")
+@example(seed=4, k=9, pinned=True, near=True, max_iters=0, exact="last")
 def test_lockstep_matches_the_reference_loop(
         arm: model.ArmDescription, seed: int, k: int, pinned: bool,
-        near: bool, max_iters: int) -> None:
-    lim = model.limits_array(arm)
+        near: bool, max_iters: int, exact: str | None) -> None:
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
     rng = np.random.default_rng(seed)
     starts = (_pinned_starts(lim, rng, k) if pinned
               else rng.uniform(lim[:, 0], lim[:, 1], size=(k, 6)))
@@ -527,18 +537,29 @@ def test_lockstep_matches_the_reference_loop(
     q_target = (starts[rng.integers(0, k)] + rng.normal(scale=0.05, size=6)
                 if near else rng.uniform(lim[:, 0], lim[:, 1]))
     target = kinematics.forward_kinematics(arm, q_target)
+    if exact == "branches":
+        starts = _wrist.starts(_wrist.structure(arm), rows, lim, target,
+                               np.zeros((1, 6)))
+        assume(len(starts))
+    elif exact == "last":
+        starts[-1] = q_target
     opts = IKOptions(max_iters=max_iters)
     (q, best, exhausted, frames), trials = _traced_lockstep(arm, target,
                                                             starts, opts)
-    (q_ref, best_ref, exhausted_ref), trials_ref = _traced_lockstep(
-        arm, target, starts, opts, solve=_ref_lockstep)
+    (q_ref, best_ref, exhausted_ref, frames_ref), trials_ref = \
+        _traced_lockstep(arm, target, starts, opts, solve=_ref_lockstep)
     assert (None if q is None else q.tobytes()) == \
         (None if q_ref is None else q_ref.tobytes())
+    assert (None if frames is None else frames.tobytes()) == \
+        (None if frames_ref is None else frames_ref.tobytes())
     if q is not None:
         # the answer's frames, from its batch, are the ones it has alone
-        alone = _kernels.fk_frames_batch(model.dh_params(arm), q[None])[0]
+        alone = _kernels.fk_frames_batch(rows, q[None])[0]
         assert frames.tobytes() == alone.tobytes()
     assert (best, exhausted) == (best_ref, exhausted_ref)
+    if exact == "last":
+        # the target's own joint vector meets the tolerances before any step
+        assert q is not None and len(trials) == 1
     assert [t.tobytes() for t in trials] == [t.tobytes() for t in trials_ref]
 
 
@@ -614,8 +635,8 @@ def test_lockstep_a_start_stalled_on_a_step_does_not_count_it(
     frames = _kernels.fk_frames_batch(model.dh_params(arm), trials[-1])
     _, pe_last, _ = kinematics._pose_error(target, frames)
     assert pe_last[0] < best[0]
-    (_, best_ref, _), _ = _traced_lockstep(arm, target, start, opts,
-                                           solve=_ref_lockstep)
+    (_, best_ref, _, _), _ = _traced_lockstep(arm, target, start, opts,
+                                              solve=_ref_lockstep)
     assert best == best_ref
 
 
@@ -731,10 +752,7 @@ def test_wrist_branches_hold_draws_at_the_stretched_elbow(
     wrist = _wrist.structure(arm)
     missed = []
     for seed in (1, 17):
-        rng = np.random.default_rng(seed)
-        q = rng.uniform(lim[:, 0], lim[:, 1], size=(300, 6))
-        q[:, 2] = wrist.beta - rows[2, 0] + rng.uniform(
-            -math.radians(1.43), math.radians(1.43), size=300)
+        q = _stretched_draws(wrist, rows, lim, seed)
         tools = _kernels.fk_frames_batch(rows, q)[:, 6]
         missed += [(seed, n) for n, (q_true, tool) in enumerate(zip(q, tools))
                    if not _holds(_wrist.branches(wrist, rows, Pose(
@@ -757,6 +775,288 @@ def test_wrist_branches_where_the_elbow_angle_is_constant_on_the_circle(
     tool[:3, :3], tool[:3, 3] = R, p
     reached = _kernels.fk_frames_batch(rows, Q)[:, 6]
     assert np.abs(reached - tool).max() <= 1e-9
+
+
+# The wrist scan as it ran with one batched refinement: every residual
+# evaluated on numpy arrays, the map M (6, 3) broadcast against the circle's
+# points, and Illinois regula falsi stepping all brackets at once.
+# ``_wrist.branches``, which refines one bracket at a time in float
+# arithmetic, must match it bit for bit.
+
+def _ref_residual(g: _wrist.Wrist, M: np.ndarray, circle: tuple,
+                  cg: np.ndarray, sg: np.ndarray, xs: np.ndarray,
+                  angles: bool = False):
+    wx, wy, wz, zx, zy, zz = M[:, :1] + M[:, 1:2] * circle[0] \
+        + M[:, 2:] * circle[1]
+    Y = (wz - g.ca1 * g.h) / g.sa1
+    k = g.ca1 * Y - g.sa1 * g.h
+    r2 = wx * wx + wy * wy
+    XX = np.maximum(r2 - k * k, 0.0)
+    X = xs * np.sqrt(XX)
+    if angles:
+        return (np.arctan2(wy, wx) - np.arctan2(k, X),
+                np.arctan2(Y, X) - np.arctan2(g.L * sg, g.a2 + g.L * cg),
+                np.arctan2(sg, cg) + g.beta, np.arctan2(circle[1], circle[0]))
+    D2 = XX + Y * Y
+    ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
+    cb, sb = math.cos(g.beta), math.sin(g.beta)
+    A = (g.L * cb + (g.a2 * cb) * cg) - (g.a2 * sb) * sg
+    B = (g.L * sb + (g.a2 * sb) * cg) + (g.a2 * cb) * sg
+    c, s = X * A - Y * B, X * B + Y * A
+    P, Q = wx * zx + wy * zy, wx * zy - wy * zx
+    U, V = (X * P - k * Q) / r2, (X * Q + k * P) / r2
+    return (s * (g.sa3 * U) - c * (g.sa3 * (g.ca1 * V + g.sa1 * zz))) \
+        / np.sqrt(D2 * (ll + l2 * cg)) \
+        + (g.ca3 * (g.ca1 * zz - g.sa1 * V) - g.ca4)
+
+
+def _ref_loop(g: _wrist.Wrist, M: np.ndarray):
+    w, wc, ws = M[:3].T.tolist()
+    ll, l2 = g.a2 * g.a2 + g.L * g.L, 2.0 * g.a2 * g.L
+    m = (math.fsum(v * v for v in w) + g.a5 * g.a5 - g.h * g.h - ll) / l2
+    p = 2.0 * math.fsum(u * v for u, v in zip(w, wc)) / l2
+    q = 2.0 * math.fsum(u * v for u, v in zip(w, ws)) / l2
+    rho = math.hypot(p, q)
+    top, bottom = m + rho > 1.0, m - rho < -1.0
+    hm, lm = (1.0 - m if top else rho), (-1.0 - m if bottom else -rho)
+    if not hm >= lm:
+        return 0, None
+    hi, c = 1.0 if top else m + rho, math.sqrt(hm - lm)
+    th, tl = abs(m + rho - 1.0), abs(m - rho + 1.0)
+    psi = math.atan2(q, p)
+    cp, sp = math.cos(psi), math.sin(psi)
+
+    def at(half, sign):
+        s, t = np.sin(half), np.cos(half)
+        a, b = c * s, c * t
+        aa = a * a
+        ra, rb = np.sqrt(th + aa), sign * np.sqrt(tl + b * b)
+        sg = (a if top else ra) * (b if bottom else rb)
+        if top or bottom:
+            cd = (hm - aa) / rho
+            sd = (ra if top else a) * (rb if bottom else b) / rho
+        else:
+            cd, sd = t * t - s * s, 2.0 * s * t
+        return (cd * cp - sd * sp, sd * cp + cd * sp), hi - aa, sg
+
+    return 1 if top != bottom else 2, at
+
+
+def _ref_illinois(residual, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
+                  fhi: np.ndarray) -> np.ndarray:
+    """Illinois regula falsi on all brackets at once; a bracket whose newest
+    point is within ``ROOT_TOL`` of zero keeps it."""
+    for _ in range(_wrist.REFINE_STEPS):
+        todo = np.abs(fhi) > _wrist.ROOT_TOL
+        if not todo.any():
+            break
+        c = np.where(todo, hi - fhi * (hi - lo) / (fhi - flo), hi)
+        fc = residual(c)
+        flip = (fc > 0.0) != (fhi > 0.0)
+        lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
+        hi, fhi = c, fc
+    return hi
+
+
+def _ref_refine_dips(residual, br, x0, x2, f0, f2) -> tuple:
+    e = 1e-6 * (x2 - x0)
+    f = residual(br)
+    s0, s2 = f(x0 + e) - f(x0 - e), f(x2 + e) - f(x2 - e)
+    turns = (s0 > 0.0) != (s2 > 0.0)
+    br, x0, x2, f0, f2, s0, s2, e = (
+        v[turns] for v in (br, x0, x2, f0, f2, s0, s2, e))
+    f = residual(br)
+    x = _ref_illinois(lambda x: f(x + e) - f(x - e), x0, s0, x2, s2)
+    fx = f(x)
+    two = (fx > 0.0) != (f0 > 0.0)
+    one = ~two & (np.abs(fx) <= _wrist.ROOT_TOL)
+    return (np.concatenate([br[two], br[two], br[one]]),
+            np.concatenate([x0[two], x[two], x[one]]),
+            np.concatenate([f0[two], fx[two], fx[one]]),
+            np.concatenate([x[two], x2[two], x[one]]),
+            np.concatenate([fx[two], f2[two], fx[one]]))
+
+
+def _ref_branches(g: _wrist.Wrist, rows: np.ndarray,
+                  target: Pose) -> np.ndarray:
+    R = target.orientation
+    x, y, z = R[:, 0], R[:, 1], R[:, 2]
+    o = target.position - g.d6 * z
+    o[2] -= g.d1
+    M = np.stack([np.concatenate([o, g.ca5 * z]),
+                  np.concatenate([-g.a5 * x, g.sa5 * y]),
+                  np.concatenate([-g.a5 * y, -g.sa5 * x])], axis=1)
+    loops, at = _ref_loop(g, M)
+    if not loops:
+        return np.zeros((0, 6))
+    n = 2 * _wrist.SCAN_POINTS // loops
+    half = _wrist._HALF[:n + 2]
+
+    def residual(r):
+        ls, xs = 1.0 - 2.0 * (r % loops), 1.0 - 2.0 * (r // loops)
+        return lambda h, angles=False: _ref_residual(g, M, *at(h, ls), xs,
+                                                     angles)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = _ref_residual(g, M, *at(np.tile(half[1:-1], loops),
+                                    np.repeat([1.0, -1.0][:loops], n)),
+                          _wrist._SHOULDER).reshape(2 * loops, n)
+        f = np.concatenate([f[:, -1:], f, f[:, :1]], axis=1)
+        up = f > 0.0
+        br, i = np.nonzero(up[:, 1:-1] != up[:, 2:])
+        brackets = [(br, half[i + 1], f[br, i + 1], half[i + 2],
+                     f[br, i + 2])]
+        dips = _wrist._dips(f, half)
+        if dips[0].size:
+            brackets.append(_ref_refine_dips(residual, *dips))
+        br, lo, flo, hi, fhi = (np.concatenate(p) for p in zip(*brackets))
+        res = residual(br)
+        t1, t2, t3, phi = res(_ref_illinois(res, lo, flo, hi, fhi), True)
+    T = np.zeros((len(phi), 6))
+    T[:, 0], T[:, 1], T[:, 2] = t1, t2, t3
+    R3 = _kernels.fk_frames_batch(rows, T - rows[:, 0])[:, 3, :3, :3]
+    x3, y3, z3 = R3[:, :, 0], R3[:, :, 1], R3[:, :, 2]
+    c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    x5 = c * x + s * y
+    z4 = g.ca5 * z + g.sa5 * (c * y - s * x)
+    t4 = np.arctan2(g.sa4 * (x3 * z4).sum(axis=1),
+                    -g.sa4 * (y3 * z4).sum(axis=1))
+    c4, s4 = np.cos(t4)[:, None], np.sin(t4)[:, None]
+    x4 = c4 * x3 + s4 * y3
+    y4 = g.ca4 * (c4 * y3 - s4 * x3) + g.sa4 * z3
+    T[:, 3] = t4
+    T[:, 4] = np.arctan2((y4 * x5).sum(axis=1), (x4 * x5).sum(axis=1))
+    T[:, 5] = -phi
+    return T - rows[:, 0]
+
+
+def _tool_poses(rows: np.ndarray, q: np.ndarray) -> list:
+    return [Pose(t[:3, 3].copy(), t[:3, :3].copy())
+            for t in _kernels.fk_frames_batch(rows, q)[:, 6]]
+
+
+def _stretched_draws(wrist: _wrist.Wrist, rows: np.ndarray, lim: np.ndarray,
+                     seed: int, n: int = 300) -> np.ndarray:
+    """``n`` in-limit joint vectors with joint 3 within 1.43 deg of its
+    stretched-elbow angle, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(lim[:, 0], lim[:, 1], size=(n, 6))
+    q[:, 2] = wrist.beta - rows[2, 0] + rng.uniform(
+        -math.radians(1.43), math.radians(1.43), size=n)
+    return q
+
+
+def _on_the_base_axis(wrist: _wrist.Wrist, n: int, seed: int) -> list:
+    """``n`` poses with O5 on joint 1's axis, at heights spread over
+    [-0.3, 0.45] m, the tool pointing up (first half) or down, each at a
+    random yaw: the elbow angle is the same all round the wrist circle."""
+    rng = np.random.default_rng(seed)
+    poses = []
+    for i, height in enumerate(np.linspace(-0.3, 0.45, n)):
+        yaw = rng.uniform(-math.pi, math.pi)
+        R = np.array([[math.cos(yaw), -math.sin(yaw), 0.0],
+                      [math.sin(yaw), math.cos(yaw), 0.0], [0.0, 0.0, 1.0]])
+        if 2 * i >= n:
+            R = R @ np.diag([1.0, -1.0, -1.0])
+        poses.append(Pose(np.array([0.0, 0.0, height]) + wrist.d6 * R[:, 2],
+                          R))
+    return poses
+
+
+def test_wrist_branches_match_the_batched_refinement(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch) -> None:
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    wrist = _wrist.structure(arm)
+    # seed 505 draw 2232: the pair of roots the scan misses (ROADMAP item 5)
+    q505 = np.random.default_rng(505).uniform(lim[:, 0], lim[:, 1],
+                                              size=(2233, 6))[2232:]
+    sets = {
+        "pool": _tool_poses(rows, _target_pool(arm)),
+        "uniform": _tool_poses(rows, np.random.default_rng(5).uniform(
+            lim[:, 0], lim[:, 1], size=(2000, 6))),
+        "stretched": _tool_poses(rows, np.concatenate(
+            [_stretched_draws(wrist, rows, lim, seed) for seed in (1, 17)])),
+        "505": _tool_poses(rows, q505),
+        # stretched seed 1 draw 1: a dip that splits into two brackets
+        "dip": _tool_poses(rows, _stretched_draws(wrist, rows, lim, 1)[1:2]),
+        "axis": _on_the_base_axis(wrist, 80, 7),
+    }
+    split = []
+    real = _wrist._refine_dips
+
+    def spy(*args):
+        split.append(len(real(*args)))
+        return real(*args)
+
+    monkeypatch.setattr(_wrist, "_refine_dips", spy)
+    differ = [(name, n) for name, poses in sets.items()
+              for n, pose in enumerate(poses)
+              if _wrist.branches(wrist, rows, pose).tobytes()
+              != _ref_branches(wrist, rows, pose).tobytes()]
+    assert differ == []
+    # the "dip" case splits one dip into two brackets
+    split.clear()
+    _wrist.branches(wrist, rows, sets["dip"][0])
+    assert split == [2]
+
+
+def test_wrist_float_residual_returns_numpys_value_where_floats_raise(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch) -> None:
+    # O5 on joint 1's axis with the tool horizontal: at tau = 0, O4 lies on
+    # the axis, so the residual divides 0 by 0 (NaN in numpy, where float
+    # division raises ZeroDivisionError); math.sin(inf) raises ValueError
+    wrist = _wrist.structure(arm)
+    R = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    made = []
+    real = _wrist._row_residual
+
+    def spy(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_wrist, "_row_residual", spy)
+    _wrist.branches(wrist, model.dh_params(arm),
+                    Pose(np.array([wrist.d6, 0.0, wrist.d1 + 0.1]), R))
+    g, M, at, ls, xs = made[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = real(g, M, at, ls, xs)
+        for h in (0.0, math.inf, 0.5):
+            a = np.array([h])
+            want = _wrist._residual(g, M, *at(np.sin(a), np.cos(a), ls), xs)
+            assert np.array([f(h)]).tobytes() == want.tobytes(), h
+    with pytest.raises(ZeroDivisionError):
+        _wrist._residual(g, M, *at(0.0, 1.0, ls), xs)
+
+
+def test_pool_queries_evaluate_the_scan_twice_and_build_no_jacobian(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch) -> None:
+    targets = [kinematics.forward_kinematics(arm, q)
+               for q in _target_pool(arm)]
+    calls = []
+
+    def count(module, name, kind=None):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(kind(*args) if kind else name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(_wrist, "_residual", lambda g, M, circle, cg, *rest:
+          "float" if isinstance(cg, float) else "array")
+    count(kinematics, "_jacobian_from_frames")
+    count(_kernels, "fk_frames_batch")
+    for n, target in enumerate(targets):
+        calls.clear()
+        kinematics.inverse_kinematics(arm, target, np.zeros(6))
+        # the scan and the angles run on arrays, the refinement on floats;
+        # the nearest branch answers at trial 0, before any Jacobian
+        assert calls.count("array") == 2, n
+        assert calls.count("float") > 0, n
+        assert calls.count("_jacobian_from_frames") == 0, n
+        # the scan's joints 1-3 and the lockstep's trial 0
+        assert calls.count("fk_frames_batch") == 2, n
 
 
 def test_an_arm_without_the_wrist_structure_keeps_the_dls_answers(
