@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .kinematics import Pose, _row_norms
+from .kinematics import IKOptions, Pose, _row_norms
 from .model import ArmDescription, _tables
 
 
@@ -33,6 +33,10 @@ REFINE_STEPS = 16
 
 #: The residual within which a root counts as exact.
 ROOT_TOL = 1e-14
+
+#: The share of each IK tolerance that moving a start's joints onto their
+#: limits may use up (see :func:`starts`).
+LIMIT_SLACK_SHARE = 1e-3
 
 #: The scan's half-angles tau / 2 (see :func:`_loop`): one step before 0 to
 #: two turns of tau, so that each interval and each sample's two neighbours
@@ -76,6 +80,7 @@ class Wrist(NamedTuple):
     ca5: float
     sa5: float
     d6: float
+    slack: float  # how far past a limit a branch's joint may lie
 
 
 def structure(arm: ArmDescription) -> Optional[Wrist]:
@@ -92,7 +97,8 @@ def structure(arm: ArmDescription) -> Optional[Wrist]:
     * the tool origin lies on joint 6's axis (a6 = 0, alpha6 = 0), so
       O5 = p - d6 z_tool is known and x5 is normal to z_tool.
 
-    Worked out once per arm and kept in its record (``model._Tables``).
+    Worked out once per arm and kept in its record (``model._Tables``),
+    with the limit slack of :func:`starts`.
     """
     tables = _tables(arm)
     if not hasattr(tables, "wrist"):
@@ -109,9 +115,15 @@ def _structure(rows: np.ndarray) -> Optional[Wrist]:
             and 2.0 * a[1] * L != 0.0 and a[3] == 0.0 and sa[3] != 0.0
             and d[4] == 0.0 and a[5] == 0.0 and alpha[5] == 0.0):
         return None
+    # a joint's turn by delta moves the tool point by at most its distance
+    # from the joint's axis, below the chain's length, times delta, and
+    # turns the tool by delta
+    reach = math.fsum(map(math.hypot, d, a))
+    slack = LIMIT_SLACK_SHARE * min(IKOptions.pos_tol / reach,
+                                    IKOptions.ori_tol)
     return Wrist(d[0], ca[0], sa[0], d[1] + d[2] + d[3] * ca[2], a[1], L,
                  math.atan2(b, a[2]), ca[2], sa[2], ca[3], sa[3], a[4],
-                 ca[4], sa[4], d[5])
+                 ca[4], sa[4], d[5], slack)
 
 
 def _residual(g: Wrist, M: list, circle: tuple, cg, sg, xs,
@@ -419,13 +431,22 @@ def starts(g: Wrist, rows: np.ndarray, lim: np.ndarray, target: Pose,
            q0: np.ndarray) -> np.ndarray:
     """The in-limit branches of :func:`branches`, each joint moved by
     whole turns to its in-limit value nearest ``q0`` (1, 6), nearest
-    ``q0`` first (Euclidean joint distance)."""
+    ``q0`` first (Euclidean joint distance).
+
+    A joint within ``g.slack`` past a limit counts as in limit and is
+    clipped onto it: a root of a target reached on a limit rounds to a few
+    ulp either side. The slack is :data:`LIMIT_SLACK_SHARE` of the smallest
+    joint turn that could move the tool by the position tolerance or turn
+    it by the rotation tolerance, so six clipped joints use at most 0.6% of
+    either; the lockstep's first check tests the clipped start as any
+    other."""
     Q = branches(g, rows, target)
     tau = 2.0 * math.pi
     turns = np.round((q0 - Q) / tau)
     alt = Q + tau * (turns + np.array([0.0, -1.0, 1.0])[:, None, None])
-    inside = (alt >= lim[:, 0]) & (alt <= lim[:, 1])
-    pick = np.where(inside, np.abs(alt - q0), np.inf).argmin(axis=0)
-    Q = np.take_along_axis(alt, pick[None], axis=0)[0]
+    near = alt.clip(lim[:, 0], lim[:, 1])
+    inside = np.abs(near - alt) <= g.slack
+    pick = np.where(inside, np.abs(near - q0), np.inf).argmin(axis=0)
+    Q = np.take_along_axis(near, pick[None], axis=0)[0]
     Q = Q[inside.any(axis=0).all(axis=1)]
     return Q[np.argsort(_row_norms(Q - q0), kind="stable")]

@@ -133,14 +133,17 @@ def _csv(header: Optional[str], rows, repeat: int = 1) -> Iterator[bytes]:
 
 #: Lines per part of CSV text, once repeated; bounds the formatting's
 #: working memory, of which a streamed CSV has a few parts' worth at once.
-#: On the 2-core host the default-grid run peaked at 49-51 MB with 16,384
-#: lines per part, at 55-58 MB with 32,768 at about the same speed, and at
-#: 45-47 MB with 8,192, about 0.15 s slower.
+#: On the 2-core host, with one formatting thread, the default-grid run
+#: peaked at 46 MB with 16,384 lines per part, and at 44 and 43 MB with
+#: 12,288 and 8,192, whose median wall times were 6% and 23% longer.
 _CSV_CHUNK_LINES = 16_384
 
 #: Threads that format a streamed CSV, and so the most parts in formatting
-#: at once.
-_CSV_WORKERS = 2
+#: at once. One: the formatting's small numpy calls and the Python work
+#: between them hold the GIL for most of their time, so on the 2-core host
+#: a second thread formatted no faster and added a malloc arena and a part
+#: in flight to the peak RSS. Tests set more to vary the scheduling.
+_CSV_WORKERS = 1
 
 
 def _csv_part(rows: np.ndarray, last: np.ndarray, repeat: int) -> bytes:
@@ -160,7 +163,7 @@ def _csv_part(rows: np.ndarray, last: np.ndarray, repeat: int) -> bytes:
         np.uint8).reshape(n, cols - 1, width)
     lines[:, -1, :width] = last.view(np.uint8).reshape(n, width)
     lines[:, :, width] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
-    packed = lines[lines != 0].tobytes()
+    packed = lines.tobytes().translate(None, b"\0")
     if repeat == 1:
         return packed
     # a formatted float holds no line break but the separator's
@@ -177,9 +180,9 @@ def _csv_stream(blocks, repeat: int) -> Iterator[bytes]:
     whose last column has the same bits as the block before it reuses that
     text: the 25 lattice slices of the default grid share their z column.
     The formatting runs on :data:`_CSV_WORKERS` threads, at most that many
-    parts at once, while the caller writes the part before them and this
-    generator makes the next one; it is mostly numpy work that releases
-    the GIL.
+    parts at once, while the caller hashes and writes the part before them
+    and this generator makes the next one; the sweep's FK and statistics,
+    the hashing and the writing stay on the caller's thread.
     Closing the generator waits for the parts in formatting.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -496,10 +499,11 @@ def _handle_payload(args, arm):
                      f"utilization {fixed(result.utilization, 5)})")
         return lines, {}
 
-    result = statics.max_payload(arm, "worst_case_sweep",
-                                 grid_deg=args.grid_deg,
-                                 sweep_joints=sweep_joints,
-                                 constraint_joints=limit_joints)
+    # one search answers the text and the CSV; a --format csv run always
+    # writes the CSV (it needs --out), and only it takes the per-pose arrays
+    result, per_pose = statics._worst_case(
+        arm, args.grid_deg, sweep_joints, limit_joints,
+        per_pose=args.format == "csv")
     pose_deg = ",".join(f"{math.degrees(v):g}" for v in result.pose)
     lines = [
         f"policy: worst_case_sweep (grid {args.grid_deg:g} deg over "
@@ -513,9 +517,7 @@ def _handle_payload(args, arm):
     ]
 
     def sweep_csv():
-        poses, caps, limiting = statics.sweep_payload_caps(
-            arm, grid_deg=args.grid_deg, sweep_joints=sweep_joints,
-            constraint_joints=limit_joints)
+        poses, caps, limiting = per_pose
         return _csv(
             "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,cap_kg,limiting_joint",
             [(*p, c, lj) for p, c, lj in zip(np.degrees(poses).tolist(),

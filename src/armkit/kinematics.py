@@ -431,11 +431,12 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
     (the shipped one does), every exact solution comes first, from one scan
     of the wrist circle (:func:`_wrist.branches`). Each joint of each
     solution is moved by whole turns to its in-limit value nearest the
-    seed clipped to the limits, and the in-limit solutions, nearest the
-    clipped seed first (Euclidean joint distance), run as one
-    damped-least-squares batch: an exact one meets the tolerances before
-    any step, the nearest of those answers, and a near-root that does not
-    is polished by the steps.
+    seed clipped to the limits (a joint a rounding slack past a limit is
+    clipped onto it, see :func:`_wrist.starts`), and the in-limit
+    solutions, nearest the clipped seed first (Euclidean joint distance),
+    run as one damped-least-squares batch: an exact one meets the
+    tolerances before any step, the nearest of those answers, and a
+    near-root that does not is polished by the steps.
 
     If none converges, or the arm lacks the structure, damped-least-squares
     iteration runs as the fallback: first from ``seed`` alone and, if that

@@ -333,14 +333,16 @@ def max_payload(arm: ArmDescription,
     if isinstance(pose_policy, str):
         if pose_policy != "worst_case_sweep":
             raise ValueError(f"unknown pose policy {pose_policy!r}")
-        poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
-        policy = "worst_case_sweep"
-    else:
-        poses = np.asarray(pose_policy, dtype=float).reshape(1, 6)
-        policy = "fixed"
-
+        return _worst_case(arm, grid_deg, sweep_joints, constraint_joints)[0]
+    poses = np.asarray(pose_policy, dtype=float).reshape(1, 6)
     cols = _constraint_columns(constraint_joints)
-    caps, util_at = _payload_caps(arm, poses, cols)
+    return _binding(poses, cols, *_payload_caps(arm, poses, cols), "fixed")
+
+
+def _binding(poses: np.ndarray, cols: list, caps: np.ndarray, util_at,
+             policy: str) -> PayloadResult:
+    """The :class:`PayloadResult` of the caps ``caps`` and utilization
+    function ``util_at`` that :func:`_payload_caps` gives for ``poses``."""
     mass = float(caps.min())
     util = util_at(np.full(len(poses), mass))
     pi, ci = np.unravel_index(int(np.argmax(util)), util.shape)
@@ -350,6 +352,28 @@ def max_payload(arm: ArmDescription,
     return PayloadResult(mass=mass, limiting_joint=cols[ci] + 1,
                          utilization=float(util[pi, ci]), pose=poses[pi],
                          policy=policy)
+
+
+def _limiting_joints(cols: list, caps: np.ndarray, util_at) -> np.ndarray:
+    """Each pose's 1-based limiting joint at its cap (at 1e6 kg where
+    unbounded), from :func:`_payload_caps`' ``caps`` and ``util_at``."""
+    util = util_at(np.minimum(caps, _CEILING_KG))
+    return np.array(cols)[np.argmax(util, axis=1)] + 1
+
+
+def _worst_case(arm: ArmDescription, grid_deg: float,
+                sweep_joints: Sequence[int],
+                constraint_joints: Sequence[int],
+                per_pose: bool = False) -> tuple:
+    """One search of the worst-case lattice: :func:`max_payload`'s result
+    and, with ``per_pose``, :func:`sweep_payload_caps`' arrays from the
+    same caps (else None)."""
+    poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
+    cols = _constraint_columns(constraint_joints)
+    caps, util_at = _payload_caps(arm, poses, cols)
+    result = _binding(poses, cols, caps, util_at, "worst_case_sweep")
+    return result, ((poses, caps, _limiting_joints(cols, caps, util_at))
+                    if per_pose else None)
 
 
 def sweep_payload_caps(arm: ArmDescription,
@@ -372,5 +396,4 @@ def sweep_payload_caps(arm: ArmDescription,
     cols = _constraint_columns(constraint_joints)
     poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
     caps, util_at = _payload_caps(arm, poses, cols)
-    util = util_at(np.minimum(caps, _CEILING_KG))
-    return poses, caps, np.array(cols)[np.argmax(util, axis=1)] + 1
+    return poses, caps, _limiting_joints(cols, caps, util_at)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armkit import cli, model
+from armkit import cli, model, statics
 
 
 def _run(capsys: pytest.CaptureFixture, argv: list[str]) -> tuple[int, str]:
@@ -314,6 +314,24 @@ def test_ik_answers_a_stretched_elbow_seed_with_itself(
         assert np.abs(np.subtract(q, q0)).max() < 1e-6, target
 
 
+def test_ik_answers_a_target_reached_with_joints_on_their_limits(
+        capsys: pytest.CaptureFixture) -> None:
+    # the position and ZYX angles that fk --q 165,30,90,60,-60,-90 prints:
+    # joints 1 and 3 on their upper limits, where the scan's roots round to
+    # a few ulp past them
+    rc, out = _run(capsys, [
+        "ik", "--target=-0.36275028437969103,0.055531723114889894,"
+              "0.3165572487104502",
+        "--rpy=100.89339464913093,-48.590377890729144,-64.10660535086915"])
+    assert rc == 0
+    q = np.array([float(v) for v in
+                  out.split("q_deg: ")[1].split("\n")[0].split()])
+    lim = np.degrees(model.limits_array(model.default_arm()))
+    assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1])
+    assert (q[0], q[2]) == (165.0, 90.0)
+    assert float(out.split("position_error_m: ")[1]) < 1e-6
+
+
 def test_jacobian_prints_a_six_by_six(capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["jacobian", "--q", "10,-20,30,0,15,5"])
     assert rc == 0
@@ -364,6 +382,28 @@ def test_payload_worst_with_joint_filter(capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["payload", "--grid-deg", "45",
                             "--limit-joints", "2,3"])
     assert rc == 0
+
+
+def test_payload_searches_its_lattice_once(
+        capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch,
+        tmp_path: Path) -> None:
+    calls = []
+
+    def count(name):
+        real = getattr(statics, name)
+        monkeypatch.setattr(statics, name, lambda *args: calls.append(name)
+                            or real(*args))
+
+    count("_payload_caps")
+    count("_limiting_joints")
+    assert cli.run(["payload", "--grid-deg", "30"]) == 0
+    # the text alone takes no per-pose limiting joints
+    assert calls == ["_payload_caps"]
+    calls.clear()
+    assert cli.run(["payload", "--grid-deg", "30", "--format", "csv",
+                    "--out", str(tmp_path)]) == 0
+    assert calls == ["_payload_caps", "_limiting_joints"]
+    capsys.readouterr()
 
 
 def test_repeat_sim_quick_run(capsys: pytest.CaptureFixture) -> None:

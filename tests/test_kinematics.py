@@ -708,6 +708,64 @@ def test_ik_solves_a_seeded_target_pool_from_the_zero_start(
     assert answers.hexdigest() == _POOL_SHA256
 
 
+def _limit_face_draws(arm: model.ArmDescription, per_side: int,
+                      seed: int) -> np.ndarray:
+    """In-limit joint vectors, ``per_side`` for each joint and each of its
+    limits, with that joint exactly on that limit."""
+    lim = model.limits_array(arm)
+    q = np.random.default_rng(seed).uniform(lim[:, 0], lim[:, 1],
+                                            size=(6, 2, per_side, 6))
+    for j in range(6):
+        q[j, :, :, j] = lim[j, :, None]
+    return q.reshape(-1, 6)
+
+
+def test_ik_answers_targets_on_every_limit_face_from_the_wrist_scan(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch) -> None:
+    # the scan's root for the joint on its limit rounds to a few ulp either
+    # side of it; a branch dropped for that fell to the DLS path, which
+    # reached the restart table or failed
+    table = []
+    nearest = kinematics._nearest_starts
+    monkeypatch.setattr(kinematics, "_nearest_starts",
+                        lambda *args: table.append(1) or nearest(*args))
+    opts = IKOptions()
+    lim = model.limits_array(arm)
+    for n, q_true in enumerate(_limit_face_draws(arm, 20, 7)):
+        target = kinematics.forward_kinematics(arm, q_true)
+        q = kinematics.inverse_kinematics(arm, target, np.zeros(6), opts)
+        assert table == [], n
+        got = kinematics.forward_kinematics(arm, q)
+        assert float(np.linalg.norm(got.position - target.position)) \
+            < opts.pos_tol, n
+        assert float(np.linalg.norm(kinematics._rotation_vector(
+            got.orientation @ target.orientation.T))) < opts.ori_tol, n
+        assert np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1]), n
+
+
+def test_wrist_starts_clip_a_joint_within_the_slack_onto_its_limit(
+        arm: model.ArmDescription, monkeypatch: pytest.MonkeyPatch) -> None:
+    rows, lim = model.dh_params(arm), model.limits_array(arm)
+    wrist = _wrist.structure(arm)
+    # the largest turn that moves the tool by a thousandth of a tolerance
+    assert wrist.slack == 1e-3 * min(
+        IKOptions.pos_tol / kinematics._chain_reach_bound(arm),
+        IKOptions.ori_tol)
+    q = _target_pool(arm)[:4].copy()
+    q[:, 1] = lim[1, 1] + np.array([0.0, 0.5, 0.99, 2.0]) * wrist.slack
+    monkeypatch.setattr(_wrist, "branches", lambda *args: q.copy())
+    target = kinematics.forward_kinematics(arm, _target_pool(arm)[0])
+    got = _wrist.starts(wrist, rows, lim, target, np.zeros((1, 6)))
+    # the fourth branch lies past the slack; the rest keep every other
+    # joint's bits
+    assert len(got) == 3
+    assert np.all(got[:, 1] == lim[1, 1])
+    want = q[:3].copy()
+    want[:, 1] = lim[1, 1]
+    order = np.argsort(np.linalg.norm(want, axis=1), kind="stable")
+    assert got.tobytes() == want[order].tobytes()
+
+
 def test_dls_path_keeps_its_pool_answers(arm: model.ArmDescription) -> None:
     opts = IKOptions()
     pool = _target_pool(arm)

@@ -385,15 +385,15 @@ def test_workspace_csv_peak_rss_does_not_grow_with_the_repeat(
 
 @_NEEDS_PROC_STATUS
 # Each bound is the most measured over the floor on the 2-core host, plus at
-# least 25%; in brackets, what 32,768-line CSV parts and 65,536-point sweep
-# chunks gave there
+# least 25%; in brackets, what two formatting threads gave there, and what
+# 32,768-line CSV parts and 65,536-point sweep chunks gave before that
 @pytest.mark.parametrize("argv, bound_mib", [
-    # the default grid, 1,953,125 rows: 18.3-20.4 MiB (29-31)
-    (["workspace", "--format", "csv"], 26),
-    # 262,144 quasi rows, each line once: 35.7-36.8 MiB (85)
+    # the default grid, 1,953,125 rows: 13.5-15.5 MiB (17.4-20.4; 29-31)
+    (["workspace", "--format", "csv"], 20),
+    # 262,144 quasi rows, each line once: 23.9-24.4 MiB (34.4-36.8; 85)
     (["workspace", "--mode", "quasi", "--samples", "262144", "--format",
-      "csv"], 46),
-    # 10.6-10.7 MiB (25.7)
+      "csv"], 31),
+    # 10.6-10.9 MiB (10.5-10.7; 25.7)
     (["reach", "--mode", "quasi", "--samples", "262144"], 14),
 ])
 def test_workspace_peak_rss_over_the_arm_loading_floor(
@@ -442,6 +442,30 @@ def test_csv_bytes_do_not_depend_on_thread_scheduling(
     for workers in (1, 4):
         got = (tmp_path / str(workers) / "workspace.csv").read_text()
         assert got == want, workers
+
+
+def test_a_streamed_csv_is_formatted_on_one_thread(
+        capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch,
+        tmp_path: Path) -> None:
+    # 100 chunks of 160 distinct points, each five rows long; the formatter
+    # threads alive are counted at every part it formats
+    monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", 200)
+    alive = []
+    part = cli._csv_part
+
+    def counted(*args):
+        alive.append({t.ident for t in threading.enumerate()
+                      if t.name.startswith("armkit-csv")})
+        return part(*args)
+
+    monkeypatch.setattr(cli, "_csv_part", counted)
+    assert _run_within(60, ["workspace", "--per-joint-steps",
+                            "10,10,10,4,4,5", "--format", "csv",
+                            "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(alive) >= 100
+    assert [len(threads) for threads in alive] == [1] * len(alive)
+    assert len(set.union(*alive)) == 1
 
 
 class _FullDisk:
