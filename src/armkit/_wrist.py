@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .kinematics import IKOptions, Pose, _row_norms
+from .kinematics import IKOptions, Pose, _chain_reach_bound, _row_norms
 from .model import ArmDescription, _tables
 
 
@@ -98,15 +98,16 @@ def structure(arm: ArmDescription) -> Optional[Wrist]:
       O5 = p - d6 z_tool is known and x5 is normal to z_tool.
 
     Worked out once per arm and kept in its record (``model._Tables``),
-    with the limit slack of :func:`starts`.
+    with the limit slack of :func:`starts`, which the record's chain
+    length sets.
     """
     tables = _tables(arm)
     if not hasattr(tables, "wrist"):
-        tables.wrist = _structure(tables.rows)
+        tables.wrist = _structure(tables.rows, _chain_reach_bound(arm))
     return tables.wrist
 
 
-def _structure(rows: np.ndarray) -> Optional[Wrist]:
+def _structure(rows: np.ndarray, reach: float) -> Optional[Wrist]:
     _, d, a, alpha = rows.T.tolist()
     ca, sa = _kernels._twists(rows).tolist()
     b = d[3] * sa[2]
@@ -116,9 +117,8 @@ def _structure(rows: np.ndarray) -> Optional[Wrist]:
             and d[4] == 0.0 and a[5] == 0.0 and alpha[5] == 0.0):
         return None
     # a joint's turn by delta moves the tool point by at most its distance
-    # from the joint's axis, below the chain's length, times delta, and
-    # turns the tool by delta
-    reach = math.fsum(map(math.hypot, d, a))
+    # from the joint's axis, below the chain's length ``reach``, times
+    # delta, and turns the tool by delta
     slack = LIMIT_SLACK_SHARE * min(IKOptions.pos_tol / reach,
                                     IKOptions.ori_tol)
     return Wrist(d[0], ca[0], sa[0], d[1] + d[2] + d[3] * ca[2], a[1], L,

@@ -499,11 +499,13 @@ def _handle_payload(args, arm):
                      f"utilization {fixed(result.utilization, 5)})")
         return lines, {}
 
-    # one search answers the text and the CSV; a --format csv run always
-    # writes the CSV (it needs --out), and only it takes the per-pose arrays
-    result, per_pose = statics._worst_case(
-        arm, args.grid_deg, sweep_joints, limit_joints,
-        per_pose=args.format == "csv")
+    # one search answers the text and the CSV; only a --format csv run,
+    # which always writes it, takes the per-pose arrays, here, so that the
+    # search's other arrays are freed before the CSV is formatted
+    binding, per_pose = statics._worst_case(
+        arm, "worst_case_sweep", args.grid_deg, sweep_joints, limit_joints)
+    result = binding()
+    sweep = per_pose() if args.format == "csv" else None
     pose_deg = ",".join(f"{math.degrees(v):g}" for v in result.pose)
     lines = [
         f"policy: worst_case_sweep (grid {args.grid_deg:g} deg over "
@@ -517,7 +519,7 @@ def _handle_payload(args, arm):
     ]
 
     def sweep_csv():
-        poses, caps, limiting = per_pose
+        poses, caps, limiting = sweep
         return _csv(
             "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,cap_kg,limiting_joint",
             [(*p, c, lj) for p, c, lj in zip(np.degrees(poses).tolist(),

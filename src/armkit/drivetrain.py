@@ -148,9 +148,13 @@ def motor_torque_at(motor: MotorSpec, rate: float) -> float:
     """Available motor torque at a step rate via the piecewise-linear curve.
 
     Rates beyond the last knot hold the last value; negative rates clamp to 0.
+    Every budget at a rate comes through here, so a NaN or infinite rate is
+    refused here, by one scalar test (ValueError).
     """
     import numpy as np
 
+    if not math.isfinite(rate):
+        raise ValueError(f"step rate must be finite, got {rate!r}")
     curve = motor.torque_speed_curve
     rates = [p[0] for p in curve]
     torqs = [p[1] for p in curve]

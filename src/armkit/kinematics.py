@@ -104,16 +104,24 @@ def _keep_pose(arm: ArmDescription, key: bytes, frames: np.ndarray,
 
 
 def _pose_entry(arm: ArmDescription, q) -> tuple:
-    """The arm's last-pose record at one pose ``q``: taken as it is when it
-    holds ``q``'s bytes, else replaced by one with ``q``'s frame stack and
-    no gravity split yet."""
+    """The arm's last-pose record (``model._Tables.pose``) at one pose
+    ``q``: taken as it is when it holds ``q``'s bytes, else replaced by one
+    with ``q``'s frame stack and no gravity split yet. Every one-pose call
+    reads it (:func:`fk_frames`, :func:`jacobian`, ``statics``' one-pose
+    split) and :func:`inverse_kinematics` stores its answer there. The one
+    check of a single pose runs on a miss (the record holds a checked
+    pose): ValueError unless ``q`` is six finite angles, with the record
+    left as it was."""
     tables = _tables(arm)
-    q = np.asarray(q, dtype=float).reshape(1, 6)
+    q = np.asarray(q, dtype=float)
     key = q.tobytes()
     entry = tables.pose
     if entry[0] != key:
-        entry = _keep_pose(arm, key,
-                           _kernels.fk_frames_batch(tables.rows, q)[0])
+        if q.size != 6:
+            raise ValueError("joint angles q must be six values, "
+                             f"got {q.tolist()!r}")
+        entry = _keep_pose(arm, key, _kernels.fk_frames_batch(
+            tables.rows, require_finite(q, "joint angles q").reshape(1, 6))[0])
     return entry
 
 
@@ -121,24 +129,16 @@ def fk_frames(arm: ArmDescription, q) -> np.ndarray:
     """All frame transforms: (7, 4, 4) array, frames[0] = base identity.
 
     A fresh copy of the frames in the arm's last-pose record (see
-    :func:`jacobian`)."""
+    :func:`_pose_entry`). Raises ValueError unless ``q`` is six finite
+    angles."""
     return _pose_entry(arm, q)[1].copy()
 
 
 def forward_kinematics(arm: ArmDescription, q) -> Pose:
-    """Pose of the tool frame (frame 6) in the base frame.
-
-    Args:
-        arm: arm description.
-        q: six joint angles (radians).
-
-    Returns:
-        :class:`Pose` with position (m) and orientation (rotation matrix).
-
-    Raises:
-        ValueError: an angle in ``q`` is NaN or infinite.
-    """
-    T = fk_frames(arm, require_finite(q, "joint angles q"))[6]
+    """Pose of the tool frame (frame 6) in the base frame at six joint
+    angles ``q`` (radians): position (m) and orientation (rotation matrix).
+    Raises ValueError unless ``q`` is six finite angles."""
+    T = fk_frames(arm, q)[6]
     return Pose(position=T[:3, 3].copy(), orientation=T[:3, :3].copy())
 
 
@@ -159,17 +159,11 @@ def jacobian(arm: ArmDescription, q) -> np.ndarray:
     """Geometric Jacobian (6x6): rows 0-2 linear (m/rad), rows 3-5 angular.
 
     Column ``i`` is ``(z_{i-1} x (p - p_{i-1}); z_{i-1})`` in the base frame,
-    where ``z_{i-1}``/``p_{i-1}`` are joint ``i``'s axis and origin.
-    Raises ValueError if an angle in ``q`` is NaN or infinite.
-
-    The frames come from the arm's per-arm record (``model._Tables``, kept
-    in the instance's ``__dict__``). It holds the last single pose that
-    :func:`fk_frames`, this function, :func:`inverse_kinematics` (its
-    answer) or ``statics``' one-pose calls worked at, keyed by the pose's
-    bytes, with its frame stack and gravity split; a query at that pose
-    reuses them, any other pose replaces them.
+    where ``z_{i-1}``/``p_{i-1}`` are joint ``i``'s axis and origin. The
+    frames come from the arm's last-pose record (:func:`_pose_entry`).
+    Raises ValueError unless ``q`` is six finite angles.
     """
-    frames = _pose_entry(arm, require_finite(q, "joint angles q"))[1]
+    frames = _pose_entry(arm, q)[1]
     return _jacobian_from_frames(frames[None])[0]
 
 

@@ -682,7 +682,8 @@ class _Tables:
     ``(q.tobytes(), frames, split)``: its read-only (7, 4, 4) frame stack
     and its gravity split (or None until ``statics`` computes it). It is
     replaced by one assignment, so a reader that takes the tuple once never
-    pairs one pose's key with another pose's values.
+    pairs one pose's key with another pose's values. Before the first pose
+    it is ``(None, None, None)``, whose key no pose's bytes equal.
     """
 
     __slots__ = ("rows", "lim", "reach", "starts", "wrist", "mass",
@@ -698,7 +699,7 @@ class _Tables:
                             dtype=np.float64)
         for a in (self.rows, self.lim):
             a.setflags(write=False)
-        self.pose = (b"", None, None)
+        self.pose = (None, None, None)
 
 
 def _tables(arm: ArmDescription) -> _Tables:
@@ -713,14 +714,9 @@ def _tables(arm: ArmDescription) -> _Tables:
 
 
 def dh_params(arm: ArmDescription) -> np.ndarray:
-    """(6, 4) float64 array of [theta_offset, d, a_prev, alpha_prev] rows.
-
-    A fresh, writable copy of the table in the arm's record
-    (:class:`_Tables`), which lives on the instance and is built on the
-    arm's first numeric use; it also holds the limits, the chain reach
-    bound, the restart table, the wrist constants, the mass table, the
-    holding budget and the last single pose's frames and gravity split.
-    """
+    """(6, 4) float64 array of [theta_offset, d, a_prev, alpha_prev] rows:
+    a fresh, writable copy of the table in the arm's record
+    (:class:`_Tables`), built on the arm's first numeric use."""
     return _tables(arm).rows.copy()
 
 

@@ -111,14 +111,14 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
 
 
 def _torque_split(arm: ArmDescription, q: np.ndarray):
-    """:func:`_gravity_split` of (n, 6) poses, whose frames come from
-    :func:`fk_frames_batch` in chunks of ``_POSE_CHUNK`` poses, one pose
-    or a whole lattice alike.
+    """:func:`_gravity_split` of one pose ``q`` (a 1-D array) or of a batch
+    of poses (n, 6), whose frames come from :func:`fk_frames_batch` in
+    chunks of ``_POSE_CHUNK`` poses.
 
-    One pose's split is read-only: it is the one kept in the arm's
-    last-pose record (``model._Tables.pose``), computed there first if the
-    record lacks it."""
-    if len(q) == 1:
+    One pose's split, (1, 6) arrays, is read-only: it is the one kept in
+    the arm's last-pose record (``model._Tables.pose``), which checks the
+    pose, computed there first if the record lacks it."""
+    if q.ndim < 2:
         entry = _pose_entry(arm, q)
         if entry[2] is None:
             split = _gravity_split(arm, entry[1][None])
@@ -126,7 +126,7 @@ def _torque_split(arm: ArmDescription, q: np.ndarray):
                 a.setflags(write=False)
             entry = _keep_pose(arm, *entry[:2], split)
         return entry[2]
-    rows = _tables(arm).rows
+    rows, q = _tables(arm).rows, q.reshape(-1, 6)
     parts = [_gravity_split(arm, fk_frames_batch(rows, chunk))
              for chunk in np.split(q, range(_POSE_CHUNK, len(q), _POSE_CHUNK))]
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -148,12 +148,15 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
         ``j`` (links, motors, payload).
 
     Raises:
-        ValueError: negative or non-finite payload, or a non-finite angle.
+        ValueError: negative or non-finite payload, a pose that is not six
+            angles, or a non-finite angle.
     """
     payload = arm.mass_model.payload if payload is None else float(payload)
     require_finite(payload, "payload (kg)", ">= 0")
-    q = require_finite(q, "joint angles q")
-    tau, lever = _torque_split(arm, q.reshape(-1, 6))
+    q = np.asarray(q, dtype=float)
+    if q.ndim > 1:  # one pose is checked by the arm's last-pose record
+        require_finite(q, "joint angles q")
+    tau, lever = _torque_split(arm, q)
     if payload > 0:
         tau = tau + payload * lever * (-arm.mass_model.gravity)
     else:
@@ -168,7 +171,8 @@ def _budget(arm: ArmDescription, rate: float) -> np.ndarray:
 
 def available_torques(arm: ArmDescription, rate: float = 0.0) -> np.ndarray:
     """Torque budget per joint (N.m) at a motor step rate; the default zero
-    rate gives the holding budget, a copy of the one in the arm's record."""
+    rate gives the holding budget, a copy of the one in the arm's record. A
+    NaN or infinite rate raises ValueError (in ``drivetrain``)."""
     if rate == 0.0:
         return _statics_tables(arm).budget.copy()
     return _budget(arm, rate)
@@ -187,11 +191,8 @@ def static_report(arm: ArmDescription, q, payload: Optional[float] = None
     """Required vs. available torques and utilizations at one pose.
 
     The pose's frames and gravity split and the holding budget come from
-    the arm's per-arm record (``model._Tables``, kept in the instance's
-    ``__dict__``): the split is computed once per pose, from the frames
-    that :func:`~armkit.kinematics.inverse_kinematics` or
-    :func:`~armkit.kinematics.jacobian` left there, and the report's
-    arrays are fresh copies.
+    the arm's record (``model._Tables``), where the split is computed once
+    per pose; the report's arrays are fresh copies.
     """
     required = np.abs(gravity_torques(arm, q, payload))
     available = available_torques(arm)
@@ -238,15 +239,9 @@ def sweep_poses(arm: ArmDescription,
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _constraint_columns(constraint_joints: Sequence[int]) -> list:
-    cols = sorted({int(j) for j in constraint_joints})
-    if not cols or cols[0] < 1 or cols[-1] > 6:
-        raise ValueError("constraint_joints must be a non-empty subset of 1-6")
-    return [j - 1 for j in cols]
-
-
 def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
-    """Exact per-pose payload caps over (n, 6) poses.
+    """Exact per-pose payload caps over one pose (a 1-D array) or (n, 6)
+    poses.
 
     Constrained torques are linear in the payload, ``tau_s + m * c``, so a
     pose's cap is the least of ``(avail - tau_s) / c`` over c > 0 and
@@ -280,7 +275,7 @@ def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
     def util_at(m: np.ndarray) -> np.ndarray:
         return _utilization(torques(m), avail)
 
-    unbounded = fits(np.full(len(poses), _CEILING_KG))
+    unbounded = fits(np.full(len(tau_s), _CEILING_KG))
     if unbounded.all():
         raise NoConvergenceError(
             f"every pose holds over {_CEILING_KG:g} kg on the constrained joints")
@@ -288,7 +283,7 @@ def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bound = np.where(c > 0.0, (avail - tau_s) / c,
                          np.where(c < 0.0, (avail + tau_s) / -c, np.inf))
-    caps = np.where(fits(np.zeros(len(poses))),
+    caps = np.where(fits(np.zeros(len(tau_s))),
                     np.clip(bound.min(axis=1), 0.0, _CEILING_KG), 0.0)
     over = ~unbounded & (caps > 0.0) & ~fits(caps)
     while over.any():
@@ -308,11 +303,11 @@ def max_payload(arm: ArmDescription,
     Args:
         arm: arm description.
         pose_policy: ``"worst_case_sweep"`` (default) checks every pose of
-            the :func:`sweep_poses` lattice; a six-vector of joint angles
-            checks that fixed pose only, whose gravity split comes from
-            the arm's per-arm record (``model._Tables``, on the instance)
-            when it was computed there before, as by
-            :func:`static_report` at the same pose.
+            the :func:`sweep_poses` lattice; six joint angles check that
+            fixed pose only, whose gravity split comes from the arm's
+            per-arm record (``model._Tables``, on the instance) when it was
+            computed there before, as by :func:`static_report` at the same
+            pose. A rejected pose leaves the record as it was.
         grid_deg / sweep_joints: sweep lattice controls (worst-case policy).
         constraint_joints: joints whose torque budgets bound the answer
             (default all six). Restricting to (2, 3) answers the
@@ -320,38 +315,19 @@ def max_payload(arm: ArmDescription,
             wrist-pitch budget otherwise dominates.
 
     Returns:
-        :class:`PayloadResult` with the smallest per-pose cap of
-        :func:`sweep_payload_caps` (exact, rounded down so the limiting
-        utilization is <= 1), the joint and pose with the highest
-        utilization at that mass, and that utilization.
+        :class:`PayloadResult` of the search :func:`_worst_case`: the
+        smallest per-pose cap of :func:`sweep_payload_caps` (exact, rounded
+        down so the limiting utilization is <= 1), the joint and pose with
+        the highest utilization at that mass, and that utilization.
 
     Raises:
         ComputationError: the limiting utilization overflows a float.
         NoConvergenceError: every pose holds over 1e6 kg.
-        ValueError: unknown policy, bad lattice or constraint joints.
+        ValueError: unknown policy, bad lattice or constraint joints, or a
+            fixed pose that is not six finite angles.
     """
-    if isinstance(pose_policy, str):
-        if pose_policy != "worst_case_sweep":
-            raise ValueError(f"unknown pose policy {pose_policy!r}")
-        return _worst_case(arm, grid_deg, sweep_joints, constraint_joints)[0]
-    poses = np.asarray(pose_policy, dtype=float).reshape(1, 6)
-    cols = _constraint_columns(constraint_joints)
-    return _binding(poses, cols, *_payload_caps(arm, poses, cols), "fixed")
-
-
-def _binding(poses: np.ndarray, cols: list, caps: np.ndarray, util_at,
-             policy: str) -> PayloadResult:
-    """The :class:`PayloadResult` of the caps ``caps`` and utilization
-    function ``util_at`` that :func:`_payload_caps` gives for ``poses``."""
-    mass = float(caps.min())
-    util = util_at(np.full(len(poses), mass))
-    pi, ci = np.unravel_index(int(np.argmax(util)), util.shape)
-    if not math.isfinite(util[pi, ci]):
-        raise ComputationError(f"joint {cols[ci] + 1}'s utilization "
-                               "overflows a float")
-    return PayloadResult(mass=mass, limiting_joint=cols[ci] + 1,
-                         utilization=float(util[pi, ci]), pose=poses[pi],
-                         policy=policy)
+    return _worst_case(arm, pose_policy, grid_deg, sweep_joints,
+                       constraint_joints)[0]()
 
 
 def _limiting_joints(cols: list, caps: np.ndarray, util_at) -> np.ndarray:
@@ -361,19 +337,42 @@ def _limiting_joints(cols: list, caps: np.ndarray, util_at) -> np.ndarray:
     return np.array(cols)[np.argmax(util, axis=1)] + 1
 
 
-def _worst_case(arm: ArmDescription, grid_deg: float,
-                sweep_joints: Sequence[int],
-                constraint_joints: Sequence[int],
-                per_pose: bool = False) -> tuple:
-    """One search of the worst-case lattice: :func:`max_payload`'s result
-    and, with ``per_pose``, :func:`sweep_payload_caps`' arrays from the
-    same caps (else None)."""
-    poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
-    cols = _constraint_columns(constraint_joints)
+def _worst_case(arm: ArmDescription,
+                pose_policy: Union[str, Sequence[float]],
+                grid_deg: float, sweep_joints: Sequence[int],
+                constraint_joints: Sequence[int]) -> tuple:
+    """The one payload search (of :func:`max_payload`,
+    :func:`sweep_payload_caps` and the CLI's ``payload``): the exact caps
+    of the :func:`sweep_poses` lattice, or of one fixed pose that the arm's
+    last-pose record checks, and two functions of no argument that read
+    them. ``result()`` gives :func:`max_payload`'s :class:`PayloadResult`
+    and ``per_pose()`` :func:`sweep_payload_caps`' arrays; each computes
+    only what it returns. Raises as :func:`max_payload` does."""
+    if isinstance(pose_policy, str):
+        if pose_policy != "worst_case_sweep":
+            raise ValueError(f"unknown pose policy {pose_policy!r}")
+        poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
+    else:
+        poses = np.asarray(pose_policy, dtype=float).ravel()
+        pose_policy = "fixed"
+    cols = sorted({int(j) - 1 for j in constraint_joints})  # 0-based
+    if not cols or cols[0] < 0 or cols[-1] > 5:
+        raise ValueError("constraint_joints must be a non-empty subset of 1-6")
     caps, util_at = _payload_caps(arm, poses, cols)
-    result = _binding(poses, cols, caps, util_at, "worst_case_sweep")
-    return result, ((poses, caps, _limiting_joints(cols, caps, util_at))
-                    if per_pose else None)
+    poses = poses.reshape(-1, 6)
+
+    def result() -> PayloadResult:
+        mass = float(caps.min())
+        util = util_at(np.full(len(poses), mass))
+        pi, ci = np.unravel_index(int(np.argmax(util)), util.shape)
+        if not math.isfinite(util[pi, ci]):
+            raise ComputationError(f"joint {cols[ci] + 1}'s utilization "
+                                   "overflows a float")
+        return PayloadResult(mass=mass, limiting_joint=cols[ci] + 1,
+                             utilization=float(util[pi, ci]), pose=poses[pi],
+                             policy=pose_policy)
+
+    return result, lambda: (poses, caps, _limiting_joints(cols, caps, util_at))
 
 
 def sweep_payload_caps(arm: ArmDescription,
@@ -382,7 +381,8 @@ def sweep_payload_caps(arm: ArmDescription,
                        constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6)):
     """Per-pose payload cap over the worst-case lattice (for CSV export).
 
-    The smallest cap is exactly ``max_payload(...).mass``.
+    The arrays of :func:`max_payload`'s search (:func:`_worst_case`), so
+    the smallest cap is exactly ``max_payload(...).mass``.
 
     Returns:
         (poses, caps, limiting_joints): the lattice (n, 6), each pose's
@@ -393,7 +393,5 @@ def sweep_payload_caps(arm: ArmDescription,
     Raises:
         NoConvergenceError: every pose holds over 1e6 kg.
     """
-    cols = _constraint_columns(constraint_joints)
-    poses = sweep_poses(arm, grid_deg=grid_deg, sweep_joints=sweep_joints)
-    caps, util_at = _payload_caps(arm, poses, cols)
-    return poses, caps, _limiting_joints(cols, caps, util_at)
+    return _worst_case(arm, "worst_case_sweep", grid_deg, sweep_joints,
+                       constraint_joints)[1]()

@@ -181,20 +181,28 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
 
 
 def _unit(probe: Sequence[float]) -> np.ndarray:
-    """The probe direction as a unit vector."""
+    """The probe direction as a unit vector; ValueError unless the probe
+    is three finite values, not all zero."""
     axis = np.asarray(probe, dtype=float)
-    return axis / np.linalg.norm(axis)
+    norm = np.linalg.norm(axis)
+    if axis.shape != (3,) or not 0.0 < norm < math.inf:
+        raise ValueError("probe must be three finite values, not all zero, "
+                         f"got {axis.tolist()!r}")
+    return axis / norm
 
 
-def _deviation(delta: np.ndarray, sigma: float,
-               probe: Optional[Sequence[float]], seed) -> float:
-    """Settled displacement ``delta`` plus one seeded jitter draw of std
-    ``sigma``, measured along ``probe`` (or as a 3D norm when None)."""
-    rng = np.random.default_rng(seed)
-    if probe is not None:
-        return float(delta @ _unit(probe)) + sigma * rng.standard_normal()
-    jitter = sigma / math.sqrt(3.0) * rng.standard_normal(3)
-    return float(np.linalg.norm(delta + jitter))
+def _deviation(delta: np.ndarray, sigma: float, axis: Optional[np.ndarray],
+               z: np.ndarray) -> np.ndarray:
+    """The (k,) deviations of the settled displacement ``delta`` plus
+    jitter of std ``sigma`` for the standard normals ``z`` (k, width):
+    along the unit ``axis`` (width 1) or, where it is None, as a 3D norm
+    (width 3, each draw scaled by 1/sqrt(3)). The one formula of
+    :func:`simulate_cycle` (one draw) and :func:`repeatability_experiment`
+    (a speed's cycles), so their deviations share their bits."""
+    if axis is not None:
+        return float(delta @ axis) + sigma * z[:, 0]
+    return np.array([float(np.linalg.norm(v))
+                     for v in delta + sigma / math.sqrt(3.0) * z])
 
 
 @functools.lru_cache(maxsize=1)
@@ -202,21 +210,19 @@ def _jitter_normals(seed: int, n_speeds: int, cycles: int,
                     width: int) -> np.ndarray:
     """The standard normals of one experiment, (n_speeds, cycles, width).
 
-    Row (si, ci) is the first draw of a generator on
-    ``SeedSequence(entropy=seed, spawn_key=(si, ci))``: ``standard_normal()``
-    for width 1 (a probe axis) or ``standard_normal(3)`` for width 3 (the 3D
-    norm), the draw :func:`_deviation` makes at that child seed. The rows
-    depend on nothing else, so experiments at one seed with another arm,
-    payload or noise model share one table. Read-only; the cache keeps the
-    last table only.
+    Row (si, ci) is the first ``standard_normal(width)`` draw of a generator
+    on ``SeedSequence(entropy=seed, spawn_key=(si, ci))`` (width 1 for a probe
+    axis, 3 for the 3D norm), the draw :func:`simulate_cycle` makes at that
+    child seed. The rows depend on nothing else, so experiments at one seed
+    with another arm, payload or noise model share one table. Read-only; the
+    cache keeps the last table only.
     """
     z = np.empty((n_speeds, cycles, width))
     for si in range(n_speeds):
         for ci in range(cycles):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(si, ci)))
-            z[si, ci] = (rng.standard_normal() if width == 1
-                         else rng.standard_normal(width))
+            z[si, ci] = rng.standard_normal(width)
     z.setflags(write=False)
     return z
 
@@ -233,9 +239,13 @@ def simulate_cycle(arm: ArmDescription,
     The legs settle as in :func:`_settle`; the final pose's displacement from
     the reference is measured along ``probe`` (or as a 3D norm when ``probe``
     is None) and one seeded jitter draw at the last leg's rate is added.
+    A bad probe (see :func:`_unit`) or leg raises ValueError.
     """
+    axis = None if probe is None else _unit(probe)
     delta, missed, achieved, sigma = _settle(arm, cycle, payload, noise)
-    return CycleResult(deviation=_deviation(delta, sigma, probe, seed),
+    z = np.random.default_rng(seed).standard_normal(
+        (1, 3 if axis is None else 1))
+    return CycleResult(deviation=float(_deviation(delta, sigma, axis, z)[0]),
                        missed_steps=missed, final_q=achieved)
 
 
@@ -264,6 +274,7 @@ def repeatability_experiment(arm: ArmDescription,
         cycles_per_speed: Monte-Carlo cycles per speed; must be >= 2 so the
             sample std is defined.
         noise: jitter model; defaults to the calibrated :func:`default_noise`.
+        probe: as in :func:`simulate_cycle`; a bad one raises ValueError.
     """
     if len(speeds) == 0:
         raise ValueError("speeds must be non-empty")
@@ -284,13 +295,7 @@ def repeatability_experiment(arm: ArmDescription,
         if z is None:  # drawn after the first settle, as the cycles drew
             z = draw(seed, len(speeds), cycles_per_speed, width)
         with np.errstate(over="ignore"):  # checked below
-            if axis is not None:
-                devs = float(delta @ axis) + sigma * z[si, :, 0]
-            else:
-                devs = np.array([
-                    float(np.linalg.norm(v))
-                    for v in delta + sigma / math.sqrt(3.0) * z[si]])
-        all_devs.append(devs)
+            all_devs.append(_deviation(delta, sigma, axis, z[si]))
         missed.append(miss * cycles_per_speed)
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

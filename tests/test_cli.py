@@ -406,6 +406,18 @@ def test_payload_searches_its_lattice_once(
     capsys.readouterr()
 
 
+def test_payload_csv_rows_are_the_library_sweep(
+        capsys: pytest.CaptureFixture, tmp_path: Path) -> None:
+    assert cli.run(["payload", "--format", "csv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    header, *rows = (tmp_path / "payload_sweep.csv").read_text().splitlines()
+    poses, caps, limiting = statics.sweep_payload_caps(model.default_arm())
+    assert header.endswith(",cap_kg,limiting_joint")
+    assert rows == [",".join([*map(repr, p), repr(c), str(lj)])
+                    for p, c, lj in zip(np.degrees(poses).tolist(),
+                                        caps.tolist(), limiting.tolist())]
+
+
 def test_repeat_sim_quick_run(capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["repeat-sim", "--speeds", "500,2500",
                             "--cycles", "3"])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from armkit import drivetrain, model
+from armkit import drivetrain, model, statics
 from armkit.errors import ComputationError
 from armkit.model import CapstanGeometry, JointDrive, MotorSpec, TransmissionStage
 
@@ -188,6 +188,16 @@ def test_motor_torque_interpolates_and_clamps() -> None:
     assert drivetrain.motor_torque_at(motor, 500.0) == pytest.approx(0.75, abs=1e-12)
     assert drivetrain.motor_torque_at(motor, 5000.0) == pytest.approx(0.5, abs=0.0)
     assert drivetrain.motor_torque_at(motor, -10.0) == pytest.approx(1.0, abs=0.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_rate_raises(arm: model.ArmDescription,
+                                  rate: float) -> None:
+    for call in (lambda: drivetrain.motor_torque_at(arm.drive(1).motor, rate),
+                 lambda: drivetrain.available_joint_torque(arm.drive(2), rate),
+                 lambda: statics.available_torques(arm, rate)):
+        with pytest.raises(ValueError, match="^step rate must be finite"):
+            call()
 
 
 def test_available_joint_torque_declines_with_rate(arm: model.ArmDescription) -> None:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,32 @@ def test_non_finite_inputs_raise_value_error_naming_them(
         arm: model.ArmDescription, call, what: str) -> None:
     with pytest.raises(ValueError, match=what):
         call(arm)
+
+
+@pytest.mark.parametrize("q", [
+    [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, np.inf, 0.0, 0.0, 0.0],
+    [0.0] * 5,
+], ids=["nan", "inf", "five-values"])
+@pytest.mark.parametrize("call", [
+    kinematics.fk_frames, kinematics.forward_kinematics, kinematics.jacobian,
+    statics.static_report, statics.max_payload,
+], ids=["fk_frames", "forward_kinematics", "jacobian", "static_report",
+        "max_payload-fixed"])
+def test_every_one_pose_call_refuses_a_bad_pose_and_keeps_the_record(
+        call, q: list) -> None:
+    # one check in the arm's last-pose record: the same error, no numpy
+    # warning, and the record still holds the last good pose
+    arm = model.default_arm()
+    good = np.radians([10.0, -20.0, 30.0, 0.0, 15.0, 5.0])
+    statics.static_report(arm, good)
+    kept = model._tables(arm).pose
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^joint angles q must be "):
+            call(arm, q)
+    assert model._tables(arm).pose is kept
+    assert kept[0] == good.tobytes() and kept[2] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ def test_cycle_validation_rejects_bad_commands(arm: model.ArmDescription) -> Non
     bad_target = MotionCycle(reference=ref, waypoints=((outside, 500.0),))
     with pytest.raises(ValueError):
         steppersim.simulate_cycle(arm, bad_target)
+
+
+@pytest.mark.parametrize("probe", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                   (math.inf, 0.0, 0.0), (1.0, 0.0)],
+                         ids=["zero", "nan", "inf", "two-values"])
+def test_a_bad_probe_raises_naming_it(arm: model.ArmDescription,
+                                      probe: tuple) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^probe must be three finite"):
+            steppersim.simulate_cycle(arm, steppersim.default_cycle(500.0),
+                                      probe=probe)
+        with pytest.raises(ValueError, match="^probe must be three finite"):
+            steppersim.repeatability_experiment(arm, cycles_per_speed=2,
+                                                probe=probe)
 
 
 def test_probe_axis_none_uses_euclidean_norm(arm: model.ArmDescription) -> None:

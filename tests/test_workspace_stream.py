@@ -395,7 +395,7 @@ def test_workspace_csv_peak_rss_does_not_grow_with_the_repeat(
       "csv"], 31),
     # 10.6-10.9 MiB (10.5-10.7; 25.7)
     (["reach", "--mode", "quasi", "--samples", "262144"], 14),
-])
+], ids=["grid-csv", "quasi-csv", "quasi-reach"])  # a bound is not a name
 def test_workspace_peak_rss_over_the_arm_loading_floor(
         tmp_path: Path, argv: list, bound_mib: int) -> None:
     # a torque table loads the arm and numpy and computes next to nothing
