@@ -460,11 +460,16 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
             residual the fallback saw.
         NoConvergenceError: the fallback's iteration budget was exhausted
             while still improving.
-        ValueError: a NaN or infinite entry in ``target`` or ``seed``.
+        ValueError: a NaN or infinite entry in ``target`` or ``seed``, or a
+            ``seed`` that is not six values.
     """
     require_finite(target.position, "IK target position")
     require_finite(target.orientation, "IK target orientation")
-    seed = require_finite(seed, "IK start pose")
+    seed = np.asarray(seed, dtype=float)
+    if seed.size != 6:
+        raise ValueError("IK start pose must be six values, "
+                         f"got {seed.tolist()!r}")
+    require_finite(seed, "IK start pose")
     tables = _tables(arm)
     rows, lim = tables.rows, tables.lim
     distance, bound = (float(np.linalg.norm(target.position)),

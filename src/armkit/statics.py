@@ -60,9 +60,10 @@ class PayloadResult:
 
 def _statics_tables(arm: ArmDescription):
     """The arm's record with the entries of this module filled: ``mass``,
-    the read-only (frame, mass, offset) arrays over every structural and
-    motor mass, and ``budget``, the read-only zero-rate
-    :func:`available_torques`."""
+    the read-only arrays of :func:`_gravity_split` over every structural
+    and motor mass (each entry's frame, the frame its link starts at, its
+    mass and offset, and the (entries, 6, 1) mask of the joints it loads),
+    and ``budget``, the read-only zero-rate :func:`available_torques`."""
     tables = _tables(arm)
     if not hasattr(tables, "budget"):
         entries = [(p.frame, p.mass, p.offset) for p in arm.mass_model.links]
@@ -70,11 +71,14 @@ def _statics_tables(arm: ArmDescription):
             entries.append((pl.frame, arm.drive(pl.drive).motor.mass,
                             pl.offset))
         table = np.array(entries, dtype=float).reshape(-1, 3)
-        mass = table[:, 0].astype(int), table[:, 1], table[:, 2]
+        frame, mass, offset = table[:, 0].astype(int), table[:, 1], table[:, 2]
+        loads = (frame[:, None] >= np.arange(1, 7)) & (mass[:, None] != 0.0)
+        split = (frame, np.maximum(frame - 1, 0), mass, offset,
+                 loads[..., None])
         budget = _budget(arm, 0.0)
-        for a in (*mass, budget):
+        for a in (*split, budget):
             a.setflags(write=False)
-        tables.mass = mass
+        tables.mass = split
         tables.budget = budget  # set last: its presence marks both
     return tables
 
@@ -91,23 +95,26 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
         (tau_struct, tool_lever), both (n, 6); a payload ``m`` at the tool
         origin adds ``m * tool_lever * (-g)``.
     """
-    origin = frames[:, :, :3, 3]
-    axis = frames[:, :, :3, 2]
-    frame, mass, offset = _statics_tables(arm).mass
-    o_prev = origin[:, np.maximum(frame - 1, 0)]
+    # pose axis last, so every elementwise step runs over the poses
+    axis, origin = np.ascontiguousarray(
+        frames[:, :, :3, 2:].transpose(3, 2, 1, 0))
+    frame, prev, mass, offset, loads = _statics_tables(arm).mass
+    o_prev = origin[:, prev]
     span = origin[:, frame] - o_prev
     # the same dot product as np.linalg.norm of one vector, so one pose's
     # torques keep their bits
-    length = np.sqrt(span[..., None, :] @ span[..., :, None])[..., 0]
+    s = span.T
+    length = np.sqrt(s[..., None, :] @ s[..., None])[..., 0, 0].T
     along = length > 1e-12
     u = np.where(along, span / np.where(along, length, 1.0), axis[:, frame])
     points = np.concatenate([o_prev + offset[:, None] * u, origin[:, 6:]], axis=1)
     # moment arm about each joint axis of a unit downward force at each point
-    r = points[:, :, None, :2] - origin[:, None, :6, :2]
-    lever = axis[:, None, :6, 0] * (-r[..., 1]) + axis[:, None, :6, 1] * r[..., 0]
-    moments = mass[:, None] * lever[:, :-1] * (-arm.mass_model.gravity)
-    counts = (frame[:, None] >= np.arange(1, 7)) & (mass[:, None] != 0.0)
-    return np.where(counts, moments, 0.0).sum(axis=1), lever[:, -1].copy()
+    r = points[:2, :, None] - origin[:2, None, :6]
+    lever = axis[0, :6] * (-r[1]) + axis[1, :6] * r[0]
+    moments = mass[:, None, None] * lever[:-1] * (-arm.mass_model.gravity)
+    # summed over the entries one at a time, in entry order
+    tau = np.where(loads, moments, 0.0).sum(axis=0)
+    return tau.T.copy(), lever[-1].T.copy()
 
 
 def _torque_split(arm: ArmDescription, q: np.ndarray):
@@ -149,12 +156,16 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
 
     Raises:
         ValueError: negative or non-finite payload, a pose that is not six
-            angles, or a non-finite angle.
+            angles or a batch whose last axis is not six long, or a
+            non-finite angle.
     """
     payload = arm.mass_model.payload if payload is None else float(payload)
     require_finite(payload, "payload (kg)", ">= 0")
     q = np.asarray(q, dtype=float)
     if q.ndim > 1:  # one pose is checked by the arm's last-pose record
+        if q.shape[-1] != 6:
+            raise ValueError("joint angles q must be six values, "
+                             f"got {q.tolist()!r}")
         require_finite(q, "joint angles q")
     tau, lever = _torque_split(arm, q)
     if payload > 0:

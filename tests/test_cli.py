@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -229,11 +231,16 @@ def test_help_exits_0_for_every_subcommand(capsys: pytest.CaptureFixture) -> Non
     capsys.readouterr()
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this armkit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_python_m_armkit_runs_the_cli(capsys: pytest.CaptureFixture,
                                       tmp_path: Path) -> None:
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
 
     def armkit(*argv: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, "-m", "armkit", *argv],
@@ -246,6 +253,54 @@ def test_python_m_armkit_runs_the_cli(capsys: pytest.CaptureFixture,
     assert table.returncode == 0
     assert cli.run(["torque-table"]) == 0
     assert table.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", [
+    ["-c", "from armkit.cli import main; main()"], ["-m", "armkit"]],
+    ids=["main", "python-m"])
+def test_entry_points_exit_with_the_run_code(tmp_path: Path,
+                                             entry: list) -> None:
+    env = _child_env()
+
+    def armkit(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *entry, *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              timeout=120)
+
+    for argv, code in ((["payload"], 0), (["fk", "--q", "1,2"], 2),
+                       (["ik", "--target", "5,0,0", "--rpy", "0,0,0"], 4)):
+        assert armkit(*argv).returncode == code, argv
+    written = armkit("payload", "--format", "csv", "--out", "d")
+    assert written.returncode == 0
+    outputs = _manifest(tmp_path / "d")["outputs"]
+    assert [f["path"] for f in outputs] == ["payload.txt", "payload_sweep.csv"]
+    for f in outputs:
+        data = (tmp_path / "d" / f["path"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == f["sha256"], f["path"]
+    assert (tmp_path / "d" / "payload.txt").read_bytes() == written.stdout
+
+
+def test_only_main_freezes_the_heap(capsys: pytest.CaptureFixture,
+                                    tmp_path: Path) -> None:
+    frozen = gc.get_freeze_count()
+    enabled = gc.isenabled()
+    assert cli.run(["payload", "--grid-deg", "30", "--format", "csv",
+                    "--out", str(tmp_path / "a")]) == 0
+    assert cli.replay(str(tmp_path / "a" / cli.MANIFEST_NAME),
+                      out_dir=str(tmp_path / "b")) == 0
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    # a fresh interpreter: importing leaves the collector alone, and main()
+    # freezes it just before it exits
+    env = _child_env()
+    code = ("import gc, sys\nimport armkit.cli\n"
+            "before = gc.get_freeze_count(), gc.isenabled()\n"
+            "try:\n    armkit.cli.main()\nexcept SystemExit as exc:\n"
+            "    print(before, exc.code, gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "resolution"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.splitlines()[-1] == "(0, True) 0 True"
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +461,20 @@ def test_payload_searches_its_lattice_once(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, kwargs", [
+    ([], {}),
+    (["--limit-joints", "2,3"], {"constraint_joints": (2, 3)}),
+    (["--grid-deg", "10"], {"grid_deg": 10.0}),
+], ids=["default", "limit-2-3", "grid-10"])
 def test_payload_csv_rows_are_the_library_sweep(
-        capsys: pytest.CaptureFixture, tmp_path: Path) -> None:
-    assert cli.run(["payload", "--format", "csv", "--out", str(tmp_path)]) == 0
+        capsys: pytest.CaptureFixture, tmp_path: Path, flags: list,
+        kwargs: dict) -> None:
+    assert cli.run(["payload", "--format", "csv", "--out", str(tmp_path),
+                    *flags]) == 0
     capsys.readouterr()
     header, *rows = (tmp_path / "payload_sweep.csv").read_text().splitlines()
-    poses, caps, limiting = statics.sweep_payload_caps(model.default_arm())
+    poses, caps, limiting = statics.sweep_payload_caps(model.default_arm(),
+                                                       **kwargs)
     assert header.endswith(",cap_kg,limiting_joint")
     assert rows == [",".join([*map(repr, p), repr(c), str(lj)])
                     for p, c, lj in zip(np.degrees(poses).tolist(),
@@ -474,6 +537,29 @@ def test_csv_cell_rule() -> None:
     # a streamed sweep: each row's line once per row it stands for
     assert b"".join(cli._csv("x", iter([block[:1], block[1:]]), repeat=2)) == \
         b"x\n1.0,-0.0\n1.0,-0.0\n1e-300,3.0\n1e-300,3.0\n"
+
+
+def test_payload_csv_rows_are_the_cell_rule_rows() -> None:
+    # crafted caps and poses, over more than one part of rows
+    odd = [math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, -1e-300,
+           2.5, 1e-4, 9.999999999999999e15]
+    rng = np.random.default_rng(7)
+    n = 2 * cli._CSV_PART_ROWS + len(odd)
+    poses = rng.uniform(-4.0, 4.0, (n, 6))
+    poses[:len(odd)] = np.array(odd)[:, None]
+    poses[len(odd):2 * len(odd), 1] = np.radians(odd)
+    caps = rng.uniform(0.0, 2.0, n)
+    caps[:len(odd)] = odd
+    limiting = rng.integers(1, 7, n)
+    limiting[:2] = 1, 6
+    rows = [(*p, c, lj) for p, c, lj in zip(np.degrees(poses).tolist(),
+                                            caps.tolist(), limiting.tolist())]
+    want = b"".join(cli._csv(
+        "q1_deg,q2_deg,q3_deg,q4_deg,q5_deg,q6_deg,cap_kg,limiting_joint",
+        rows))
+    assert b"".join(cli._payload_csv(poses, caps, limiting)) == want
+    assert b"\ninf,inf,inf,inf,inf,inf,inf,1\n" in want
+    assert b"\n-0.0,-0.0,-0.0,-0.0,-0.0,-0.0,-0.0,6\n" in want
 
 
 def _manifest(out_dir: Path) -> dict:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from armkit import kinematics, model, statics
+from armkit import _kernels, kinematics, model, statics
 from armkit.errors import NoConvergenceError
 
 
@@ -62,6 +63,86 @@ def test_available_torques_match_drivetrain_budget(arm: model.ArmDescription) ->
     avail = statics.available_torques(arm)
     assert np.allclose(avail, [1.256, 23.625, 3.15, 0.52281, 0.471, 0.52281],
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("q, call", [
+    (np.zeros((4, 3)), statics.gravity_torques),
+    (np.zeros((2, 5)), statics.gravity_torques),
+    ([0.0] * 5, lambda arm, q: kinematics.inverse_kinematics(
+        arm, kinematics.forward_kinematics(arm, np.zeros(6)), q)),
+    (np.zeros((2, 6)), lambda arm, q: kinematics.inverse_kinematics(
+        arm, kinematics.forward_kinematics(arm, np.zeros(6)), q)),
+], ids=["batch-4x3", "batch-2x5", "seed-5", "seed-2x6"])
+def test_a_batch_or_seed_of_other_than_six_values_is_refused(
+        arm: model.ArmDescription, q, call) -> None:
+    # a (4, 3) batch holds twelve values, which read as two poses would
+    # give a wrong answer; the others fail a reshape
+    name = "joint angles q" if call is statics.gravity_torques else \
+        "IK start pose"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be six values, got \\["):
+            call(arm, q)
+
+
+def _ref_gravity_split(arm: model.ArmDescription, frames: np.ndarray):
+    """:func:`statics._gravity_split` as it was with the pose axis first:
+    the reference whose bits the pose-last one keeps."""
+    entries = [(p.frame, p.mass, p.offset) for p in arm.mass_model.links]
+    entries += [(pl.frame, arm.drive(pl.drive).motor.mass, pl.offset)
+                for pl in arm.mass_model.motors]
+    table = np.array(entries, dtype=float)
+    frame, mass, offset = table[:, 0].astype(int), table[:, 1], table[:, 2]
+    origin = frames[:, :, :3, 3]
+    axis = frames[:, :, :3, 2]
+    o_prev = origin[:, np.maximum(frame - 1, 0)]
+    span = origin[:, frame] - o_prev
+    length = np.sqrt(span[..., None, :] @ span[..., :, None])[..., 0]
+    along = length > 1e-12
+    u = np.where(along, span / np.where(along, length, 1.0), axis[:, frame])
+    points = np.concatenate([o_prev + offset[:, None] * u, origin[:, 6:]],
+                            axis=1)
+    r = points[:, :, None, :2] - origin[:, None, :6, :2]
+    lever = (axis[:, None, :6, 0] * (-r[..., 1])
+             + axis[:, None, :6, 1] * r[..., 0])
+    moments = mass[:, None] * lever[:, :-1] * (-arm.mass_model.gravity)
+    counts = (frame[:, None] >= np.arange(1, 7)) & (mass[:, None] != 0.0)
+    return np.where(counts, moments, 0.0).sum(axis=1), lever[:, -1].copy()
+
+
+def _split_poses(arm: model.ArmDescription, case: str) -> np.ndarray:
+    kind, _, arg = case.partition("-")
+    if kind == "lattice":
+        return statics.sweep_poses(arm, grid_deg=float(arg))
+    if kind == "lattice23":
+        return statics.sweep_poses(arm, sweep_joints=(2, 3))
+    lim = model.limits_array(arm)
+    rng = np.random.default_rng(int(arg))
+    q = rng.uniform(lim[:, 0], lim[:, 1], size=(int(arg), 6))
+    if kind == "zeros":  # exact zeros of both signs
+        q[rng.random(q.shape) < 0.5] = 0.0
+        q[rng.random(q.shape) < 0.25] = -0.0
+    return q
+
+
+@pytest.mark.parametrize("case", [
+    "lattice-5", "lattice-10", "lattice-15", "lattice23",
+    "random-1", "random-2", "random-255", "random-256", "random-257",
+    "zeros-1", "zeros-300"])
+def test_gravity_split_keeps_the_bits_of_the_pose_first_reference(
+        arm: model.ArmDescription, case: str) -> None:
+    poses = _split_poses(arm, case)
+    rows = model._tables(arm).rows
+    # in the chunks the batched split takes them
+    for chunk in np.split(poses, range(statics._POSE_CHUNK, len(poses),
+                                       statics._POSE_CHUNK)):
+        frames = _kernels.fk_frames_batch(rows, chunk)
+        got = statics._gravity_split(arm, frames)
+        want = _ref_gravity_split(arm, frames)
+        for g, w in zip(got, want):
+            assert (g.shape, g.dtype) == (w.shape, w.dtype)
+            assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------
