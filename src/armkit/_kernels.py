@@ -7,11 +7,11 @@ elementwise, and three products consume it:
   chain out element by element and keeps only nine rotation and three
   position arrays, so the quasi workspace sweep builds neither frames nor
   (n, 3, 3) temporaries;
-* :func:`fk_lattice` runs the same elementwise chain step,
-  :func:`_chain_link`, over the ``ij`` lattice of six joint axes, which the
-  grid sweep walks: each link's entries are taken once per axis value, and
-  the chain grows by an outer product per link, so the first links cost
-  what their own axes cost;
+* :func:`fk_lattice` runs the same links (:func:`_links`) and elementwise
+  chain step, :func:`_chain_link`, over the ``ij`` lattice of six joint
+  axes, which the grid sweep walks: each link's entries are taken once per
+  axis value, and the chain grows by an outer product per link, so the
+  first links cost what their own axes cost;
 * :func:`fk_frames_batch` keeps every frame and is the one frames path:
   single-pose FK and Jacobians, gravity torques and IK all call it, so
   one pose gives the same bits alone or in any batch. It writes all six
@@ -64,14 +64,15 @@ def _twists(rows: np.ndarray) -> np.ndarray:
     return np.array([[math.cos(a) for a in al], [math.sin(a) for a in al]])
 
 
-def _links(rows: np.ndarray, qb: np.ndarray):
-    """Yield each link's :func:`_link_entries` over the batch, each an (n,)
-    array or a float."""
+def _links(rows: np.ndarray, angles):
+    """Yield each link's :func:`_link_entries` at its joint's angles, the
+    1-D sequence ``angles[i]`` for link ``i``: each entry an array of their
+    length or a float."""
     ca, sa = _twists(rows)
-    for i in range(6):
+    for i, q in enumerate(angles):
         # th lives until the next link: freed among the link's temporaries,
         # it fragments the heap and lifts the workspace sweep's peak RSS
-        th = qb[:, i] + rows[i, 0]
+        th = np.asarray(q, dtype=np.float64) + rows[i, 0]
         yield _link_entries(th, rows[i, 1], rows[i, 2],
                             float(ca[i]), float(sa[i]))
 
@@ -121,7 +122,7 @@ def fk_points(rows: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """
     rows, qb = _as_batch(rows, qb)
     s = list(_BASE)
-    for i, link in enumerate(_links(rows, qb)):
+    for i, link in enumerate(_links(rows, qb.T)):
         _chain_link(s, link, i == 5)
     return np.stack(s[9:], axis=1)
 
@@ -142,13 +143,10 @@ def fk_lattice(rows: np.ndarray, axes) -> np.ndarray:
     Returns:
         (prod(len(axes[j])), 3) positions in meters.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    ca, sa = _twists(rows)
     s = list(_BASE)
-    for i, ax in enumerate(axes):
-        _chain_link(s, _link_entries(
-            np.asarray(ax, dtype=np.float64) + rows[i, 0], rows[i, 1],
-            rows[i, 2], float(ca[i]), float(sa[i])), i == 5)
+    for i, link in enumerate(_links(
+            np.ascontiguousarray(rows, dtype=np.float64), axes)):
+        _chain_link(s, link, i == 5)
         # (points so far, values of axis i) in C order is the ij lattice
         s = [np.reshape(x, (-1, 1)) for x in s]
     return np.concatenate(s[9:], axis=1)

@@ -159,7 +159,10 @@ _CSV_CHUNK_LINES = 16_384
 #: at once. One: the formatting's small numpy calls and the Python work
 #: between them hold the GIL for most of their time, so on the 2-core host
 #: a second thread formatted no faster and added a malloc arena and a part
-#: in flight to the peak RSS. Tests set more to vary the scheduling.
+#: in flight to the peak RSS. The one thread still pays: it overlaps the
+#: main thread's FK, hashing and writing (default grid, 2-core host: 0.905
+#: s CPU in 0.702 s wall, medians of 12), and formatting inline took 11.5%
+#: longer for 2 MB less peak RSS. Tests set more to vary the scheduling.
 _CSV_WORKERS = 1
 
 
@@ -346,7 +349,9 @@ def _handle_jacobian(args, arm):
 
 def _sweep(args, arm):
     """The requested sweep, its notices printed, and its empty statistics."""
-    steps = _ints(args.per_joint_steps, 6, "--per-joint-steps")
+    text = args.per_joint_steps
+    steps = _ints("25,25,25,5,5,5" if text is None else text, 6,
+                  "--per-joint-steps")
     sweep = kinematics.WorkspaceSweep(arm, steps, mode=args.mode,
                                       samples=args.samples, seed=args.seed)
     _notify(args.arm, sweep.notices)
@@ -743,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "sample the reachable workspace and report metrics"),
                         ("reach", "reach metrics of a workspace sweep")):
         sp = add(name, help_)
-        sp.add_argument("--per-joint-steps", default="25,25,25,5,5,5",
+        sp.add_argument("--per-joint-steps", default=None,
                         metavar="N1,...,N6",
                         help="grid steps per joint (default 25,25,25,5,5,5 "
                              "= 1953125 samples)")
@@ -838,6 +843,9 @@ def _refuse(args) -> None:
                             f"so it needs --out")
     if getattr(args, "samples", None) is not None and args.mode == "grid":
         raise CliUsageError("--samples is read only with --mode quasi")
+    if getattr(args, "per_joint_steps", None) is not None \
+            and args.mode == "quasi":
+        raise CliUsageError("--per-joint-steps is read only with --mode grid")
     if getattr(args, "policy", "fixed") != "fixed" and args.q is not None:
         raise CliUsageError("--q is read only with --policy fixed")
 

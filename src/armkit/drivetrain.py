@@ -62,6 +62,13 @@ class TorqueTableRow:
     annotation: Optional[str] = None
 
 
+def _diameters_ok(geom: CapstanGeometry) -> bool:
+    """Whether the diameters obey the one capstan rule, pulley ``D >=``
+    sheave ``D0 > 0``, of :func:`capstan_reduction` and
+    ``model.validate_arm``."""
+    return geom.pulley_diameter >= geom.sheave_diameter > 0
+
+
 def capstan_reduction(geom: CapstanGeometry) -> float:
     """Reduction ratio of a capstan stage.
 
@@ -73,11 +80,11 @@ def capstan_reduction(geom: CapstanGeometry) -> float:
         stationary and the sheave orbits it.
 
     Raises:
-        ComputationError: if the diameters are not ``D > D0 > 0`` or the
+        ComputationError: if the diameters are not ``D >= D0 > 0`` or the
             mode is unknown.
     """
     d0, d = geom.sheave_diameter, geom.pulley_diameter
-    if not (d > d0 > 0) and not (d == d0 > 0):
+    if not _diameters_ok(geom):
         raise ComputationError(
             f"invalid capstan geometry: need pulley {d} >= sheave {d0} > 0")
     if geom.mode == "rotating":

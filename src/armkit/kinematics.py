@@ -103,25 +103,37 @@ def _keep_pose(arm: ArmDescription, key: bytes, frames: np.ndarray,
     return entry
 
 
+def _joint_angles(q, what: str, batch: bool = False) -> np.ndarray:
+    """``q`` as float joint angles (radians), checked: one pose of six
+    values, returned as a (6,) array, or, for a ``batch``, an array whose
+    last axis is six long, returned as it is. ValueError naming ``what``
+    unless ``q`` has that shape and every angle is finite. The one check
+    of joint angles given from outside: one-pose calls (on a miss of
+    :func:`_pose_entry`), the start of :func:`inverse_kinematics`,
+    ``statics``' batches and ``steppersim``'s cycle poses."""
+    q = np.asarray(q, dtype=float)
+    if (q.shape[-1:] if batch else (q.size,)) != (6,):
+        raise ValueError(f"{what} must be six values, got {q.tolist()!r}")
+    require_finite(q, what)
+    return q if batch else q.reshape(6)
+
+
 def _pose_entry(arm: ArmDescription, q) -> tuple:
     """The arm's last-pose record (``model._Tables.pose``) at one pose
     ``q``: taken as it is when it holds ``q``'s bytes, else replaced by one
     with ``q``'s frame stack and no gravity split yet. Every one-pose call
     reads it (:func:`fk_frames`, :func:`jacobian`, ``statics``' one-pose
-    split) and :func:`inverse_kinematics` stores its answer there. The one
-    check of a single pose runs on a miss (the record holds a checked
-    pose): ValueError unless ``q`` is six finite angles, with the record
+    split) and :func:`inverse_kinematics` stores its answer there. A miss
+    checks the pose (the record holds a checked one): ValueError unless
+    ``q`` is six finite angles (:func:`_joint_angles`), with the record
     left as it was."""
     tables = _tables(arm)
     q = np.asarray(q, dtype=float)
     key = q.tobytes()
     entry = tables.pose
     if entry[0] != key:
-        if q.size != 6:
-            raise ValueError("joint angles q must be six values, "
-                             f"got {q.tolist()!r}")
         entry = _keep_pose(arm, key, _kernels.fk_frames_batch(
-            tables.rows, require_finite(q, "joint angles q").reshape(1, 6))[0])
+            tables.rows, _joint_angles(q, "joint angles q")[None])[0])
     return entry
 
 
@@ -465,11 +477,7 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
     """
     require_finite(target.position, "IK target position")
     require_finite(target.orientation, "IK target orientation")
-    seed = np.asarray(seed, dtype=float)
-    if seed.size != 6:
-        raise ValueError("IK start pose must be six values, "
-                         f"got {seed.tolist()!r}")
-    require_finite(seed, "IK start pose")
+    seed = _joint_angles(seed, "IK start pose")
     tables = _tables(arm)
     rows, lim = tables.rows, tables.lim
     distance, bound = (float(np.linalg.norm(target.position)),
@@ -483,7 +491,7 @@ def inverse_kinematics(arm: ArmDescription, target: Pose, seed,
         _keep_pose(arm, q.tobytes(), frames.copy())
         return q
 
-    q0 = np.clip(seed.reshape(1, 6), lim[:, 0], lim[:, 1])
+    q0 = np.clip(seed[None], lim[:, 0], lim[:, 1])
     from . import _wrist  # loaded by the first IK call, not by the import
     structure = _wrist.structure(arm)
     if structure is not None:

@@ -610,15 +610,14 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
                 if g.mode != expect_mode:
                     bad("stage.capstan.mode_mismatch", gp,
                         f"geometry mode {g.mode!r} vs stage kind {s.kind!r}")
-                if not (g.pulley_diameter > g.sheave_diameter > 0):
+                if not drivetrain._diameters_ok(g):
                     bad("capstan.diameters", gp,
-                        "need pulley_diameter > sheave_diameter > 0")
+                        "need pulley_diameter >= sheave_diameter > 0")
                 if not g.cable_thickness > 0:
                     bad("capstan.thickness", gp, "cable thickness must be > 0")
                 if g.tolerance < 0:
                     bad("capstan.tolerance", gp, "tolerance must be >= 0")
-                if (g.pulley_diameter > g.sheave_diameter > 0
-                        and g.mode == expect_mode):
+                if drivetrain._diameters_ok(g) and g.mode == expect_mode:
                     ratio_geom = drivetrain.capstan_reduction(g)
                     if abs(ratio_geom - s.ratio) > 1e-9:
                         bad("stage.capstan.ratio_mismatch", sp,
@@ -655,12 +654,19 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
     return v
 
 
+def _mass_entries(arm: ArmDescription) -> list:
+    """``(frame, mass, offset)`` of every modeled mass: the structural
+    links', then each placed motor's, in the arm file's order. The one
+    mass list, of :func:`total_modeled_mass` and ``statics``' gravity
+    model."""
+    return [(p.frame, p.mass, p.offset) for p in arm.mass_model.links] + [
+        (pl.frame, arm.drive(pl.drive).motor.mass, pl.offset)
+        for pl in arm.mass_model.motors]
+
+
 def total_modeled_mass(arm: ArmDescription) -> float:
     """Sum of structural link masses and placed motor masses (kg)."""
-    total = sum(p.mass for p in arm.mass_model.links)
-    for pl in arm.mass_model.motors:
-        total += arm.drive(pl.drive).motor.mass
-    return total
+    return sum(mass for _, mass, _ in _mass_entries(arm))
 
 
 # --------------------------------------------------------------------------

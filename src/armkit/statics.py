@@ -18,8 +18,9 @@ from . import drivetrain
 from .errors import (ComputationError, NoConvergenceError,
                      ResourceLimitError, require_finite)
 from ._kernels import fk_frames_batch
-from .kinematics import DEFAULT_SAMPLE_CAP, _keep_pose, _pose_entry
-from .model import ArmDescription, _tables, limits_array
+from .kinematics import (DEFAULT_SAMPLE_CAP, _joint_angles, _keep_pose,
+                         _pose_entry)
+from .model import ArmDescription, _mass_entries, _tables, limits_array
 
 #: Default worst-case sweep: 15-degree grid on the gravity-loaded joints
 #: (shoulder pitch, elbow pitch, wrist pitch); yaw/roll joints stay at zero.
@@ -60,17 +61,14 @@ class PayloadResult:
 
 def _statics_tables(arm: ArmDescription):
     """The arm's record with the entries of this module filled: ``mass``,
-    the read-only arrays of :func:`_gravity_split` over every structural
-    and motor mass (each entry's frame, the frame its link starts at, its
-    mass and offset, and the (entries, 6, 1) mask of the joints it loads),
-    and ``budget``, the read-only zero-rate :func:`available_torques`."""
+    the read-only arrays of :func:`_gravity_split` over the model's mass
+    list (:func:`model._mass_entries`: each entry's frame, the frame its
+    link starts at, its mass and offset, and the (entries, 6, 1) mask of
+    the joints it loads), and ``budget``, the read-only zero-rate
+    :func:`available_torques`."""
     tables = _tables(arm)
     if not hasattr(tables, "budget"):
-        entries = [(p.frame, p.mass, p.offset) for p in arm.mass_model.links]
-        for pl in arm.mass_model.motors:
-            entries.append((pl.frame, arm.drive(pl.drive).motor.mass,
-                            pl.offset))
-        table = np.array(entries, dtype=float).reshape(-1, 3)
+        table = np.array(_mass_entries(arm), dtype=float).reshape(-1, 3)
         frame, mass, offset = table[:, 0].astype(int), table[:, 1], table[:, 2]
         loads = (frame[:, None] >= np.arange(1, 7)) & (mass[:, None] != 0.0)
         split = (frame, np.maximum(frame - 1, 0), mass, offset,
@@ -92,8 +90,8 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
     at or distal to frame ``j`` and are summed in entry order.
 
     Returns:
-        (tau_struct, tool_lever), both (n, 6); a payload ``m`` at the tool
-        origin adds ``m * tool_lever * (-g)``.
+        (tau_struct, tool_lever), both (n, 6); a payload at the tool origin
+        adds its :func:`_payload_term`.
     """
     # pose axis last, so every elementwise step runs over the poses
     axis, origin = np.ascontiguousarray(
@@ -115,6 +113,15 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
     # summed over the entries one at a time, in entry order
     tau = np.where(loads, moments, 0.0).sum(axis=0)
     return tau.T.copy(), lever[-1].T.copy()
+
+
+def _payload_term(tau: np.ndarray, m, lever: np.ndarray,
+                  g: float) -> np.ndarray:
+    """``tau + m * lever * (-g)``: the torques ``tau`` with a payload ``m``
+    (kg) at the tool origin of lever ``lever`` under gravity ``g``. The
+    one expression of the payload's torque, in this operation order, so
+    :func:`gravity_torques` and :func:`_payload_caps` round alike."""
+    return tau + m * lever * (-g)
 
 
 def _torque_split(arm: ArmDescription, q: np.ndarray):
@@ -163,13 +170,10 @@ def gravity_torques(arm: ArmDescription, q, payload: Optional[float] = None
     require_finite(payload, "payload (kg)", ">= 0")
     q = np.asarray(q, dtype=float)
     if q.ndim > 1:  # one pose is checked by the arm's last-pose record
-        if q.shape[-1] != 6:
-            raise ValueError("joint angles q must be six values, "
-                             f"got {q.tolist()!r}")
-        require_finite(q, "joint angles q")
+        _joint_angles(q, "joint angles q", batch=True)
     tau, lever = _torque_split(arm, q)
     if payload > 0:
-        tau = tau + payload * lever * (-arm.mass_model.gravity)
+        tau = _payload_term(tau, payload, lever, arm.mass_model.gravity)
     else:
         tau = tau.copy()
     return tau.reshape(q.shape)
@@ -277,8 +281,7 @@ def _payload_caps(arm: ArmDescription, poses: np.ndarray, cols: list):
     avail = _statics_tables(arm).budget[cols]
 
     def torques(m: np.ndarray) -> np.ndarray:
-        # the same rounding as gravity_torques(arm, q, payload=m)
-        return np.abs(tau_s + m[:, None] * lever * (-g))
+        return np.abs(_payload_term(tau_s, m[:, None], lever, g))
 
     def fits(m: np.ndarray) -> np.ndarray:
         return (torques(m) <= avail).all(axis=1)

@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import drivetrain, statics
-from .errors import DegenerateFitError, require_finite
-from .kinematics import fk_frames
+from .errors import DegenerateFitError, ResourceLimitError, require_finite
+from .kinematics import DEFAULT_SAMPLE_CAP, _joint_angles, fk_frames
 from .model import ArmDescription, limits_array
 
 #: Measured (step rate, deviation std in meters) anchor points used to
@@ -135,9 +135,10 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
     target is compared to the torque available at the commanded rate; an
     overload drops the deficit fraction of the leg's steps, rounded up to
     whole microsteps (all of them where no torque is available), always
-    against the direction of motion. A leg rate that is not finite and > 0,
-    a target that is not six in-limit angles, or a payload whose required
-    torque overflows a float raises ValueError.
+    against the direction of motion. A reference that is not six finite
+    angles, a leg rate that is not finite and > 0, a target that is not six
+    finite in-limit angles (each checked before its leg's arithmetic), or a
+    payload whose required torque overflows a float raises ValueError.
 
     Returns (delta, missed, achieved, sigma): the tool-point displacement
     from the reference (m), the missed microsteps, the achieved joint angles
@@ -145,15 +146,14 @@ def _settle(arm: ArmDescription, cycle: MotionCycle, payload: float,
     """
     lim = limits_array(arm)
     micro = drivetrain.microstep_sizes(arm)  # rad per microstep, (6,)
-    ref = np.asarray(cycle.reference, dtype=float)
+    ref = _joint_angles(cycle.reference, "cycle reference")
     commanded = np.zeros(6, dtype=np.int64)  # whole microsteps from reference
     lost = np.zeros(6, dtype=np.int64)       # signed missed steps
     missed_total = 0
     legs = cycle.legs()
     for target, rate in legs:
         require_finite(rate, "commanded step rate", "> 0")
-        if target.shape != (6,):
-            raise ValueError("cycle targets must have six joint angles")
+        target = _joint_angles(target, "cycle target")
         if (np.any(target < lim[:, 0] - 1e-12)
                 or np.any(target > lim[:, 1] + 1e-12)):
             raise ValueError("cycle target outside joint limits")
@@ -275,11 +275,18 @@ def repeatability_experiment(arm: ArmDescription,
             sample std is defined.
         noise: jitter model; defaults to the calibrated :func:`default_noise`.
         probe: as in :func:`simulate_cycle`; a bad one raises ValueError.
+
+    Raises:
+        ResourceLimitError: more than ``kinematics.DEFAULT_SAMPLE_CAP``
+            cycles in all, refused before any settle or draw.
     """
     if len(speeds) == 0:
         raise ValueError("speeds must be non-empty")
     if cycles_per_speed < 2:
         raise ValueError("cycles_per_speed must be >= 2")
+    if len(speeds) * cycles_per_speed > DEFAULT_SAMPLE_CAP:
+        raise ResourceLimitError(f"{len(speeds) * cycles_per_speed} cycles "
+                                 f"exceed the cap of {DEFAULT_SAMPLE_CAP}")
     if noise is None:
         noise = default_noise()
 

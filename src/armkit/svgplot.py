@@ -34,6 +34,16 @@ def _axis_ticks(lo: float, hi: float, n: int = 5):
     return np.linspace(lo, hi, n)
 
 
+def _y_ticks(lo: float, hi: float, py, left: float, right: float) -> list:
+    """Five grid lines across [``left``, ``right``] over [``lo``, ``hi``],
+    placed by ``py``, each labelled left of ``left``."""
+    return [part for t in _axis_ticks(lo, hi) for part in (
+        f'<line x1="{_f(left)}" y1="{_f(py(t))}" x2="{_f(right)}" '
+        f'y2="{_f(py(t))}" stroke="{_GRID_COLOR}"/>',
+        f'<text x="{_f(left - 4)}" y="{_f(py(t) + 3)}" text-anchor="end" '
+        f'font-size="9">{fixed(t, 3)}</text>')]
+
+
 def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
                title: str, ox: float, oy: float) -> list:
     """One scatter panel with frame and min/max ticks at offset (ox, oy)."""
@@ -63,14 +73,7 @@ def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
         parts.append(
             f'<text x="{_f(px(t))}" y="{_f(oy + _PAD + _PANEL + 14)}" '
             f'text-anchor="middle" font-size="9">{fixed(t, 3)}</text>')
-    for t in _axis_ticks(lo_y, hi_y):
-        parts.append(
-            f'<line x1="{_f(ox + _MARGIN)}" y1="{_f(py(t))}" '
-            f'x2="{_f(ox + _MARGIN + _PANEL)}" y2="{_f(py(t))}" '
-            f'stroke="{_GRID_COLOR}"/>')
-        parts.append(
-            f'<text x="{_f(ox + _MARGIN - 4)}" y="{_f(py(t) + 3)}" '
-            f'text-anchor="end" font-size="9">{fixed(t, 3)}</text>')
+    parts += _y_ticks(lo_y, hi_y, py, ox + _MARGIN, ox + _MARGIN + _PANEL)
     parts.append(
         f'<text x="{_f(ox + _MARGIN + _PANEL / 2)}" '
         f'y="{_f(oy + _PAD + _PANEL + 30)}" text-anchor="middle" '
@@ -84,6 +87,16 @@ def _panel_svg(x: np.ndarray, y: np.ndarray, x_label: str, y_label: str,
                      f'cy="{_f(py(float(yi)))}" r="1" '
                      f'fill="{_POINT_COLOR}" fill-opacity="0.5"/>')
     return parts
+
+
+def _svg(width: int, height: int, parts: list) -> str:
+    """The SVG document of ``parts`` on a white ``width`` x ``height`` px
+    canvas, one element per line."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *parts, "</svg>"]) + "\n"
 
 
 def decimation_stride(n: int) -> int:
@@ -102,17 +115,11 @@ def workspace_svg(points: np.ndarray) -> str:
     pts = pts[::decimation_stride(pts.shape[0])]
     width = 2 * (_MARGIN + _PANEL + _PAD)
     height = _MARGIN + _PANEL + 2 * _PAD
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    parts += _panel_svg(pts[:, 0], pts[:, 1], "x (m)", "y (m)",
-                        "top view", 0.0, 0.0)
+    parts = _panel_svg(pts[:, 0], pts[:, 1], "x (m)", "y (m)",
+                       "top view", 0.0, 0.0)
     parts += _panel_svg(pts[:, 0], pts[:, 2], "x (m)", "z (m)",
                         "side view", float(_MARGIN + _PANEL + _PAD), 0.0)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 def box_plot_svg(labels: Sequence[str], datasets: Sequence[np.ndarray],
@@ -135,19 +142,11 @@ def box_plot_svg(labels: Sequence[str], datasets: Sequence[np.ndarray],
         return _PAD + (hi - v) / span * _PANEL
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{_f(_MARGIN)}" y="{_f(_PAD)}" '
         f'width="{_f(width - _MARGIN - _PAD)}" height="{_PANEL}" '
         f'fill="none" stroke="{_AXIS_COLOR}"/>',
     ]
-    for t in _axis_ticks(lo, hi):
-        parts.append(f'<line x1="{_f(_MARGIN)}" y1="{_f(py(t))}" '
-                     f'x2="{_f(width - _PAD)}" y2="{_f(py(t))}" '
-                     f'stroke="{_GRID_COLOR}"/>')
-        parts.append(f'<text x="{_f(_MARGIN - 4)}" y="{_f(py(t) + 3)}" '
-                     f'text-anchor="end" font-size="9">{fixed(t, 3)}</text>')
+    parts += _y_ticks(lo, hi, py, _MARGIN, width - _PAD)
     parts.append(
         f'<text x="{_f(12)}" y="{_f(_PAD + _PANEL / 2)}" '
         f'text-anchor="middle" font-size="11" '
@@ -185,5 +184,4 @@ def box_plot_svg(labels: Sequence[str], datasets: Sequence[np.ndarray],
         for flier in d[(d < q1 - 1.5 * iqr) | (d > q3 + 1.5 * iqr)]:
             parts.append(f'<circle cx="{_f(cx)}" cy="{_f(py(float(flier)))}" '
                          f'r="2" fill="none" stroke="{_AXIS_COLOR}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)

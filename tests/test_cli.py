@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armkit import cli, model, statics
+from armkit import cli, model, statics, steppersim
 
 
 def _run(capsys: pytest.CaptureFixture, argv: list[str]) -> tuple[int, str]:
@@ -116,7 +116,15 @@ def test_negative_seeds_exit_2_naming_the_flag(capsys: pytest.CaptureFixture,
     assert _run(capsys, quasi + ["--seed", str(2**64 + 1)])[0] == 0
 
 
-def test_resource_limit_exits_5(capsys: pytest.CaptureFixture) -> None:
+def test_resource_limit_exits_5(capsys: pytest.CaptureFixture,
+                                monkeypatch: pytest.MonkeyPatch) -> None:
+    # five speeds x 4,000,001 cycles: refused before any settle or draw
+    def never(*args):
+        raise AssertionError("a cycle over the cap was settled or drawn")
+
+    for name in ("_settle", "_jitter_normals"):
+        monkeypatch.setattr(steppersim, name, never)
+    assert _run(capsys, ["repeat-sim", "--cycles", "4000001"])[0] == 5
     for steps in ("2000,2000,2000,5,5,5",
                   # 1e36 samples: more than an int64 product holds
                   "1000000,1000000,1000000,1000000,1000000,1000000"):
@@ -802,6 +810,11 @@ def test_each_subcommand_takes_only_the_flags_it_reads(
      "--samples is read only with --mode quasi"),
     (["reach", "--mode", "grid", "--samples", "64"],
      "--samples is read only with --mode quasi"),
+    (["workspace", "--per-joint-steps", "2,2,2,2,2,2", "--mode", "quasi",
+      "--samples", "3", "--seed", "0"],
+     "--per-joint-steps is read only with --mode grid"),
+    (["reach", "--mode", "quasi", "--samples", "8", "--per-joint-steps",
+      "25,25,25,5,5,5"], "--per-joint-steps is read only with --mode grid"),
     (["fk", "--q", "0,0,0,0,0,0", "--format", "csv"],
      "--format csv writes a file, so it needs --out"),
     (["capstan", "--small-diameter", "19.4", "--large-diameter", "155.2",
@@ -811,7 +824,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads(
     (["repeat-sim", "--format", "svg"],
      "--format svg writes a file, so it needs --out"),
 ], ids=["payload-fixed-no-q", "payload-q", "payload-worst-empty-q",
-        "workspace-grid-samples", "reach-grid-samples", "fk-csv",
+        "workspace-grid-samples", "reach-grid-samples",
+        "workspace-quasi-steps", "reach-quasi-steps", "fk-csv",
         "capstan-csv", "workspace-svg", "repeat-sim-svg"])
 def test_flags_this_call_never_reads_exit_2(capsys: pytest.CaptureFixture,
                                             tmp_path: Path, argv: list,

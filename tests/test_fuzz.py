@@ -121,14 +121,15 @@ def _runs(draw) -> tuple:
     if write and draw(st.booleans()):
         formats = cli._COMMANDS[name].formats
         argv.append(f"--format={draw(st.sampled_from(formats))}")
-    # values in 1..3 give at most 729 grid samples; a quasi run needs its
-    # sample count
-    if name in ("workspace", "reach") and not any(
-            a.startswith("--per-joint-steps") for a in argv):
-        argv.append("--per-joint-steps=3,3,3,1,1,1")
-    if name in ("workspace", "reach") and "--mode=quasi" in argv and not any(
-            a.startswith("--samples") for a in argv):
-        argv.append("--samples=64")
+    # values in 1..3 give at most 729 grid samples; a quasi run reads no
+    # grid steps and needs its sample count
+    if name in ("workspace", "reach"):
+        if "--mode=quasi" in argv:
+            argv = [a for a in argv if not a.startswith("--per-joint-steps")]
+            if not any(a.startswith("--samples") for a in argv):
+                argv.append("--samples=64")
+        elif not any(a.startswith("--per-joint-steps") for a in argv):
+            argv.append("--per-joint-steps=3,3,3,1,1,1")
     if name == "capstan":
         argv += ["--small-diameter=19.4", "--large-diameter=155.2"]
     if name == "payload" and not any(a.startswith("--grid-deg") for a in argv):

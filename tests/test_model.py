@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from armkit import cli, model
-from armkit.errors import ConfigError, ValidationError
+from armkit import cli, drivetrain, model
+from armkit.errors import ComputationError, ConfigError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,29 @@ def test_validate_flags_capstan_diameter_order(arm: model.ArmDescription) -> Non
     drives[0] = dataclasses.replace(d1, stages=stages)
     broken = dataclasses.replace(arm, drives=tuple(drives))
     assert "capstan.diameters" in _codes(broken)
+
+
+@pytest.mark.parametrize("sheave, pulley", [
+    (0.0194, 0.1552), (0.04, 0.04), (0.05, 0.02), (0.0, 0.02), (0.0, 0.0),
+    (-0.01, 0.02), (math.nan, 0.02), (0.02, math.nan)],
+    ids=["wider", "equal", "narrower", "zero-sheave", "zeros",
+         "negative-sheave", "nan-sheave", "nan-pulley"])
+def test_validate_takes_the_capstan_diameters_capstan_reduction_takes(
+        arm: model.ArmDescription, sheave: float, pulley: float) -> None:
+    drives = list(arm.drives)
+    stage = drives[0].stages[0]
+    geom = dataclasses.replace(stage.geometry, sheave_diameter=sheave,
+                               pulley_diameter=pulley)
+    drives[0] = dataclasses.replace(drives[0], stages=(
+        dataclasses.replace(stage, geometry=geom),) + drives[0].stages[1:])
+    try:
+        drivetrain.capstan_reduction(geom)
+        accepted = True
+    except ComputationError:
+        accepted = False
+    flagged = "capstan.diameters" in _codes(
+        dataclasses.replace(arm, drives=tuple(drives)))
+    assert flagged is not accepted
 
 
 def test_validate_flags_stage_ratio_geometry_mismatch(arm: model.ArmDescription) -> None:

@@ -111,6 +111,28 @@ def test_cycle_validation_rejects_bad_commands(arm: model.ArmDescription) -> Non
         steppersim.simulate_cycle(arm, bad_target)
 
 
+@pytest.mark.parametrize("where", ["reference", "target"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None],
+                         ids=["nan", "inf", "-inf", "five-values"])
+def test_a_bad_cycle_pose_raises_naming_it(arm: model.ArmDescription,
+                                           where: str, bad) -> None:
+    ref = list(steppersim.DEFAULT_REFERENCE_Q)
+    target = list(steppersim.DEFAULT_TARGET_Q)
+    pose = ref if where == "reference" else target
+    if bad is None:
+        del pose[-1]
+    else:
+        pose[2] = bad
+    cycle = MotionCycle(reference=tuple(ref),
+                        waypoints=((tuple(target), 500.0),))
+    rule = "six values" if bad is None else "finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"^cycle {where} must be {rule}, got \\["):
+            steppersim.simulate_cycle(arm, cycle)
+
+
 @pytest.mark.parametrize("probe", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
                                    (math.inf, 0.0, 0.0), (1.0, 0.0)],
                          ids=["zero", "nan", "inf", "two-values"])

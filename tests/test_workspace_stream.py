@@ -131,10 +131,10 @@ def test_streamed_outputs_equal_the_whole_cloud_reference(
         samples: int, seed: int, chunk: int, shell_fraction: float,
         workers: int) -> None:
     arm = _variant(arm, variant)
-    args = ["--per-joint-steps", ",".join(map(str, steps)), "--mode", mode,
-            "--seed", str(seed), "--shell-fraction", repr(shell_fraction)]
-    if mode == "quasi":
-        args += ["--samples", str(samples)]
+    args = ["--mode", mode, "--seed", str(seed),
+            "--shell-fraction", repr(shell_fraction)]
+    args += (["--samples", str(samples)] if mode == "quasi"
+             else ["--per-joint-steps", ",".join(map(str, steps))])
     with pytest.MonkeyPatch.context() as mp, \
             tempfile.TemporaryDirectory() as tmp:
         mp.setattr(kinematics, "SWEEP_CHUNK_ROWS", chunk)
@@ -420,28 +420,43 @@ def _run_within(seconds: float, argv: list) -> int:
 def test_csv_bytes_do_not_depend_on_thread_scheduling(
         arm: model.ArmDescription, capsys: pytest.CaptureFixture,
         monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
-    # more formatting threads than cores, switching every microsecond,
-    # against one thread at the default interval; 24 chunks of 60 points
+    # one thread at the default interval; more formatting threads than
+    # cores, switching every microsecond; and one thread with the main
+    # thread on one pinned core, which the run's threads inherit, so they
+    # interleave as on a one-core host. In chunks of 60 points: a grid of
+    # 24 chunks, one of six (one per q1 value) that share their z column
+    # and so its formatted text, and a quasi sweep of three
     monkeypatch.setattr(kinematics, "SWEEP_CHUNK_ROWS", 60)
-    steps = "6,4,5,3,4,5"
+    sweeps = {"grid": ((6, 4, 5, 3, 4, 5), "grid", None),
+              "shared-z": ((6, 2, 3, 2, 5, 5), "grid", None),
+              "quasi": ((2,) * 6, "quasi", 150)}
     interval = sys.getswitchinterval()
-    for workers, switch in ((1, interval), (4, 1e-6)):
-        monkeypatch.setattr(cli, "_CSV_WORKERS", workers)
-        sys.setswitchinterval(switch)
-        try:
-            assert _run_within(60, [
-                "workspace", "--per-joint-steps", steps, "--format", "csv",
-                "--out", str(tmp_path / str(workers))]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-    capsys.readouterr()
-    cloud = kinematics.sample_workspace(
-        arm, [int(s) for s in steps.split(",")])
-    want = ("x_m,y_m,z_m\n" + "".join(",".join(map(repr, row)) + "\n"
-                                      for row in cloud.points.tolist()))
-    for workers in (1, 4):
-        got = (tmp_path / str(workers) / "workspace.csv").read_text()
-        assert got == want, workers
+    cpus = os.sched_getaffinity(0)
+    runs = {"one": (1, interval, cpus), "four": (4, 1e-6, cpus),
+            "pinned": (1, interval, {min(cpus)})}
+    for sweep, (steps, mode, samples) in sweeps.items():
+        args = ["--mode", mode] + (
+            ["--samples", str(samples)] if mode == "quasi"
+            else ["--per-joint-steps", ",".join(map(str, steps))])
+        for run, (workers, switch, mask) in runs.items():
+            monkeypatch.setattr(cli, "_CSV_WORKERS", workers)
+            sys.setswitchinterval(switch)
+            os.sched_setaffinity(0, mask)
+            try:
+                assert _run_within(60, [
+                    "workspace", *args, "--format", "csv",
+                    "--out", str(tmp_path / sweep / run)]) == 0
+            finally:
+                sys.setswitchinterval(interval)
+                os.sched_setaffinity(0, cpus)
+        capsys.readouterr()
+        cloud = kinematics.sample_workspace(arm, steps, mode=mode,
+                                            samples=samples)
+        want = ("x_m,y_m,z_m\n" + "".join(",".join(map(repr, row)) + "\n"
+                                          for row in cloud.points.tolist()))
+        for run in runs:
+            got = (tmp_path / sweep / run / "workspace.csv").read_text()
+            assert got == want, (sweep, run)
 
 
 def test_a_streamed_csv_is_formatted_on_one_thread(
