@@ -24,6 +24,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from .data import BOM_BATCH_SIZE
 from .errors import BomDataError
 
 MICRO = 10 ** 6  # micro-dollars per dollar
@@ -86,12 +87,13 @@ class BillOfMaterials:
 
 
 def load_bom(source: Union[str, os.PathLike, io.TextIOBase],
-             batch_size: int = 25) -> BillOfMaterials:
+             batch_size: int = BOM_BATCH_SIZE) -> BillOfMaterials:
     """Parse and validate a BOM CSV.
 
     Args:
         source: path or open text stream.
-        batch_size: arms the quantities cover (the shipped file prices 25).
+        batch_size: arms the quantities cover (default
+            ``data.BOM_BATCH_SIZE``, the batch the shipped file prices).
 
     Raises:
         BomDataError: malformed header/row, non-decimal numbers, negative
@@ -151,11 +153,12 @@ def load_bom(source: Union[str, os.PathLike, io.TextIOBase],
     return BillOfMaterials(lines=tuple(lines), batch_size=batch_size)
 
 
-def default_bom() -> BillOfMaterials:
-    """The shipped batch-of-25 parts list."""
+def default_bom(batch_size: int = BOM_BATCH_SIZE) -> BillOfMaterials:
+    """The shipped parts list, its quantities covering ``batch_size`` arms
+    (default the batch it prices, ``data.BOM_BATCH_SIZE``)."""
     ref = resources.files("armkit.data").joinpath("default_bom.csv")
     with ref.open("r", encoding="utf-8", newline="") as fh:
-        return load_bom(fh, batch_size=25)
+        return load_bom(fh, batch_size=batch_size)
 
 
 def batch_total(bom: BillOfMaterials) -> Fraction:

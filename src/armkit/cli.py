@@ -20,7 +20,6 @@ import collections
 import gc
 import itertools
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import _kernels, drivetrain, kinematics, statics, steppersim
 from ._version import __version__
+from .data import BOM_BATCH_SIZE
 from .errors import (
     BomDataError,
     ComputationError,
@@ -311,11 +311,8 @@ def _vec(values) -> str:
 def _handle_fk(args, arm):
     q = np.radians(_floats(args.q, 6, "--q"))
     pose = kinematics.forward_kinematics(arm, q)
-    lines = [f"q_deg: {args.q}",
-             "position_m: " + _vec(pose.position),
-             "rotation:"]
-    for row in pose.orientation:
-        lines.append("  " + _vec(row))
+    lines = [f"q_deg: {args.q}", "position_m: " + _vec(pose.position),
+             "rotation:", *("  " + _vec(row) for row in pose.orientation)]
     return lines, {"csv": lambda: _csv("x_m,y_m,z_m", [pose.position])}
 
 
@@ -341,9 +338,8 @@ def _handle_jacobian(args, arm):
     q = np.radians(_floats(args.q, 6, "--q"))
     J = kinematics.jacobian(arm, q)
     lines = [f"q_deg: {args.q}",
-             "jacobian (rows: vx vy vz wx wy wz; columns: joints 1-6):"]
-    for row in J:
-        lines.append("  " + _vec(row))
+             "jacobian (rows: vx vy vz wx wy wz; columns: joints 1-6):",
+             *("  " + _vec(row) for row in J)]
     return lines, {"csv": lambda: _csv(None, list(J))}
 
 
@@ -498,17 +494,22 @@ def _handle_resolution(args, arm):
 
 
 def _handle_payload(args, arm):
-    sweep_joints = _ints(args.sweep_joints, None, "--sweep-joints")
+    # --grid-deg and --sweep-joints are None under --policy fixed, and
+    # --payload-kg under --policy worst (see _refuse)
+    sweep_joints = (statics.SWEEP_JOINTS if args.sweep_joints is None
+                    else _ints(args.sweep_joints, None, "--sweep-joints"))
+    grid = statics.SWEEP_GRID_DEG if args.grid_deg is None else args.grid_deg
     limit_joints = _ints(args.limit_joints, None, "--limit-joints")
     if args.policy == "fixed":
         q = np.radians(_floats(args.q, 6, "--q"))
-        report = statics.static_report(arm, q, payload=args.payload_kg)
+        payload = 0.0 if args.payload_kg is None else args.payload_kg
+        report = statics.static_report(arm, q, payload=payload)
         if not np.all(np.isfinite(report.required)):
             raise ComputationError(
                 f"required joint torque overflows a float at "
-                f"--payload-kg {args.payload_kg:g}")
+                f"--payload-kg {payload:g}")
         result = statics.max_payload(arm, q, constraint_joints=limit_joints)
-        lines = [f"pose_deg: {args.q}", f"payload_kg: {args.payload_kg:g}",
+        lines = [f"pose_deg: {args.q}", f"payload_kg: {payload:g}",
                  f"{'joint':>5} {'required':>10} {'available':>10} "
                  f"{'utilization':>11}"]
         for j in range(6):
@@ -525,12 +526,12 @@ def _handle_payload(args, arm):
     # which always writes it, takes the per-pose arrays, here, so that the
     # search's other arrays are freed before the CSV is formatted
     binding, per_pose = statics._worst_case(
-        arm, "worst_case_sweep", args.grid_deg, sweep_joints, limit_joints)
+        arm, "worst_case_sweep", grid, sweep_joints, limit_joints)
     result = binding()
     sweep = per_pose() if args.format == "csv" else None
     pose_deg = ",".join(f"{math.degrees(v):g}" for v in result.pose)
     lines = [
-        f"policy: worst_case_sweep (grid {args.grid_deg:g} deg over "
+        f"policy: worst_case_sweep (grid {grid:g} deg over "
         f"joints {','.join(map(str, sweep_joints))}, others at 0; "
         f"budgets checked on joints "
         f"{','.join(map(str, limit_joints))})",
@@ -559,8 +560,10 @@ def _handle_repeat_sim(args, arm):
     if args.sigma0_mm is not None:
         noise = steppersim.NoiseModel(sigma0=args.sigma0_mm * 1e-3,
                                       k=args.k_mm_s_per_step * 1e-3)
+        source = "given"
     else:
         noise = steppersim.default_noise()
+        source = "calibrated anchors, not independent predictions"
     probe = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
              "z": (0.0, 0.0, 1.0), "norm": None}[args.probe]
     result = steppersim.repeatability_experiment(
@@ -569,8 +572,7 @@ def _handle_repeat_sim(args, arm):
         payload=args.payload_kg, probe=probe)
     lines = [
         f"noise: sigma0={noise.sigma0 * 1e3:g} mm, "
-        f"k={noise.k * 1e3:g} mm per step/s (calibrated anchors, "
-        f"not independent predictions)",
+        f"k={noise.k * 1e3:g} mm per step/s ({source})",
         f"cycles_per_speed: {args.cycles}  seed: {args.seed}",
         f"{'speed':>8} {'std_mm':>12}",
     ]
@@ -598,13 +600,8 @@ def _handle_repeat_sim(args, arm):
 def _handle_bom(args, arm):
     from . import bom as bom_mod
 
-    if args.file:
-        bill = bom_mod.load_bom(args.file, batch_size=args.batch)
-    else:
-        bill = bom_mod.default_bom()
-        if args.batch != bill.batch_size:
-            bill = bom_mod.BillOfMaterials(lines=bill.lines,
-                                           batch_size=args.batch)
+    bill = (bom_mod.load_bom(args.file, batch_size=args.batch) if args.file
+            else bom_mod.default_bom(args.batch))
     total = bom_mod.format_usd(bom_mod.batch_total(bill))
     per_arm = bom_mod.format_usd(bom_mod.per_arm_cost(bill))
     fil = bom_mod.filament_report(bill)
@@ -634,24 +631,32 @@ def _handle_bom(args, arm):
 
 
 #: A subcommand's handler, whether it loads an arm (and so takes --arm),
-#: whether it reads --seed, its --format choices, and the stem of its
-#: --format file where that is not the stem of its text.
+#: whether it reads --seed, its --format choices, the stem of its --format
+#: file where that is not the stem of its text, and its flags that one mode
+#: alone reads, each as ``(flag, mode flag, mode)``: such a flag defaults
+#: to None, and :func:`_refuse` refuses it under any other mode.
 _Command = collections.namedtuple(
-    "_Command", "handler loads_arm seeded formats artifact",
-    defaults=(True, False, ("text", "csv"), ""))
+    "_Command", "handler loads_arm seeded formats artifact modal",
+    defaults=(True, False, ("text", "csv"), "", ()))
 
 _PLOTS = ("text", "csv", "svg")
+_SWEEP_MODES = (("--samples", "--mode", "quasi"),
+                ("--per-joint-steps", "--mode", "grid"))
 
 _COMMANDS = {
     "fk": _Command(_handle_fk),
     "ik": _Command(_handle_ik),
     "jacobian": _Command(_handle_jacobian),
-    "workspace": _Command(_handle_workspace, seeded=True, formats=_PLOTS),
-    "reach": _Command(_handle_reach, seeded=True),
+    "workspace": _Command(_handle_workspace, seeded=True, formats=_PLOTS,
+                          modal=_SWEEP_MODES),
+    "reach": _Command(_handle_reach, seeded=True, modal=_SWEEP_MODES),
     "capstan": _Command(_handle_capstan, loads_arm=False),
     "torque-table": _Command(_handle_torque_table),
     "resolution": _Command(_handle_resolution),
-    "payload": _Command(_handle_payload, artifact="payload_sweep"),
+    "payload": _Command(_handle_payload, artifact="payload_sweep", modal=(
+        ("--q", "--policy", "fixed"), ("--payload-kg", "--policy", "fixed"),
+        ("--grid-deg", "--policy", "worst"),
+        ("--sweep-joints", "--policy", "worst"))),
     "repeat-sim": _Command(_handle_repeat_sim, seeded=True, formats=_PLOTS),
     "bom": _Command(_handle_bom, loads_arm=False),
 }
@@ -737,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q0", default=None, metavar="D1,...,D6",
                     help="starting joint angles, degrees (default zeros); "
                          "the exact solution nearest them answers")
-    sp.add_argument("--max-iters", type=int, default=200,
-                    help="iterations per attempt (default 200)")
+    sp.add_argument("--max-iters", type=int, default=IKOptions.max_iters,
+                    help="iterations per attempt (default %(default)s)")
 
     sp = add("jacobian", "geometric Jacobian at one joint vector")
     sp.add_argument("--q", required=True, metavar="D1,...,D6",
@@ -786,21 +791,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worst-case sweep (default) or a fixed pose")
     sp.add_argument("--q", default=None, metavar="D1,...,D6",
                     help="pose for --policy fixed, degrees")
-    sp.add_argument("--payload-kg", type=float, default=0.0,
+    sp.add_argument("--payload-kg", type=float, default=None,
                     help="payload for the fixed-pose load report (default 0)")
-    sp.add_argument("--grid-deg", type=float, default=statics.SWEEP_GRID_DEG,
-                    help="sweep grid pitch, degrees (default %(default)s)")
-    sp.add_argument("--sweep-joints", default="2,3,5", metavar="J,...",
-                    help="joints swept in the worst-case search "
-                         "(default 2,3,5)")
-    sp.add_argument("--limit-joints", default="1,2,3,4,5,6", metavar="J,...",
+    sp.add_argument("--grid-deg", type=float, default=None, help="sweep grid "
+                    f"pitch, degrees (default {statics.SWEEP_GRID_DEG})")
+    sp.add_argument("--sweep-joints", default=None, metavar="J,...",
+                    help="joints swept in the worst-case search (default "
+                         f"{','.join(map(str, statics.SWEEP_JOINTS))})")
+    sp.add_argument("--limit-joints", metavar="J,...",
+                    default=",".join(map(str, statics.CONSTRAINT_JOINTS)),
                     help="joints whose torque budgets constrain the answer "
-                         "(default all six; 2,3 isolates the shoulder/elbow "
-                         "budget as a diagnostic)")
+                         "(default %(default)s; 2,3 isolates the "
+                         "shoulder/elbow budget as a diagnostic)")
 
     sp = add("repeat-sim", "Monte-Carlo repeatability experiment")
-    sp.add_argument("--speeds", default="500,1000,1500,2000,2500",
-                    metavar="S1,...", help="motor step rates, steps/s")
+    sp.add_argument("--speeds", metavar="S1,...",
+                    default=",".join(map(str, steppersim.DEFAULT_SPEEDS)),
+                    help="motor step rates, steps/s (default %(default)s)")
     sp.add_argument("--cycles", type=int, default=10,
                     help="motion cycles per speed (default 10)")
     sp.add_argument("--sigma0-mm", type=float, default=None,
@@ -817,8 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bom", "bill-of-materials rollup")
     sp.add_argument("--file", default=None, metavar="PATH",
                     help="BOM CSV (default: the shipped parts list)")
-    sp.add_argument("--batch", type=int, default=25,
-                    help="arms the quantities cover (default 25)")
+    sp.add_argument("--batch", type=int, default=BOM_BATCH_SIZE,
+                    help="arms the quantities cover (default %(default)s)")
 
     return parser
 
@@ -830,7 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _refuse(args) -> None:
     """Refuse a negative seed, --policy fixed without --q, a file --format
     without --out or that the call does not write, and a flag that only
-    another mode reads, before any work."""
+    another mode reads (a ``modal`` row of the subcommand's
+    :data:`_COMMANDS` entry), before any work."""
     if getattr(args, "policy", None) == "fixed":
         if not args.q:
             raise CliUsageError("--policy fixed requires --q")
@@ -841,13 +849,10 @@ def _refuse(args) -> None:
     if args.format != "text" and not args.out:
         raise CliUsageError(f"--format {args.format} writes a file, "
                             f"so it needs --out")
-    if getattr(args, "samples", None) is not None and args.mode == "grid":
-        raise CliUsageError("--samples is read only with --mode quasi")
-    if getattr(args, "per_joint_steps", None) is not None \
-            and args.mode == "quasi":
-        raise CliUsageError("--per-joint-steps is read only with --mode grid")
-    if getattr(args, "policy", "fixed") != "fixed" and args.q is not None:
-        raise CliUsageError("--q is read only with --policy fixed")
+    for flag, mode, value in _COMMANDS[args.subcommand].modal:
+        if getattr(args, flag[2:].replace("-", "_")) is not None \
+                and getattr(args, mode[2:]) != value:
+            raise CliUsageError(f"{flag} is read only with {mode} {value}")
 
 
 def run(argv: Optional[List[str]] = None) -> int:

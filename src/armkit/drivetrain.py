@@ -137,8 +137,8 @@ def max_joint_torque(drive: JointDrive) -> float:
 
 
 def joint_resolution(drive: JointDrive) -> float:
-    """Output angle per microstep (degrees)."""
-    steps = drive.motor.steps_per_rev * drive.microstep_factor
+    """Output angle per microstep (degrees), in float arithmetic."""
+    steps = float(drive.motor.steps_per_rev) * drive.microstep_factor
     if steps < 1:
         raise ComputationError("steps_per_rev x microstep_factor must be >= 1")
     return 360.0 / (steps * total_reduction(drive))

@@ -203,9 +203,9 @@ START_ROTATION_WEIGHT = 0.1
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``x`` (n, m), rounded like
-    ``np.linalg.norm`` of that row alone (one dot product per row)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    """Euclidean norm along the last axis of ``x`` (..., m), each rounded
+    like ``np.linalg.norm`` of that vector alone (one dot product each)."""
+    return np.sqrt((x[..., None, :] @ x[..., None])[..., 0, 0])
 
 
 def _rotation_vector(R: np.ndarray) -> np.ndarray:

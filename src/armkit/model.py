@@ -550,13 +550,11 @@ def validate_arm(arm: ArmDescription) -> list[Violation]:
         if d.listed_max_torque is not None:
             finite(f"{dp}.listed_max_torque", d.listed_max_torque,
                    "drive.nonfinite")
-        reduction = drivetrain.total_reduction(d)
-        if not 0 < m.holding_torque * reduction < math.inf:
+        if not 0 < drivetrain.max_joint_torque(d) < math.inf:
             bad("drive.torque_budget", dp,
                 "holding_torque x total reduction must be finite and > 0")
         elif m.steps_per_rev >= 1 and d.microstep_factor >= 1 and not (
-                0 < 360.0 / (float(m.steps_per_rev) * d.microstep_factor
-                             * reduction) < math.inf):
+                0 < drivetrain.joint_resolution(d) < math.inf):
             bad("drive.resolution", dp,
                 "degrees per microstep must be finite and > 0")
         if finite(f"{dp}.motor.holding_torque", m.holding_torque,

@@ -19,13 +19,16 @@ from .errors import (ComputationError, NoConvergenceError,
                      ResourceLimitError, require_finite)
 from ._kernels import fk_frames_batch
 from .kinematics import (DEFAULT_SAMPLE_CAP, _joint_angles, _keep_pose,
-                         _pose_entry)
+                         _pose_entry, _row_norms)
 from .model import ArmDescription, _mass_entries, _tables, limits_array
 
 #: Default worst-case sweep: 15-degree grid on the gravity-loaded joints
 #: (shoulder pitch, elbow pitch, wrist pitch); yaw/roll joints stay at zero.
 SWEEP_JOINTS = (2, 3, 5)
 SWEEP_GRID_DEG = 15.0
+
+#: Joints whose torque budgets bound a payload by default: all six.
+CONSTRAINT_JOINTS = (1, 2, 3, 4, 5, 6)
 
 #: Read only by ``perfbench`` as its payload pin tolerance; the caps are exact.
 BISECTION_TOL_KG = 1e-4
@@ -99,10 +102,7 @@ def _gravity_split(arm: ArmDescription, frames: np.ndarray):
     frame, prev, mass, offset, loads = _statics_tables(arm).mass
     o_prev = origin[:, prev]
     span = origin[:, frame] - o_prev
-    # the same dot product as np.linalg.norm of one vector, so one pose's
-    # torques keep their bits
-    s = span.T
-    length = np.sqrt(s[..., None, :] @ s[..., None])[..., 0, 0].T
+    length = _row_norms(span.T).T
     along = length > 1e-12
     u = np.where(along, span / np.where(along, length, 1.0), axis[:, frame])
     points = np.concatenate([o_prev + offset[:, None] * u, origin[:, 6:]], axis=1)
@@ -310,7 +310,7 @@ def max_payload(arm: ArmDescription,
                 pose_policy: Union[str, Sequence[float]] = "worst_case_sweep",
                 grid_deg: float = SWEEP_GRID_DEG,
                 sweep_joints: Sequence[int] = SWEEP_JOINTS,
-                constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6)
+                constraint_joints: Sequence[int] = CONSTRAINT_JOINTS
                 ) -> PayloadResult:
     """Largest payload (kg) holdable at every joint under the pose policy.
 
@@ -392,7 +392,7 @@ def _worst_case(arm: ArmDescription,
 def sweep_payload_caps(arm: ArmDescription,
                        grid_deg: float = SWEEP_GRID_DEG,
                        sweep_joints: Sequence[int] = SWEEP_JOINTS,
-                       constraint_joints: Sequence[int] = (1, 2, 3, 4, 5, 6)):
+                       constraint_joints: Sequence[int] = CONSTRAINT_JOINTS):
     """Per-pose payload cap over the worst-case lattice (for CSV export).
 
     The arrays of :func:`max_payload`'s search (:func:`_worst_case`), so

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import drivetrain, statics
 from .errors import DegenerateFitError, ResourceLimitError, require_finite
-from .kinematics import DEFAULT_SAMPLE_CAP, _joint_angles, fk_frames
+from .kinematics import (DEFAULT_SAMPLE_CAP, _joint_angles, _row_norms,
+                         fk_frames)
 from .model import ArmDescription, limits_array
 
 #: Measured (step rate, deviation std in meters) anchor points used to
@@ -201,8 +202,7 @@ def _deviation(delta: np.ndarray, sigma: float, axis: Optional[np.ndarray],
     (a speed's cycles), so their deviations share their bits."""
     if axis is not None:
         return float(delta @ axis) + sigma * z[:, 0]
-    return np.array([float(np.linalg.norm(v))
-                     for v in delta + sigma / math.sqrt(3.0) * z])
+    return _row_norms(delta + sigma / math.sqrt(3.0) * z)
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armkit import cli, model, statics, steppersim
+from armkit import bom, cli, data, model, statics, steppersim
+from armkit.kinematics import IKOptions
 
 
 def _run(capsys: pytest.CaptureFixture, argv: list[str]) -> tuple[int, str]:
@@ -503,6 +506,20 @@ def test_repeat_sim_noise_flags_must_pair(capsys: pytest.CaptureFixture) -> None
     assert rc == 2
 
 
+def test_repeat_sim_labels_given_noise_as_given(
+        capsys: pytest.CaptureFixture) -> None:
+    argv = ["repeat-sim", "--speeds", "500", "--cycles", "2"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    assert out.splitlines()[0].endswith(
+        " mm per step/s (calibrated anchors, not independent predictions)")
+    rc, out = _run(capsys, argv + ["--sigma0-mm", "0.1",
+                                   "--k-mm-s-per-step", "0"])
+    assert rc == 0
+    assert out.splitlines()[0] == \
+        "noise: sigma0=0.1 mm, k=0 mm per step/s (given)"
+
+
 def test_bom_summarizes_costs_and_flags_the_spool_count(
         capsys: pytest.CaptureFixture) -> None:
     rc, out = _run(capsys, ["bom"])
@@ -823,13 +840,23 @@ def test_each_subcommand_takes_only_the_flags_it_reads(
      "--format svg writes a file, so it needs --out"),
     (["repeat-sim", "--format", "svg"],
      "--format svg writes a file, so it needs --out"),
+    (["payload", "--payload-kg", "0.5"],
+     "--payload-kg is read only with --policy fixed"),
+    (["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+      "--grid-deg", "10"], "--grid-deg is read only with --policy worst"),
+    (["payload", "--policy", "fixed", "--q", "0,0,90,0,-90,0",
+      "--sweep-joints", "2"], "--sweep-joints is read only with --policy worst"),
 ], ids=["payload-fixed-no-q", "payload-q", "payload-worst-empty-q",
         "workspace-grid-samples", "reach-grid-samples",
         "workspace-quasi-steps", "reach-quasi-steps", "fk-csv",
-        "capstan-csv", "workspace-svg", "repeat-sim-svg"])
+        "capstan-csv", "workspace-svg", "repeat-sim-svg",
+        "payload-worst-payload-kg", "payload-fixed-grid-deg",
+        "payload-fixed-sweep-joints"])
 def test_flags_this_call_never_reads_exit_2(capsys: pytest.CaptureFixture,
                                             tmp_path: Path, argv: list,
                                             message: str) -> None:
+    # the error is the only stderr line: the refusal comes before the arm
+    # loads, whose notices would precede it
     rc = cli.run(argv)
     out, err = capsys.readouterr()
     assert (rc, out, err) == (2, "", f"error: {message}\n")
@@ -838,6 +865,46 @@ def test_flags_this_call_never_reads_exit_2(capsys: pytest.CaptureFixture,
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_defaults_are_the_library_constants(
+        capsys: pytest.CaptureFixture) -> None:
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    parser = cli.build_parser()
+    parse = parser.parse_args
+    ik = parse(["ik", "--target", "0,0,0", "--rpy", "0,0,0"])
+    assert ik.max_iters == IKOptions().max_iters
+    payload = parse(["payload"])
+    assert cli._ints(payload.limit_joints, None, "") == \
+        statics.CONSTRAINT_JOINTS
+    for function in (statics.max_payload, statics.sweep_payload_caps):
+        assert default(function, "constraint_joints") is \
+            statics.CONSTRAINT_JOINTS
+    assert tuple(cli._floats(parse(["repeat-sim"]).speeds, None, "")) == \
+        steppersim.DEFAULT_SPEEDS
+    assert parse(["bom"]).batch == data.BOM_BATCH_SIZE
+    for function in (bom.load_bom, bom.default_bom):
+        assert default(function, "batch_size") == data.BOM_BATCH_SIZE
+    assert bom.default_bom().batch_size == data.BOM_BATCH_SIZE
+    # the flags one policy reads default to None; the sweep then reads the
+    # library's lattice
+    assert (payload.grid_deg, payload.sweep_joints, payload.payload_kg) == (
+        None, None, None)
+    rc, out = _run(capsys, ["payload", "--grid-deg", "45"])
+    assert rc == 0
+    assert out.startswith(
+        "policy: worst_case_sweep (grid 45 deg over joints "
+        f"{','.join(map(str, statics.SWEEP_JOINTS))}, others at 0; budgets "
+        f"checked on joints {','.join(map(str, statics.CONSTRAINT_JOINTS))})")
+    # no help text shows a None default
+    subparsers, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.default is not None or \
+                "%(default)" not in (action.help or ""), (name, action.dest)
 
 
 def test_payload_at_a_fixed_pose_refuses_a_csv(capsys: pytest.CaptureFixture,

@@ -99,10 +99,23 @@ _OPTIONS["reach"] = _OPTIONS["workspace"]
 #: Required options, drawn in every run of their subcommand.
 _REQUIRED = {"fk": ("--q",), "jacobian": ("--q",), "ik": ("--target", "--rpy")}
 #: Options that one mode alone reads, and that mode; elsewhere they exit 2,
-#: so they are drawn only in it.
+#: so they are drawn only in it. The mode flag is drawn before them.
 _ONLY_WITH = {("workspace", "--samples"): "--mode=quasi",
               ("reach", "--samples"): "--mode=quasi",
-              ("payload", "--q"): "--policy=fixed"}
+              ("payload", "--q"): "--policy=fixed",
+              ("payload", "--payload-kg"): "--policy=fixed",
+              ("payload", "--grid-deg"): "--policy=worst",
+              ("payload", "--sweep-joints"): "--policy=worst"}
+#: The mode each mode flag takes when it is not given.
+_DEFAULT_MODES = ("--mode=grid", "--policy=worst")
+
+
+def _in_mode(mode: str, argv: list) -> bool:
+    """Whether a run of ``argv`` is in ``mode``, given as ``--flag=value``."""
+    flag = mode.partition("=")[0] + "="
+    if any(a.startswith(flag) for a in argv):
+        return mode in argv
+    return mode in _DEFAULT_MODES
 
 
 @st.composite
@@ -114,7 +127,7 @@ def _runs(draw) -> tuple:
     argv = [name]
     for option, values in _OPTIONS[name].items():
         mode = _ONLY_WITH.get((name, option))
-        if mode is not None and mode not in argv:
+        if mode is not None and not _in_mode(mode, argv):
             continue
         if option in _REQUIRED.get(name, ()) or draw(st.booleans()):
             argv.append(f"{option}={draw(values)}")
@@ -132,7 +145,8 @@ def _runs(draw) -> tuple:
             argv.append("--per-joint-steps=3,3,3,1,1,1")
     if name == "capstan":
         argv += ["--small-diameter=19.4", "--large-diameter=155.2"]
-    if name == "payload" and not any(a.startswith("--grid-deg") for a in argv):
+    if name == "payload" and _in_mode("--policy=worst", argv) \
+            and not any(a.startswith("--grid-deg") for a in argv):
         argv.append("--grid-deg=45")
     return argv, write
 

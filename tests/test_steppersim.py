@@ -155,6 +155,27 @@ def test_probe_axis_none_uses_euclidean_norm(arm: model.ArmDescription) -> None:
     assert out.deviation == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e150, 1e-160])
+def test_deviation_without_a_probe_keeps_the_per_row_norm_bits(
+        scale: float) -> None:
+    # the 3D deviations, one product per row, against np.linalg.norm of
+    # each row alone; 1e150 squares near the top of the float range and
+    # 1e-160 into subnormals. np.linalg.norm(..., axis=1) rounds apart on
+    # thousands of these rows.
+    rng = np.random.default_rng(11)
+    delta = scale * rng.standard_normal(3)
+    z = rng.standard_normal((20_000, 3))
+    sigma = scale * 0.3
+    got = steppersim._deviation(delta, sigma, None, z)
+    want = np.array([float(np.linalg.norm(v))
+                     for v in delta + sigma / math.sqrt(3.0) * z])
+    assert got.shape == (20_000,)
+    assert got.tobytes() == want.tobytes()
+    stack = scale * rng.standard_normal((50, 7, 3))
+    assert kinematics._row_norms(stack).tobytes() == np.array(
+        [[np.linalg.norm(v) for v in rows] for rows in stack]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # repeatability experiments
 # ---------------------------------------------------------------------------
